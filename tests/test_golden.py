@@ -1,0 +1,247 @@
+"""Golden outputs: the exact bytes of small CLI runs.
+
+Each case runs one fixed config through the CLI and pins its exit code and
+the sha256 of ``report.json`` and of every CSV it writes.  A refactor that
+claims to preserve behaviour must leave these digests unchanged.  Only a
+deliberate change of the random draw order may regenerate them, with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which prints the current table for pasting into GOLDEN below.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from nrlevy.cli import main
+
+CONFIGS = {
+    "simulate-ys": """
+[experiment]
+name = simulate-ys
+rho = 2.0
+seed = 11
+replicas = 2000
+""",
+    "simulate-walk-elephant": """
+[experiment]
+name = simulate-walk
+p = 0.3
+n = 200
+seed = 12
+walk = elephant
+""",
+    "simulate-walk-skeleton": """
+[experiment]
+name = simulate-walk
+p = 0.4
+n = 200
+seed = 13
+walk = skeleton
+[triplet]
+dim = 1
+jumps = stable
+alpha = 1.5
+""",
+    "simulate-nrlp-series": """
+[experiment]
+name = simulate-nrlp
+p = 0.3
+seed = 14
+replicas = 300
+grid = 0.5,1.0
+truncation_eps = 0.05
+[triplet]
+dim = 1
+gaussian = 1.0
+drift = 0.2
+jumps = atoms
+atoms = 1.0:2.0; -0.5:0.3
+""",
+    "cf-compare-series-exact": """
+[experiment]
+name = cf-compare
+p = 0.5
+seed = 15
+replicas = 2000
+thetas = 0.5,1.0
+grid = 0.5,1.0
+truncation_eps = 0.01
+sampler = series
+theory = exact
+[triplet]
+dim = 1
+jumps = cauchy
+""",
+    "cf-compare-spectral-auto": """
+[experiment]
+name = cf-compare
+p = 0.5
+seed = 16
+replicas = 2000
+thetas = 0.5,1.0,2.0
+grid = 0.5,1.0
+sampler = spectral
+[triplet]
+dim = 1
+jumps = stable
+alpha = 1.5
+""",
+    "cf-compare-series-mc": """
+[experiment]
+name = cf-compare
+p = 0.3
+seed = 17
+replicas = 1000
+thetas = 0.5,1.0
+grid = 0.5,1.0
+theory = mc
+mc_replicas = 20000
+[triplet]
+dim = 1
+gaussian = 1.0
+""",
+    "theorem1-exact": """
+[experiment]
+name = theorem1
+p = 0.3
+seed = 18
+replicas = 200
+mesh = 50,100
+theory = exact
+[triplet]
+dim = 1
+gaussian = 1.0
+""",
+    "theorem1-mc": """
+[experiment]
+name = theorem1
+p = 0.5
+seed = 19
+replicas = 200
+mesh = 20,50
+theory = mc
+mc_replicas = 10000
+[triplet]
+dim = 1
+jumps = cauchy
+""",
+    "supercritical": """
+[experiment]
+name = supercritical
+p = 0.8
+alpha = 1.5
+theta = 1.0
+seed = 20
+replicas = 256
+mesh = 20,50
+""",
+    "prop8": """
+[experiment]
+name = prop8
+p = 0.5
+n = 100
+ks = 1,2
+seed = 21
+replicas = 256
+mc_replicas = 20000
+""",
+    "moments": """
+[experiment]
+name = moments
+rho = 4.0
+seed = 22
+replicas = 5000
+grid = 0.5,1.0
+""",
+}
+
+GOLDEN = {
+    'cf-compare-series-exact': (0, {
+        'cfdata.csv': 'bc6fe264c4a6c13d2b85904a38c4182b3bf80d7d31487610dee966b101ac7bd4',
+        'report.json': 'f4643d47f62c2d817b8e5b08be8b8df8b48caea3aa515587dddea5a1468e97fb',
+    }),
+    'cf-compare-series-mc': (0, {
+        'cfdata.csv': 'c41382844a41d6a09cc84d4bf1fc4ac4880828ae0510bfd2c847a0b182587742',
+        'report.json': 'f18144b8a29962a095441ce7302377077830a6553b1ea482187575ebb3d740ee',
+    }),
+    'cf-compare-spectral-auto': (0, {
+        'cfdata.csv': '02f85df6a00fbd8f64685522ff11be919b91e9d5d9b5ed77c1df7af38f4cf6fb',
+        'report.json': '4d18cf2d1dd1afe5e2144d27bc6fe707309d4303e9151742c3480394c452b1ed',
+    }),
+    'moments': (0, {
+        'report.json': 'dd639bcae81a7c83a11e5f24fee9f47cfa53ddffc8508750b98c7f722346aacc',
+    }),
+    'prop8': (0, {
+        'prop8.csv': '44330707d96ed1740784be983de64b66d336952daf029f887538f70a0fcd36b7',
+        'report.json': '353cab5cde0a243e5c41dfaa931d38714a3498909529c91f4a48cd7805267d5f',
+    }),
+    'simulate-nrlp-series': (0, {
+        'paths.csv': '7b52d855a53d545be72b65143afead2dd20e89299e7f07ef11343f8a5be63a5c',
+        'report.json': 'fb746b2306afe14bd976d88c44cf9f984acbcc1d0cb7b7c42a74cb52fda64366',
+    }),
+    'simulate-walk-elephant': (0, {
+        'counters.csv': '330922068aa6e9782d5d8cc00e9ec6cd9f6aceedaa5451a8b58fd1e454865929',
+        'report.json': 'db413882d7935bc5619be4dcd4c0780475e5686df71e893973e7d0e2534795aa',
+        'walk.csv': 'c5e48cd7e15c9f1da84fd7269d0883e07bf7ceeab47e8b1fa0a1551152742cdc',
+    }),
+    'simulate-walk-skeleton': (0, {
+        'counters.csv': '7b12cc36f67ab3ce3a810136e4ffdc96e46148990f8a3eaa9a100390cfadac6d',
+        'report.json': '114f377aaf42d67931a8914ca12bb107b799fb6ce35261248330df6f13a6bfca',
+        'walk.csv': '7254c715d11e21e653953ebbc8138bd141beba4c6123a7abc2179b591359dbbf',
+    }),
+    'simulate-ys': (0, {
+        'histogram.csv': '2d2214ff76cd8b8f60ac74c11224503fa4197a6eed1aaf75609044c08d1a1874',
+        'report.json': 'fe24a0d6d52754672b011d8db866a8935edc61dc7b82862e1d4ef63a29102225',
+    }),
+    'supercritical': (0, {
+        'distances.csv': 'b2e3495c636d826f44c9f9033e722c0ce94414d2d138f2db31d7e1daac225c96',
+        'report.json': '14eb6938a190dc4611c785928ab13d4a14684871e57ff32a78519d8039b3b5d6',
+    }),
+    'theorem1-exact': (0, {
+        'distances.csv': '8e237aadcfe403adbb897a27a0feffe16ac749aa98c6361d397311d6abd0cff6',
+        'report.json': '48c5204710d1c9e84a58975184f2a5ae7e98f5d2fe066ed5ee827e8f80f2e3bd',
+    }),
+    'theorem1-mc': (0, {
+        'distances.csv': '18b1d52221afb3819c321a9d5b726bc5267614c63832e59f9d3d4cb2cf8e9f80',
+        'report.json': '7a37f54cc31ca7bbba4b52195f674d3a216a8e640ca1e589a9c9113304b9adc9',
+    }),
+}
+
+
+def run_case(name: str, out: Path) -> tuple[int, dict[str, str]]:
+    """Run one config into ``out``; return its exit code and file digests."""
+    out.mkdir(parents=True, exist_ok=True)
+    config = out / "config.ini"
+    config.write_text(CONFIGS[name])
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", str(config), "--out", str(out / "run")])
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((out / "run").iterdir())
+    }
+    return code, digests
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_bytes(name, tmp_path):
+    assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for name in sorted(CONFIGS):
+            code, digests = run_case(name, Path(tmp) / name)
+            print(f"    {name!r}: ({code}, {{")
+            for fname, digest in digests.items():
+                print(f"        {fname!r}: {digest!r},")
+            print("    }),")
+        print("}")
+        sys.stdout.flush()
