@@ -8,7 +8,8 @@ non-deterministic: rerunning with the same config and seed is byte-identical
 for any ``--threads`` value.
 
 Exit codes: 0 when the experiment's verdict passes (or it has no verdict),
-2 when a verdict fails, 1 for configuration or usage errors.
+2 when a verdict fails, 1 for configuration or usage errors and for errors
+the library raises while the experiment runs.
 """
 
 from __future__ import annotations
@@ -36,19 +37,17 @@ from .levy_model import (
     is_admissible,
 )
 from .noise_reinforced import (
+    THEORIES,
     CfQuery,
     NrlpConfig,
     nrlp_marginals,
-    nrlp_sample,
-    reinforced_cf,
-    reinforced_cf_exact,
+    reinforced_cf_values,
     truncation_budget,
 )
-from .errors import UnsupportedFamilyError
 from .rng import RngStream
 from .spectral import stable_nrlp_marginals
 from .step_reinforced import elephant_walk, skeleton_reinforced_walk
-from .yule_simon import MemoryParameter, ys_mean, ys_cross_moment, ys_pmf, ys_process_values, ys_sample
+from .yule_simon import MemoryParameter, ys_cross_moment, ys_mean, ys_pmf, ys_process_values, ys_sample
 
 EXPERIMENTS = (
     "simulate-ys",
@@ -61,11 +60,9 @@ EXPERIMENTS = (
     "moments",
 )
 
-_EXPERIMENT_KEYS = {
-    "name", "p", "seed", "replicas", "mesh", "grid", "thetas", "theta", "alpha",
-    "rho", "n", "ks", "truncation_eps", "tolerance_mult", "threads", "walk",
-    "theory", "mc_replicas", "sampler", "final_threshold",
-}
+SAMPLERS = ("auto", "series", "spectral")
+WALKS = ("elephant", "skeleton")
+
 _TRIPLET_KEYS = {"dim", "gaussian_factor", "gaussian", "drift", "jumps", "alpha", "scale", "atoms"}
 _OUTPUT_KEYS = {"dir"}
 
@@ -90,7 +87,7 @@ class ExperimentConfig:
     n: int = 10000
     ks: tuple[int, ...] = (1, 2, 3)
     truncation_eps: float = 1e-4
-    tolerance_mult: float = 4.0
+    tolerance_mult: float = dg.TOLERANCE_MULT
     threads: int = 1
     walk: str = "elephant"
     theory: str = "auto"
@@ -116,6 +113,31 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+# [experiment] key -> parser; each key sets the ExperimentConfig field of its name.
+_EXPERIMENT_FIELDS = {
+    "p": float,
+    "seed": int,
+    "replicas": int,
+    "mesh": _parse_ints,
+    "grid": _parse_floats,
+    "thetas": _parse_floats,
+    "theta": float,
+    "alpha": float,
+    "rho": float,
+    "n": int,
+    "ks": _parse_ints,
+    "truncation_eps": float,
+    "tolerance_mult": float,
+    "threads": int,
+    "walk": str.strip,
+    "theory": str.strip,
+    "mc_replicas": int,
+    "sampler": str.strip,
+    "final_threshold": float,
+}
+_EXPERIMENT_KEYS = {"name", *_EXPERIMENT_FIELDS}
 
 
 def build_triplet(section: dict) -> LevyTriplet:
@@ -160,8 +182,11 @@ def build_triplet(section: dict) -> LevyTriplet:
 
 
 def load_config(path: Path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path} not found")
     sections = {s.lower(): dict(parser.items(s)) for s in parser.sections()}
@@ -183,44 +208,9 @@ def load_config(path: Path) -> ExperimentConfig:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     cfg = ExperimentConfig(experiment=name)
-    if "p" in exp:
-        cfg.p = float(exp["p"])
-    if "seed" in exp:
-        cfg.seed = int(exp["seed"])
-    if "replicas" in exp:
-        cfg.replicas = int(exp["replicas"])
-    if "mesh" in exp:
-        cfg.mesh = _parse_ints(exp["mesh"])
-    if "grid" in exp:
-        cfg.grid = _parse_floats(exp["grid"])
-    if "thetas" in exp:
-        cfg.thetas = _parse_floats(exp["thetas"])
-    if "theta" in exp:
-        cfg.theta = float(exp["theta"])
-    if "alpha" in exp:
-        cfg.alpha = float(exp["alpha"])
-    if "rho" in exp:
-        cfg.rho = float(exp["rho"])
-    if "n" in exp:
-        cfg.n = int(exp["n"])
-    if "ks" in exp:
-        cfg.ks = _parse_ints(exp["ks"])
-    if "truncation_eps" in exp:
-        cfg.truncation_eps = float(exp["truncation_eps"])
-    if "tolerance_mult" in exp:
-        cfg.tolerance_mult = float(exp["tolerance_mult"])
-    if "threads" in exp:
-        cfg.threads = int(exp["threads"])
-    if "walk" in exp:
-        cfg.walk = exp["walk"].strip()
-    if "theory" in exp:
-        cfg.theory = exp["theory"].strip()
-    if "mc_replicas" in exp:
-        cfg.mc_replicas = int(exp["mc_replicas"])
-    if "sampler" in exp:
-        cfg.sampler = exp["sampler"].strip()
-    if "final_threshold" in exp:
-        cfg.final_threshold = float(exp["final_threshold"])
+    for key, parse in _EXPERIMENT_FIELDS.items():
+        if key in exp:
+            setattr(cfg, key, parse(exp[key]))
     if "dir" in out:
         cfg.out_dir = Path(out["dir"])
     cfg.triplet_section = trip
@@ -234,6 +224,13 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("replicas must be positive")
     if cfg.threads < 1:
         raise ConfigError("threads must be positive")
+    if not cfg.tolerance_mult > 0:
+        raise ConfigError(f"tolerance_mult must be positive, got {cfg.tolerance_mult}")
+    for key, allowed in (("sampler", SAMPLERS), ("theory", THEORIES), ("walk", WALKS)):
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; choose from {allowed}")
+    if cfg.experiment == "simulate-walk" and cfg.walk == "skeleton" and cfg.triplet is None:
+        raise ConfigError("walk = skeleton requires a [triplet] section")
     if cfg.experiment in ("theorem1", "supercritical") and len(cfg.mesh) < 2:
         raise ConfigError("mesh must contain at least two points")
     if cfg.experiment == "supercritical":
@@ -253,6 +250,8 @@ def validate(cfg: ExperimentConfig) -> None:
                 f"inadmissible memory parameter: p * beta = "
                 f"{mp.p * bg_index(cfg.triplet):.4g} >= 1 (need p * beta < 1)"
             )
+    if cfg.experiment == "cf-compare" and cfg.triplet.dim != 1:
+        raise ConfigError("cf-compare queries are one-dimensional: set dim = 1")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +325,7 @@ def _run_theorem1(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
         cfg.stream(),
         theory=cfg.theory,
         theory_mc_replicas=cfg.mc_replicas,
-        tolerance_mult=cfg.tolerance_mult if cfg.tolerance_mult else 5.0,
+        tolerance_mult=cfg.tolerance_mult,
         threads=cfg.threads,
     )
     report = _report_from_convergence(rep)
@@ -412,12 +411,8 @@ def _run_simulate_walk(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
     stream = cfg.stream()
     if cfg.walk == "elephant":
         walk = elephant_walk(cfg.n, cfg.memory(), stream.generator(0))
-    elif cfg.walk == "skeleton":
-        if cfg.triplet is None:
-            raise ConfigError("walk = skeleton requires a [triplet] section")
-        walk = skeleton_reinforced_walk(cfg.triplet, cfg.n, cfg.memory(), stream.generator(0))
     else:
-        raise ConfigError(f"unknown walk kind {cfg.walk!r}")
+        walk = skeleton_reinforced_walk(cfg.triplet, cfg.n, cfg.memory(), stream.generator(0))
     sums = walk.partial_sums
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     rows = [[k] + [float(v) for v in np.atleast_1d(sums[k])] for k in range(sums.shape[0])]
@@ -501,21 +496,10 @@ def _run_cf_compare(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
         CfQuery(np.asarray([th]), np.asarray([t])) for t in pos_times for th in cfg.thetas
     ]
     values, sampler = _sample_marginals(cfg, nc, cfg.replicas)
-    ecf = dg.empirical_cf(values[:, :, 0] if values.shape[2] == 1 else values, nc.grid, queries)
-    theory = np.empty(len(queries), dtype=complex)
-    theory_se = np.zeros(len(queries))
-    for qi, q in enumerate(queries):
-        if cfg.theory in ("auto", "exact"):
-            try:
-                theory[qi] = reinforced_cf_exact(nc.triplet, nc.p, q)
-                continue
-            except UnsupportedFamilyError:
-                if cfg.theory == "exact":
-                    raise
-        est = reinforced_cf(nc.triplet, nc.p, q, cfg.mc_replicas,
-                            cfg.stream().substream(1000 + qi).generator())
-        theory[qi] = est.value
-        theory_se[qi] = est.value_se
+    ecf = dg.empirical_cf(values[:, :, 0], nc.grid, queries)
+    theory = reinforced_cf_values(
+        nc.triplet, nc.p, queries, cfg.theory, cfg.mc_replicas, cfg.stream()
+    )
     dist = np.abs(ecf.estimates - theory)
     threshold = cfg.tolerance_mult / math.sqrt(cfg.replicas)
     passed = bool(dist.max() < threshold)
@@ -609,7 +593,11 @@ def run(config_path: Path, overrides: argparse.Namespace | None = None) -> int:
     except (NrlevyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report, passed = _RUNNERS[cfg.experiment](cfg)
+    try:
+        report, passed = _RUNNERS[cfg.experiment](cfg)
+    except NrlevyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     path = write_report(report, cfg.out_dir)
     print(f"wrote {path}")
     if passed is None:

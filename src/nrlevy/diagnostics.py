@@ -21,15 +21,20 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedFamilyError
 from .levy_model import LevyTriplet, increment_sample
-from .noise_reinforced import (
-    CfQuery,
-    query_grid_times,
-    reinforced_cf,
-    reinforced_cf_exact,
-)
-from .rng import BLOCK_SIZE, RngStream, iter_blocks
+from .noise_reinforced import CfQuery, query_grid_times, reinforced_cf_values
+from .rng import RngStream, iter_blocks
 from .step_reinforced import reinforced_prefix_sums, simon_terminal_counts
-from .yule_simon import CountingPath, MemoryParameter, ys_process_values
+from .yule_simon import CountingPath, MemoryParameter, as_memory, ys_process_values
+
+TOLERANCE_MULT = 4.0
+"""Default verdict tolerance, in Monte Carlo standard errors."""
+
+PROP8_BLOCK_SIZE = 256
+"""Replicas per block of Simon's dynamics in :func:`prop8_experiment`.
+
+Smaller than ``rng.BLOCK_SIZE`` because each block holds a (block, n) int64
+array of word origins, and n runs to 1e5 in the acceptance suite.
+"""
 
 # ---------------------------------------------------------------------------
 # Empirical characteristic functions
@@ -166,7 +171,6 @@ def _skeleton_ecf(
     replicas: int,
     stream: RngStream,
     threads: int,
-    block_size: int,
 ) -> EcfEstimate:
     """ECF of the reinforced skeleton walk at floor(n t) for each query time."""
     if triplet.dim != 1:
@@ -178,7 +182,7 @@ def _skeleton_ecf(
         steps = increment_sample(triplet, 1.0 / n, gen, size=count * n)[:, 0].reshape(count, n)
         return reinforced_prefix_sums(steps, p, gen, ks)
 
-    sums = np.concatenate(_map_blocks(block, list(iter_blocks(replicas, block_size)), threads))
+    sums = np.concatenate(_map_blocks(block, list(iter_blocks(replicas)), threads))
     return empirical_cf(sums, grid_times, queries)
 
 
@@ -192,31 +196,31 @@ def theorem1_experiment(
     *,
     theory: str = "auto",
     theory_mc_replicas: int = 2_000_000,
-    tolerance_mult: float = 5.0,
+    tolerance_mult: float = TOLERANCE_MULT,
     threads: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> ConvergenceReport:
     """Distance of skeleton-walk ECFs to the reinforced-process cf, per mesh.
 
     For each n the reinforced skeleton walk is sampled ``replicas`` times and
     its finite-dimensional ECF compared with the reinforced cf; the verdict
     requires strictly decreasing sup distances and a final distance below
-    ``tolerance_mult / sqrt(replicas)``.  ``theory`` picks the cf evaluation:
-    "exact" (closed form families only), "mc", or "auto".  Streams: mesh
-    point i uses ``rng.substream(i)`` with one generator per replica block;
-    the mc theory route uses ``rng.substream(1000 + query_index)``.
+    ``tolerance_mult / sqrt(replicas)``.  ``theory`` picks the cf evaluation
+    (see :func:`nrlevy.noise_reinforced.reinforced_cf_values`): "exact"
+    (closed form families only), "mc", or "auto".  Streams: mesh point i uses
+    ``rng.substream(i)`` with one generator per replica block; the mc theory
+    route uses ``rng.substream(1000 + query_index)``.
     """
-    pv = p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
+    pv = as_memory(p)
     if queries is None:
         queries = default_theorem1_queries()
     mesh = tuple(int(n) for n in mesh_schedule)
     grid_times = query_grid_times(queries)
-    theory_vals = _theory_values(triplet, pv, queries, theory, theory_mc_replicas, rng)
+    theory_vals = reinforced_cf_values(triplet, pv, queries, theory, theory_mc_replicas, rng)
     per_query = np.empty((len(mesh), len(queries)))
     stderr = np.empty(len(mesh))
     for i, n in enumerate(mesh):
         ecf = _skeleton_ecf(
-            triplet, pv, n, queries, grid_times, replicas, rng.substream(i), threads, block_size
+            triplet, pv, n, queries, grid_times, replicas, rng.substream(i), threads
         )
         per_query[i] = np.abs(ecf.estimates - theory_vals)
         stderr[i] = ecf.stderr
@@ -237,29 +241,6 @@ def theorem1_experiment(
     )
 
 
-def _theory_values(
-    triplet: LevyTriplet,
-    p: MemoryParameter,
-    queries: Sequence[CfQuery],
-    theory: str,
-    mc_replicas: int,
-    rng: RngStream,
-) -> np.ndarray:
-    values = np.empty(len(queries), dtype=complex)
-    for qi, query in enumerate(queries):
-        if theory in ("exact", "auto"):
-            try:
-                values[qi] = reinforced_cf_exact(triplet, p, query)
-                continue
-            except UnsupportedFamilyError:
-                if theory == "exact":
-                    raise
-        values[qi] = reinforced_cf(
-            triplet, p, query, mc_replicas, rng.substream(1000 + qi).generator()
-        ).value
-    return values
-
-
 def supercritical_experiment(
     alpha: float,
     p: MemoryParameter | float,
@@ -271,7 +252,6 @@ def supercritical_experiment(
     scale: float = 1.0,
     final_threshold: float = 0.1,
     threads: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> ConvergenceReport:
     """|ECF| of the terminal reinforced skeleton value for a stable walk.
 
@@ -281,16 +261,16 @@ def supercritical_experiment(
     :func:`theorem1_experiment` (or the same schedule through this module's
     CLI contrast mode) for those.
     """
-    pv = p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
+    pv = as_memory(p)
     if alpha * pv.p <= 1.0:
         raise DomainError(
             f"supercritical experiment requires alpha * p > 1, got {alpha * pv.p:.4g}"
         )
     if theta == 0.0:
         raise DomainError("theta must be nonzero (the ECF at 0 is identically 1)")
-    values, stderr = _terminal_ecf_schedule(
-        LevyTriplet.stable(alpha, scale), pv, float(theta), mesh_schedule, replicas, rng,
-        threads, block_size,
+    values, stderr = terminal_ecf_schedule(
+        LevyTriplet.stable(alpha, scale), pv, theta, mesh_schedule, replicas, rng,
+        threads=threads,
     )
     decreasing, strict = _trend_flags(values, stderr)
     return ConvergenceReport(
@@ -316,32 +296,15 @@ def terminal_ecf_schedule(
     rng: RngStream,
     *,
     threads: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """|ECF(S-hat(n))| across a mesh schedule (contrast runs for any regime)."""
-    pv = p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
-    return _terminal_ecf_schedule(
-        triplet, pv, float(theta), mesh_schedule, replicas, rng, threads, block_size
-    )
-
-
-def _terminal_ecf_schedule(
-    triplet: LevyTriplet,
-    p: MemoryParameter,
-    theta: float,
-    mesh_schedule: Sequence[int],
-    replicas: int,
-    rng: RngStream,
-    threads: int,
-    block_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    query = [CfQuery(np.asarray([theta]), np.asarray([1.0]))]
+    pv = as_memory(p)
+    query = [CfQuery(np.asarray([float(theta)]), np.asarray([1.0]))]
     values = np.empty(len(mesh_schedule))
     stderr = np.empty(len(mesh_schedule))
     for i, n in enumerate(mesh_schedule):
         ecf = _skeleton_ecf(
-            triplet, p, int(n), query, np.asarray([1.0]), replicas, rng.substream(i),
-            threads, block_size,
+            triplet, pv, int(n), query, np.asarray([1.0]), replicas, rng.substream(i), threads
         )
         values[i] = abs(ecf.estimates[0])
         stderr[i] = ecf.stderr
@@ -418,7 +381,6 @@ def prop8_experiment(
     rng: RngStream,
     *,
     mc_replicas: int = 10**6,
-    block_size: int = 256,
 ) -> Prop8Report:
     """Average of F over the rescaled occupation counters vs (1-p) E[F(Y)].
 
@@ -427,7 +389,7 @@ def prop8_experiment(
     terminal-form functionals run at scale; general path functionals fall
     back to explicit counter paths and are intended for small n.
     """
-    pv = p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
+    pv = as_memory(p)
     for f in functionals:
         if f.terminal is None:
             raise UnsupportedFamilyError(
@@ -442,7 +404,7 @@ def prop8_experiment(
     for i, n in enumerate(schedule):
         per_real = np.empty((replicas, len(functionals)))
         row = 0
-        for b, start, count in iter_blocks(replicas, block_size):
+        for b, start, count in iter_blocks(replicas, PROP8_BLOCK_SIZE):
             counts = simon_terminal_counts(n, pv, rng.substream(i).generator(b), count)
             for fi, f in enumerate(functionals):
                 per_real[row : row + count, fi] = f.terminal(counts).mean(axis=1)

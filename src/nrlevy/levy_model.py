@@ -20,7 +20,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
 from .errors import DomainError, NumericalError, UnsupportedFamilyError
-from .rng import RngStream
+from .rng import RngStream, as_generator
 from .yule_simon import MemoryParameter
 
 # ---------------------------------------------------------------------------
@@ -433,7 +433,7 @@ def increment_sample(
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = as_generator(rng)
     n = 1 if size is None else int(size)
     d = triplet.dim
     out = np.tile(dt * triplet.drift, (n, 1))

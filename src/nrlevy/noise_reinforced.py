@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigError, DomainError, InadmissibleError, NumericalError
+from .errors import ConfigError, DomainError, InadmissibleError, NumericalError, UnsupportedFamilyError
 from .levy_model import (
     FiniteAtomic,
     IsotropicStable,
@@ -26,38 +26,26 @@ from .levy_model import (
     LevyTriplet,
     RadialDensity,
     ZeroJumps,
+    add_triplets,
     bg_index,
     characteristic_exponent,
     is_admissible,
     stable_radial_constant,
     thin,
 )
-from .rng import BLOCK_SIZE, RngStream, iter_blocks
+from .rng import RngStream, as_generator, iter_blocks
 from .yule_simon import (
-    CountingPath,
     MemoryParameter,
+    as_memory,
     ys_abs_moment,
+    ys_cross_moment,
     ys_joint_values,
-    ys_process_sample,
+    ys_mean,
 )
 
 # ---------------------------------------------------------------------------
 # Data types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarkedAtom:
-    """One atom of the marked Poisson measure: a jump and its usage path."""
-
-    jump: np.ndarray
-    mark: CountingPath
-
-    def __post_init__(self) -> None:
-        jump = np.atleast_1d(np.asarray(self.jump, dtype=float))
-        if not jump.any():
-            raise DomainError("atom jump must be nonzero")
-        object.__setattr__(self, "jump", jump)
 
 
 @dataclass(frozen=True)
@@ -142,7 +130,7 @@ class NrlpConfig:
     grid: np.ndarray = field(default_factory=lambda: np.array([0.5, 1.0]))
 
     def __post_init__(self) -> None:
-        p = self.p if isinstance(self.p, MemoryParameter) else MemoryParameter(float(self.p))
+        p = as_memory(self.p)
         object.__setattr__(self, "p", p)
         if not is_admissible(p, self.triplet):
             raise InadmissibleError(
@@ -196,8 +184,8 @@ def _nrbm_factor(p: float, times: np.ndarray) -> np.ndarray:
 
 
 def _check_nrbm_p(p: MemoryParameter | float) -> float:
-    pv = p.p if isinstance(p, MemoryParameter) else float(p)
-    if not 0.0 < pv < 0.5:
+    pv = as_memory(p).p
+    if not pv < 0.5:
         raise InadmissibleError(f"reinforced Brownian motion requires p < 1/2, got {pv}")
     return pv
 
@@ -217,7 +205,7 @@ def nrbm_sample_many(
     """
     pv = _check_nrbm_p(p)
     grid = np.asarray(grid, dtype=float)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = as_generator(rng)
     pos = grid > 0
     out = np.zeros((replicas, grid.size, d))
     if np.any(pos):
@@ -317,54 +305,20 @@ def _compensation_coefficient(triplet: LevyTriplet, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sample_atoms(config: NrlpConfig, rng: RngStream | np.random.Generator) -> list[MarkedAtom]:
-    """Atoms of the marked Poisson measure with jump norm >= truncation_eps.
-
-    The atom count is Poisson with mean nu({|x| >= eps}) for the thinned
-    measure nu = (1 - p) Lambda; each atom carries an independent Yule-Simon
-    mark with parameter 1/p.
-    """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    nu = config.thinned
-    lam = _tail_mass(nu, config.truncation_eps, config.triplet.dim)
-    count = int(gen.poisson(lam)) if lam > 0 else 0
-    if count == 0:
-        return []
-    jumps = _sample_tail_jumps(nu, config.truncation_eps, config.triplet.dim, gen, count)
-    return [
-        MarkedAtom(jumps[i], ys_process_sample(config.rho, gen)) for i in range(count)
-    ]
-
-
 def nrlp_sample(config: NrlpConfig, rng: RngStream | np.random.Generator) -> PathSample:
     """One path of the noise-reinforced process on the configured grid.
 
     Value at t: M B-hat(t) + t a + sum over atoms of Y_j(t) x_j, with the
-    compensation drift subtracted for the band eps <= |x| < 1.
+    compensation drift subtracted for the band eps <= |x| < 1.  This is one
+    replica of the block sampler behind :func:`nrlp_marginals`.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    grid = config.grid
-    d = config.triplet.dim
-    values = np.outer(grid, config.triplet.drift)
-    if config.triplet.has_gaussian:
-        bhat = nrbm_sample_many(config.p, grid, d, gen, 1)[0]
-        values += bhat @ config.triplet.gaussian_factor.T
-    comp = _compensation_coefficient(config.triplet, config.truncation_eps)
-    values -= np.outer(grid, comp)
-    for atom in sample_atoms(config, gen):
-        values += np.outer(atom.mark.value(grid), atom.jump)
-    return PathSample(grid, values)
+    return PathSample(config.grid, _nrlp_block(config, as_generator(rng), 1)[0])
 
 
-def nrlp_marginals(
-    config: NrlpConfig,
-    rng: RngStream,
-    replicas: int,
-    block_size: int = BLOCK_SIZE,
-) -> np.ndarray:
+def nrlp_marginals(config: NrlpConfig, rng: RngStream, replicas: int) -> np.ndarray:
     """Values of many independent paths on the grid, shape (replicas, m, d).
 
-    Replicas are generated in fixed-size blocks; block b draws from
+    Replicas are generated in blocks of ``rng.BLOCK_SIZE``; block b draws from
     ``rng.generator(b)`` in the order: reinforced-Brownian normals, atom
     counts, jump sizes, mark values.  Results are therefore independent of
     any parallel scheduling of the blocks.
@@ -372,7 +326,7 @@ def nrlp_marginals(
     grid = config.grid
     d = config.triplet.dim
     out = np.empty((replicas, grid.size, d))
-    for b, start, count in iter_blocks(replicas, block_size):
+    for b, start, count in iter_blocks(replicas):
         out[start : start + count] = _nrlp_block(config, rng.generator(b), count)
     return out
 
@@ -475,7 +429,7 @@ def default_truncation(
     cutoff can be astronomically small; the returned value is then the floor
     and the achievable budget should be read off ``truncation_budget``.
     """
-    pv = p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
+    pv = as_memory(p)
     jm = thin(triplet, pv)
     if isinstance(jm, (ZeroJumps, FiniteAtomic)):
         return 0.5
@@ -547,8 +501,8 @@ def reinforced_cf(
     of the mark at the query times; a running-mean heuristic over doubling
     sample sizes flags divergence (the expected signal when p * beta'' > 1).
     """
-    pv = p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    pv = as_memory(p)
+    gen = as_generator(rng)
     if query.dim != triplet.dim:
         raise DomainError("query dimension does not match the triplet")
     grid = query_grid_times([query])
@@ -573,16 +527,6 @@ def reinforced_cf(
     )
 
 
-def theoretical_cf(
-    config: NrlpConfig,
-    query: CfQuery,
-    mc_replicas: int,
-    rng: RngStream | np.random.Generator,
-) -> CfEstimate:
-    """Reinforced cf of a configured process (untruncated characteristics)."""
-    return reinforced_cf(config.triplet, config.p, query, mc_replicas, rng)
-
-
 def reinforced_cf_exact(
     triplet: LevyTriplet,
     p: MemoryParameter | float,
@@ -597,10 +541,7 @@ def reinforced_cf_exact(
     UnsupportedFamilyError outside this domain; the Monte Carlo estimator
     :func:`reinforced_cf` has no such restriction.
     """
-    from .errors import UnsupportedFamilyError
-    from .yule_simon import ys_cross_moment, ys_mean
-
-    pv = p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
+    pv = as_memory(p)
     rho = pv.rho
     if query.dim != triplet.dim:
         raise DomainError("query dimension does not match the triplet")
@@ -639,6 +580,42 @@ def reinforced_cf_exact(
             f"no closed-form reinforced cf for {type(jm).__name__} jumps"
         )
     return complex(np.exp(-(1.0 - pv.p) * total))
+
+
+THEORIES = ("auto", "exact", "mc")
+
+
+def reinforced_cf_values(
+    triplet: LevyTriplet,
+    p: MemoryParameter | float,
+    queries: Sequence[CfQuery],
+    theory: str,
+    mc_replicas: int,
+    rng: RngStream,
+) -> np.ndarray:
+    """Reinforced cf at each query, by the route ``theory`` names.
+
+    "exact" uses :func:`reinforced_cf_exact` and raises where it has no
+    closed form; "mc" uses :func:`reinforced_cf` with ``mc_replicas`` mark
+    draws; "auto" takes the closed form where it exists and Monte Carlo
+    elsewhere.  The Monte Carlo value of query qi draws from
+    ``rng.substream(1000 + qi)``.
+    """
+    if theory not in THEORIES:
+        raise ConfigError(f"unknown theory {theory!r}; choose from {THEORIES}")
+    pv = as_memory(p)
+    values = np.empty(len(queries), dtype=complex)
+    for qi, query in enumerate(queries):
+        if theory != "mc":
+            try:
+                values[qi] = reinforced_cf_exact(triplet, pv, query)
+                continue
+            except UnsupportedFamilyError:
+                if theory == "exact":
+                    raise
+        gen = rng.substream(1000 + qi).generator()
+        values[qi] = reinforced_cf(triplet, pv, query, mc_replicas, gen).value
+    return values
 
 
 def _running_mean_diverges(values: np.ndarray, ratio: float = 1.5) -> bool:
@@ -697,9 +674,7 @@ def check_additivity(
     The three cf estimates use independent Monte Carlo streams so the
     discrepancy is a genuine statistical comparison, not an identity.
     """
-    from .levy_model import add_triplets
-
-    pv = p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
+    pv = as_memory(p)
     for t in (triplet1, triplet2):
         if not is_admissible(pv, t):
             raise InadmissibleError("both triplets must be admissible for p")
@@ -743,7 +718,7 @@ def check_stability(
 
     Both sides are independent Monte Carlo runs; requires alpha * p < 1.
     """
-    pv = p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
+    pv = as_memory(p)
     if alpha * pv.p >= 1.0:
         raise InadmissibleError(f"alpha * p = {alpha * pv.p:.4g} >= 1 is not admissible")
     triplet = LevyTriplet.stable(alpha) if alpha < 2.0 else LevyTriplet.brownian()

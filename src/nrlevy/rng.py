@@ -31,22 +31,26 @@ class RngStream:
         if not (0 <= int(self.stream_id) < 2**64):
             raise ValueError("stream_id must fit in 64 bits")
 
-    def generator(self, *subkeys: int) -> np.random.Generator:
-        """Return a fresh Generator for this stream (optionally sub-keyed)."""
-        seq = np.random.SeedSequence(
+    def _seed_sequence(self, subkeys: tuple[int, ...]) -> np.random.SeedSequence:
+        return np.random.SeedSequence(
             entropy=int(self.seed), spawn_key=(int(self.stream_id), *map(int, subkeys))
         )
-        return np.random.default_rng(seq)
+
+    def generator(self, *subkeys: int) -> np.random.Generator:
+        """Return a fresh Generator for this stream (optionally sub-keyed)."""
+        return np.random.default_rng(self._seed_sequence(subkeys))
 
     def substream(self, *subkeys: int) -> "RngStream":
         """Derive a child stream; children with distinct keys are independent."""
-        seq = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream_id), *map(int, subkeys))
-        )
         # Fold the spawn key into a fresh 64-bit seed so the child is again
         # a plain (seed, stream_id) pair.
-        child_seed = int(seq.generate_state(1, dtype=np.uint64)[0])
-        return RngStream(seed=child_seed, stream_id=0)
+        seq = self._seed_sequence(subkeys)
+        return RngStream(seed=int(seq.generate_state(1, dtype=np.uint64)[0]), stream_id=0)
+
+
+def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
+    """The Generator behind ``rng``: a fresh ``rng.generator()`` for a stream."""
+    return rng.generator() if isinstance(rng, RngStream) else rng
 
 
 BLOCK_SIZE = 1024

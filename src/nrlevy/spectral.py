@@ -21,29 +21,25 @@ sampler covers longer grids.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln
+from scipy.special import betainc, gammaln
 
 from .errors import DomainError, UnsupportedFamilyError
 from .levy_model import IsotropicStable, symmetric_stable_std
 from .noise_reinforced import NrlpConfig, nrbm_sample_many
-from .rng import BLOCK_SIZE, RngStream, iter_blocks
+from .rng import RngStream, iter_blocks
+from .yule_simon import ys_abs_moment, ys_pmf
 
+EXACT_MAX = 32
+"""Mark vectors with terminal value up to this become singleton bins."""
 
-def _ys_marginal_pmf(k: np.ndarray, rho: float, t: float) -> np.ndarray:
-    """P(Y(t) = k) for k >= 1."""
-    return t * np.exp(np.log(rho) + betaln(k.astype(float), rho + 1.0))
+ENUM_MAX = 4000
+"""Mark vectors with terminal value up to this are enumerated."""
 
-
-def _ys_tail_alpha_mass(alpha: float, rho: float, t: float, kmin: int, ksum: int = 10**6) -> float:
-    """t * sum_{k > kmin} k^alpha * rho * B(k, rho+1), with an integral closer."""
-    k = np.arange(kmin + 1, ksum + 1, dtype=float)
-    head = float(np.sum(np.exp(alpha * np.log(k) + np.log(rho) + betaln(k, rho + 1.0))))
-    tail = rho * math.gamma(rho + 1.0) * ksum ** (alpha - rho) / (rho - alpha)
-    return t * (head + tail)
+DIR_BINS = 256
+"""Direction bins for the enumerated vectors beyond ``EXACT_MAX``."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +73,12 @@ def build_stable_mixture(
     scale_nu: float,
     rho: float,
     times,
-    exact_max: int = 32,
-    enum_max: int = 4000,
-    dir_bins: int = 256,
 ) -> StableMarkMixture:
     """Tabulate the mark-vector mixture on a one- or two-point grid.
 
-    Vectors with terminal value <= ``exact_max`` become singleton bins (their
-    stable collapse is exact); terminal values up to ``enum_max`` are grouped
-    into ``dir_bins`` direction bins with mass-weighted representative
+    Vectors with terminal value <= ``EXACT_MAX`` become singleton bins (their
+    stable collapse is exact); terminal values up to ``ENUM_MAX`` are grouped
+    into ``DIR_BINS`` direction bins with mass-weighted representative
     directions; beyond that the mixture is closed with the limiting direction
     profile, whose weight comes from the exact marginal tail.
     """
@@ -95,7 +88,7 @@ def build_stable_mixture(
     if not 0.0 < alpha < rho:
         raise DomainError("stable mixture needs alpha < rho (admissibility)")
     if times.size == 1:
-        gamma_total = scale_nu * _ys_tail_alpha_mass(alpha, rho, float(times[0]), 0)
+        gamma_total = scale_nu * ys_abs_moment(alpha, rho, float(times[0]))
         return StableMarkMixture(
             alpha, times, np.ones((1, 1)), np.asarray([gamma_total])
         )
@@ -110,18 +103,18 @@ def build_stable_mixture(
 
     dirs: list[np.ndarray] = []
     weights: list[float] = []
-    bin_gamma = np.zeros(dir_bins)
-    bin_dir = np.zeros((dir_bins, 2))
+    bin_gamma = np.zeros(DIR_BINS)
+    bin_dir = np.zeros((DIR_BINS, 2))
 
-    k_all = np.arange(1, enum_max + 1)
-    for j in range(0, enum_max + 1):
+    k_all = np.arange(1, ENUM_MAX + 1)
+    for j in range(0, ENUM_MAX + 1):
         if j == 0:
             k = k_all
-            prob = _ys_marginal_pmf(k, rho, t2) * (
+            prob = t2 * ys_pmf(k, rho) * (
                 1.0 - betainc(rho + 1.0, k.astype(float), q)
             )
         else:
-            k = np.arange(j, enum_max + 1)
+            k = np.arange(j, ENUM_MAX + 1)
             nb = k - j
             log_nb = (
                 gammaln(k.astype(float))
@@ -130,26 +123,26 @@ def build_stable_mixture(
                 + j * log_q
                 + nb * log_1mq
             )
-            prob = _ys_marginal_pmf(np.asarray([j]), rho, t1)[0] * np.exp(log_nb)
+            prob = t1 * ys_pmf(j, rho) * np.exp(log_nb)
         norms = np.hypot(float(j), k.astype(float))
         gamma_cells = scale_nu * prob * norms**alpha
         u = np.stack([np.full(k.size, float(j)) / norms, k / norms], axis=1)
-        exact = k <= exact_max
+        exact = k <= EXACT_MAX
         for idx in np.flatnonzero(exact):
             dirs.append(u[idx])
             weights.append(float(gamma_cells[idx]))
         rest = ~exact
         if np.any(rest):
             phi = np.full(k.size, float(j)) / k  # ratio in [0, 1]
-            bins = np.minimum((phi[rest] * dir_bins).astype(int), dir_bins - 1)
+            bins = np.minimum((phi[rest] * DIR_BINS).astype(int), DIR_BINS - 1)
             np.add.at(bin_gamma, bins, gamma_cells[rest])
             np.add.at(bin_dir, bins, gamma_cells[rest, None] * u[rest])
 
     used = bin_gamma > 0
     bin_dirs = bin_dir[used] / bin_gamma[used, None]
 
-    tail_gamma = scale_nu * (1.0 + q * q) ** (alpha / 2.0) * _ys_tail_alpha_mass(
-        alpha, rho, t2, enum_max
+    tail_gamma = scale_nu * (1.0 + q * q) ** (alpha / 2.0) * ys_abs_moment(
+        alpha, rho, t2, kmin=ENUM_MAX
     )
     tail_dir = np.asarray([q, 1.0]) / np.hypot(q, 1.0)
 
@@ -158,8 +151,7 @@ def build_stable_mixture(
     return StableMarkMixture(alpha, times, directions, gamma)
 
 
-def stable_mixture_for(config: NrlpConfig, exact_max: int = 32, enum_max: int = 4000,
-                       dir_bins: int = 256) -> StableMarkMixture:
+def stable_mixture_for(config: NrlpConfig) -> StableMarkMixture:
     """Mixture table for the jump part of a stable-jump configuration."""
     jm = config.triplet.jump_measure
     if not isinstance(jm, IsotropicStable) or config.triplet.dim != 1:
@@ -168,16 +160,13 @@ def stable_mixture_for(config: NrlpConfig, exact_max: int = 32, enum_max: int = 
         )
     pos = config.grid[config.grid > 0]
     scale_nu = (1.0 - config.p.p) * jm.scale
-    return build_stable_mixture(
-        jm.alpha, scale_nu, config.rho, pos, exact_max, enum_max, dir_bins
-    )
+    return build_stable_mixture(jm.alpha, scale_nu, config.rho, pos)
 
 
 def stable_nrlp_marginals(
     config: NrlpConfig,
     rng: RngStream,
     replicas: int,
-    block_size: int = BLOCK_SIZE,
     mixture: StableMarkMixture | None = None,
 ) -> np.ndarray:
     """Marginals of the reinforced process via the mark mixture, (R, m, 1).
@@ -185,7 +174,8 @@ def stable_nrlp_marginals(
     Law-equivalent to :func:`nrlevy.noise_reinforced.nrlp_marginals` on the
     positive grid times with the truncation removed; cost per replica is the
     number of mixture bins.  Gaussian and drift components are added exactly
-    as in the series sampler.  Block b draws from ``rng.generator(b)``.
+    as in the series sampler.  Block b of ``rng.BLOCK_SIZE`` replicas draws
+    from ``rng.generator(b)``.
     """
     if mixture is None:
         mixture = stable_mixture_for(config)
@@ -193,7 +183,7 @@ def stable_nrlp_marginals(
     pos = grid > 0
     out = np.zeros((replicas, grid.size, 1))
     out += np.outer(grid, config.triplet.drift)[None, :, :]
-    for b, start, count in iter_blocks(replicas, block_size):
+    for b, start, count in iter_blocks(replicas):
         gen = rng.generator(b)
         if config.triplet.has_gaussian:
             bhat = nrbm_sample_many(config.p, grid, 1, gen, count)

@@ -16,16 +16,8 @@ import numpy as np
 
 from .errors import DomainError
 from .levy_model import LevyTriplet, increment_sample
-from .rng import RngStream
-from .yule_simon import ZERO_PATH, CountingPath, MemoryParameter
-
-
-def _as_p(p: MemoryParameter | float) -> float:
-    return p.p if isinstance(p, MemoryParameter) else MemoryParameter(float(p)).p
-
-
-def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RngStream) else rng
+from .rng import RngStream, as_generator
+from .yule_simon import ZERO_PATH, CountingPath, MemoryParameter, as_memory
 
 
 @dataclass(frozen=True)
@@ -101,8 +93,8 @@ def reinforce(
     if base.shape[0] == 0:
         raise DomainError("steps must be nonempty")
     n = base.shape[0]
-    pv = _as_p(p)
-    gen = _as_generator(rng)
+    pv = as_memory(p).p
+    gen = as_generator(rng)
     eps = gen.random(n) < pv
     eps[0] = False
     u = gen.random(n)
@@ -148,7 +140,7 @@ def elephant_walk(
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    gen = _as_generator(rng)
+    gen = as_generator(rng)
     steps = np.where(gen.random(n) < 0.5, 1.0, -1.0)
     return reinforce(steps, p, gen)
 
@@ -166,8 +158,8 @@ def elephant_endpoints(
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    pv = _as_p(p)
-    gen = _as_generator(rng)
+    pv = as_memory(p).p
+    gen = as_generator(rng)
     s = np.where(gen.random(replicas) < 0.5, 1.0, -1.0)
     for k in range(1, n):
         prob_up = 0.5 + pv * s / (2.0 * k)
@@ -184,7 +176,7 @@ def skeleton_reinforced_walk(
     """Reinforce the discrete skeleton of a Levy process with mesh 1/n."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    gen = _as_generator(rng)
+    gen = as_generator(rng)
     steps = increment_sample(triplet, 1.0 / n, gen, size=n)
     return reinforce(steps, p, gen)
 
@@ -206,7 +198,7 @@ def reinforced_prefix_sums(
     is run for all rows in lockstep (one pass over the n slots, vectorized
     across replicas).  Returns shape (replicas, len(prefix_ks)).
     """
-    pv = _as_p(p)
+    pv = as_memory(p).p
     r, n = steps.shape
     ks = np.asarray(prefix_ks, dtype=np.int64)
     if np.any(ks < 0) or np.any(ks > n):
@@ -243,7 +235,7 @@ def simon_terminal_counts(
     Only the dynamics of word choices matter (step values are irrelevant);
     returns an int32 array of shape (replicas, n) with row sums n.
     """
-    pv = _as_p(p)
+    pv = as_memory(p).p
     origins = np.tile(np.arange(1, n + 1, dtype=np.int64), (replicas, 1))
     rows = np.arange(replicas)
     for i in range(1, n):

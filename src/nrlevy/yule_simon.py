@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import betaln
 
 from .errors import DomainError, NumericalError
-from .rng import RngStream
+from .rng import RngStream, as_generator
 
 MAX_JUMPS_PER_PATH = 10**7
 
@@ -34,6 +34,11 @@ class MemoryParameter:
     @property
     def rho(self) -> float:
         return 1.0 / self.p
+
+
+def as_memory(p: MemoryParameter | float) -> MemoryParameter:
+    """``p`` as a validated MemoryParameter."""
+    return p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def ys_sample(rho: float, rng: RngStream | np.random.Generator, size=None):
     success probability exp(-E); the marginal is exactly the Yule-Simon law.
     """
     rho = _check_rho(rho)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = as_generator(rng)
     e = gen.exponential(scale=1.0 / rho, size=size)
     draws = gen.geometric(np.exp(-e))
     return draws if size is not None else int(draws)
@@ -133,15 +138,18 @@ def ys_cross_moment(s: float, t: float, rho: float) -> float:
     return c * s ** (1.0 - 1.0 / rho) * t ** (1.0 / rho)
 
 
-def ys_abs_moment(q: float, rho: float, t: float = 1.0, kmax: int = 10**6) -> float:
-    """E[Y(t)^q] for 0 < q < rho, by series over the pmf plus an integral tail.
+def ys_abs_moment(
+    q: float, rho: float, t: float = 1.0, kmax: int = 10**6, kmin: int = 0
+) -> float:
+    """E[Y(t)^q; Y(t) > kmin] for 0 < q < rho, by series plus an integral tail.
 
-    The tail beyond ``kmax`` uses B(k, rho+1) ~ Gamma(rho+1) k^-(rho+1).
+    With the default ``kmin = 0`` this is the full moment E[Y(t)^q].  The
+    tail beyond ``kmax`` uses B(k, rho+1) ~ Gamma(rho+1) k^-(rho+1).
     """
     rho = _check_rho(rho, minimum=0.0)
     if not 0.0 < q < rho:
         raise DomainError(f"moment order must lie in (0, rho), got q={q}")
-    k = np.arange(1, kmax + 1, dtype=float)
+    k = np.arange(kmin + 1, kmax + 1, dtype=float)
     head = float(np.sum(np.exp(q * np.log(k) + np.log(rho) + betaln(k, rho + 1.0))))
     tail = rho * math.gamma(rho + 1.0) * kmax ** (q - rho) / (rho - q)
     return t * (head + tail)
@@ -161,7 +169,7 @@ def ys_process_sample(rho: float, rng: RngStream | np.random.Generator) -> Count
     time at exactly 1 is kept (the path lives on the closed interval).
     """
     rho = _check_rho(rho)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = as_generator(rng)
     t = gen.uniform()
     jumps = []
     m = 1
@@ -188,10 +196,10 @@ def ys_process_values(
     """
     rho = _check_rho(rho)
     times = _check_times(times)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = as_generator(rng)
     counts = np.zeros((replicas, times.size), dtype=np.int64)
     t = gen.uniform(size=replicas)
-    idx = np.flatnonzero(t <= 1.0)  # all of them; kept for loop symmetry
+    idx = np.arange(replicas)
     m = 1
     while idx.size:
         counts[idx] += t[idx, None] <= times[None, :]
@@ -221,7 +229,7 @@ def ys_joint_values(
     """
     rho = _check_rho(rho)
     times = _check_times(times)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = as_generator(rng)
     u = gen.uniform(size=replicas)
     out = np.zeros((replicas, times.size), dtype=np.int64)
     state = np.zeros(replicas, dtype=np.int64)

@@ -2,13 +2,27 @@
 
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nrlevy.cli import build_triplet, emit_plotdata, fmt, load_config, main, run
-from nrlevy.errors import ConfigError
+from nrlevy.cli import (
+    _EXPERIMENT_KEYS,
+    _TRIPLET_KEYS,
+    EXPERIMENTS,
+    build_triplet,
+    emit_plotdata,
+    fmt,
+    load_config,
+    main,
+    run,
+    validate,
+)
+from nrlevy.errors import ConfigError, NrlevyError
 from nrlevy.levy_model import IsotropicStable
 
 
@@ -82,6 +96,120 @@ class TestParsing:
         assert cfg.experiment == "simulate-ys"
         assert cfg.seed == 0
         assert cfg.rho == 2.0
+
+
+CF_SMALL = """
+[experiment]
+name = cf-compare
+p = 0.5
+replicas = 200
+thetas = 0.5
+grid = 1.0
+truncation_eps = 0.1
+mc_replicas = 1000
+{extra}
+[triplet]
+dim = 1
+jumps = cauchy
+[output]
+dir = {out}
+"""
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+class TestRejections:
+    def test_unknown_sampler_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", CF_SMALL.format(extra="sampler = bogus", out=tmp_path / "o"))
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_theory_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", CF_SMALL.format(extra="theory = bogus", out=tmp_path / "o"))
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_walk_rejected(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path, "c.ini",
+            f"[experiment]\nname = simulate-walk\np = 0.3\nn = 10\nwalk = bogus\n"
+            f"[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+
+    def test_cf_compare_requires_dim_one(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path, "c.ini",
+            f"[experiment]\nname = cf-compare\np = 0.3\nreplicas = 100\n"
+            f"[triplet]\ndim = 2\ngaussian = 1.0\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("mult", ["0", "-1"])
+    def test_nonpositive_tolerance_mult_rejected(self, tmp_path, capsys, mult):
+        out = tmp_path / "o"
+        cfg = write(
+            tmp_path, "m.ini",
+            f"[experiment]\nname = moments\nrho = 4.0\nreplicas = 500\n"
+            f"tolerance_mult = {mult}\n[output]\ndir = {out}\n",
+        )
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        thm1 = write(tmp_path, "thm1.ini", THM1.format(out=out))
+        assert main(["--config", str(thm1), "--tolerance-mult", mult]) == 1
+        assert not out.exists()
+
+    def test_runtime_library_error_is_one_line(self, tmp_path, capsys):
+        # Validation passes; the closed-form cf then has no formula for
+        # two-time stable-1.5 queries.
+        cfg = write(
+            tmp_path, "c.ini",
+            f"[experiment]\nname = theorem1\np = 0.5\nreplicas = 100\nmesh = 10,20\n"
+            f"theory = exact\n[triplet]\ndim = 1\njumps = stable\nalpha = 1.5\n"
+            f"[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+
+
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_VALUES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=_LINE_BREAKS),
+            max_size=24),
+    st.sampled_from([
+        "", "0", "1", "2", "-1", "0.5", "1.5", "2.5", "nan", "inf", "-inf", "1e-3",
+        "0.5,1.0", "1,2,3", "50,100", "1.0:2.0; -0.5:0.3", "1.0,2.0:1.0", "%", "50%",
+        "none", "stable", "cauchy", "atoms", "auto", "series", "spectral", "exact",
+        "mc", "elephant", "skeleton", *EXPERIMENTS,
+    ]),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        experiment=st.dictionaries(st.sampled_from(sorted(_EXPERIMENT_KEYS)), _VALUES),
+        triplet=st.dictionaries(st.sampled_from(sorted(_TRIPLET_KEYS)), _VALUES),
+    )
+    def test_load_config_and_validate_fail_cleanly(self, experiment, triplet):
+        text = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in experiment.items())
+        if triplet:
+            text += "[triplet]\n" + "".join(f"{k} = {v}\n" for k, v in triplet.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.ini"
+            path.write_text(text)
+            try:
+                validate(load_config(path))
+            except (NrlevyError, ValueError):
+                pass
 
 
 class TestDeterminism:

@@ -6,15 +6,16 @@ import warnings
 import numpy as np
 import pytest
 from scipy.stats import cauchy as cauchy_dist
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, spearmanr
 
 from nrlevy.diagnostics import empirical_cf, ks_distance
-from nrlevy.errors import ConfigError, DomainError, InadmissibleError, UnsupportedFamilyError
+from nrlevy.errors import ConfigError, InadmissibleError, UnsupportedFamilyError
 from nrlevy.levy_model import FiniteAtomic, LevyTriplet
 from nrlevy.noise_reinforced import (
     CfQuery,
-    MarkedAtom,
     NrlpConfig,
+    _sample_tail_jumps,
+    _tail_mass,
     check_additivity,
     check_stability,
     default_truncation,
@@ -25,12 +26,11 @@ from nrlevy.noise_reinforced import (
     nrlp_sample,
     reinforced_cf,
     reinforced_cf_exact,
-    sample_atoms,
-    theoretical_cf,
+    reinforced_cf_values,
     truncation_budget,
 )
 from nrlevy.rng import RngStream
-from nrlevy.yule_simon import MemoryParameter
+from nrlevy.yule_simon import MemoryParameter, ys_joint_values, ys_process_values
 
 
 class TestNrbm:
@@ -87,50 +87,48 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NrlpConfig(trip, MemoryParameter(0.5), grid=np.array([0.5, 1.5]))
 
-    def test_marked_atom_rejects_zero_jump(self):
-        from nrlevy.yule_simon import ZERO_PATH
 
-        with pytest.raises(DomainError):
-            MarkedAtom(np.zeros(2), ZERO_PATH)
+def zero_fraction_se(cfg: NrlpConfig, rng: RngStream, replicas: int) -> tuple[float, float]:
+    """Share of sampled X(1) equal to 0, and its standard error.
+
+    Y(1) >= 1 for every mark, so with positive atoms X(1) = 0 exactly when
+    the block sampler drew no atom: the share estimates exp(-atom rate).
+    """
+    zero = nrlp_marginals(cfg, rng, replicas)[:, -1, 0] == 0.0
+    return zero.mean(), math.sqrt(zero.mean() * (1.0 - zero.mean()) / replicas)
 
 
 class TestAtoms:
     def test_atomic_count_matches_mass(self):
         trip = LevyTriplet.compound_poisson([[1.5]], [2.0])
         cfg = NrlpConfig(trip, MemoryParameter(0.5), 0.5, np.array([1.0]))
-        gen = RngStream(406).generator()
-        counts = [len(sample_atoms(cfg, gen)) for _ in range(3_000)]
         # thinned mass is (1 - p) * 2 = 1
-        assert np.mean(counts) == pytest.approx(1.0, abs=3 * np.std(counts) / math.sqrt(3_000))
+        assert _tail_mass(cfg.thinned, cfg.truncation_eps, 1) == 1.0
+        share, se = zero_fraction_se(cfg, RngStream(406), 3_000)
+        assert share == pytest.approx(math.exp(-1.0), abs=3 * se)
 
     def test_thinning_direction(self):
         trip = LevyTriplet.compound_poisson([[1.5]], [2.0])
-        gen = RngStream(407).generator()
-        means = []
-        for p in (0.2, 0.8):
+        for i, (p, mass) in enumerate(((0.2, 1.6), (0.8, 0.4))):
             cfg = NrlpConfig(trip, MemoryParameter(p), 0.5, np.array([1.0]))
-            means.append(np.mean([len(sample_atoms(cfg, gen)) for _ in range(2_000)]))
-        assert means[0] == pytest.approx(1.6, abs=0.1)
-        assert means[1] == pytest.approx(0.4, abs=0.06)
+            assert _tail_mass(cfg.thinned, cfg.truncation_eps, 1) == pytest.approx(mass, rel=1e-12)
+            share, se = zero_fraction_se(cfg, RngStream(407, i), 2_000)
+            assert share == pytest.approx(math.exp(-mass), abs=3 * se)
 
     def test_marks_independent_of_jump_sizes(self):
+        # The block sampler draws all jump sizes, then all marks, from one
+        # generator; the two must come out independent.
         cfg = NrlpConfig(LevyTriplet.stable(1.5), MemoryParameter(0.5), 0.05, np.array([1.0]))
         gen = RngStream(408).generator()
-        sizes, terminals = [], []
-        while len(sizes) < 100_000:
-            for atom in sample_atoms(cfg, gen):
-                sizes.append(abs(atom.jump[0]))
-                terminals.append(atom.mark.terminal)
+        sizes = np.abs(_sample_tail_jumps(cfg.thinned, cfg.truncation_eps, 1, gen, 100_000)[:, 0])
+        terminals = ys_joint_values(cfg.rho, cfg.grid, gen, 100_000)[:, 0]
         # Rank-based to tame the heavy tail of |x|.
-        from scipy.stats import spearmanr
-
-        corr = spearmanr(sizes[:100_000], terminals[:100_000]).statistic
-        assert abs(corr) < 0.01
+        assert abs(spearmanr(sizes, terminals).statistic) < 0.01
 
     def test_atom_jumps_above_cutoff(self):
         cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), 0.3, np.array([1.0]))
-        for atom in sample_atoms(cfg, RngStream(409).generator()):
-            assert abs(atom.jump[0]) >= 0.3
+        jumps = _sample_tail_jumps(cfg.thinned, 0.3, 1, RngStream(409).generator(), 10_000)
+        assert np.all(np.abs(jumps[:, 0]) >= 0.3)
 
 
 class TestNrlpSampling:
@@ -182,15 +180,21 @@ class TestNrlpSampling:
         se = vals.std(axis=0) / math.sqrt(vals.shape[0])
         assert np.all(np.abs(vals.mean(axis=0)) < 3.5 * se)
 
-    def test_single_path_and_batched_routes_agree(self):
-        # nrlp_sample builds full event-based marks per atom; nrlp_marginals
-        # bridges marks at the grid. Same law, different code paths.
+    def test_block_sampler_matches_event_based_series(self):
+        # nrlp_marginals bridges marks at the grid; the reference sums the
+        # same Poisson series with marks read off event-based mark paths.
+        # Cauchy jumps are symmetric, so no compensation drift enters.
         cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), 1e-2,
                          np.array([1.0]))
         gen = RngStream(430).generator()
-        singles = np.array([nrlp_sample(cfg, gen).values[0, 0] for _ in range(3_000)])
+        counts = gen.poisson(_tail_mass(cfg.thinned, cfg.truncation_eps, 1), size=3_000)
+        total = int(counts.sum())
+        jumps = _sample_tail_jumps(cfg.thinned, cfg.truncation_eps, 1, gen, total)[:, 0]
+        marks = ys_process_values(cfg.rho, cfg.grid, gen, total)[:, 0]
+        series = np.bincount(np.repeat(np.arange(3_000), counts), weights=marks * jumps,
+                             minlength=3_000)
         batched = nrlp_marginals(cfg, RngStream(431), 30_000)[:, 0, 0]
-        assert ks_2samp(singles, batched).statistic < 0.035
+        assert ks_2samp(series, batched).statistic < 0.035
 
     def test_coordinate_independence(self):
         # Axis-supported jumps plus diagonal Gaussian part: the joint ECF
@@ -265,11 +269,23 @@ class TestTheoreticalCf:
             reinforced_cf_exact(LevyTriplet.compound_poisson([[1.0]], [1.0]), 0.5,
                                 CfQuery(np.array([1.0]), np.array([1.0])))
 
-    def test_theoretical_cf_uses_config(self):
-        cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), 1e-3, np.array([1.0]))
-        est = theoretical_cf(cfg, CfQuery(np.array([1.0]), np.array([1.0])),
-                             200_000, RngStream(424).generator())
-        assert abs(est.value) == pytest.approx(math.exp(-1.0), abs=0.005)
+    def test_cf_values_routes(self):
+        trip = LevyTriplet.stable(1.5)
+        single = CfQuery(np.array([1.0]), np.array([1.0]))
+        pair = CfQuery(np.array([0.5, 1.0]), np.array([0.5, 1.0]))  # no closed form
+        rng = RngStream(424)
+
+        def mc(qi, query):
+            return reinforced_cf(trip, 0.5, query, 1_000, rng.substream(1000 + qi).generator()).value
+
+        auto = reinforced_cf_values(trip, 0.5, [single, pair], "auto", 1_000, rng)
+        assert auto.tolist() == [reinforced_cf_exact(trip, 0.5, single), mc(1, pair)]
+        forced = reinforced_cf_values(trip, 0.5, [single, pair], "mc", 1_000, rng)
+        assert forced.tolist() == [mc(0, single), mc(1, pair)]
+        with pytest.raises(UnsupportedFamilyError):
+            reinforced_cf_values(trip, 0.5, [single, pair], "exact", 1_000, rng)
+        with pytest.raises(ConfigError):
+            reinforced_cf_values(trip, 0.5, [single], "bogus", 1_000, rng)
 
 
 class TestProperties:

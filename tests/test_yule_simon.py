@@ -13,6 +13,8 @@ from nrlevy.rng import RngStream
 from nrlevy.yule_simon import (
     CountingPath,
     MemoryParameter,
+    as_memory,
+    ys_abs_moment,
     ys_cross_moment,
     ys_joint_values,
     ys_mean,
@@ -209,6 +211,14 @@ class TestMoments:
         se = prod.std(ddof=1) / math.sqrt(prod.size)
         assert abs(prod.mean() - ys_cross_moment(0.5, 1.0, 4.0)) < 3 * se
 
+    def test_abs_moment_kmin_drops_the_head(self):
+        rho, q, t, kmin = 2.0, 1.5, 0.5, 40
+        k = np.arange(1, kmin + 1)
+        head = t * float(np.sum(k**q * ys_pmf(k, rho)))
+        assert ys_abs_moment(q, rho, t, kmin=kmin) == pytest.approx(
+            ys_abs_moment(q, rho, t) - head, rel=1e-12
+        )
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             ys_mean(0.5, 1.0)
@@ -230,3 +240,10 @@ class TestMemoryParameter:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(DomainError):
                 MemoryParameter(bad)
+            with pytest.raises(DomainError):
+                as_memory(bad)
+
+    def test_as_memory_passes_parameters_through(self):
+        mp = MemoryParameter(0.25)
+        assert as_memory(mp) is mp
+        assert as_memory(0.25) == mp
