@@ -220,10 +220,11 @@ def load_config(path: Path) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    if cfg.replicas < 1:
-        raise ConfigError("replicas must be positive")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be positive")
+    for key in ("replicas", "threads", "n", "mc_replicas"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be positive")
+    if min(cfg.mesh, default=1) < 1:
+        raise ConfigError(f"mesh entries must be at least 1, got {cfg.mesh}")
     if not cfg.tolerance_mult > 0:
         raise ConfigError(f"tolerance_mult must be positive, got {cfg.tolerance_mult}")
     for key, allowed in (("sampler", SAMPLERS), ("theory", THEORIES), ("walk", WALKS)):

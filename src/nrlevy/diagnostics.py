@@ -23,7 +23,7 @@ from .errors import DomainError, UnsupportedFamilyError
 from .levy_model import LevyTriplet, increment_sample
 from .noise_reinforced import CfQuery, query_grid_times, reinforced_cf_values
 from .rng import RngStream, iter_blocks
-from .step_reinforced import reinforced_prefix_sums, simon_terminal_counts
+from .step_reinforced import reinforced_prefix_sums, repeat_sources, simon_terminal_counts
 from .yule_simon import CountingPath, MemoryParameter, as_memory, ys_process_values
 
 TOLERANCE_MULT = 4.0
@@ -179,8 +179,10 @@ def _skeleton_ecf(
 
     def block(b: int, start: int, count: int) -> np.ndarray:
         gen = stream.generator(b)
-        steps = increment_sample(triplet, 1.0 / n, gen, size=count * n)[:, 0].reshape(count, n)
-        return reinforced_prefix_sums(steps, p, gen, ks)
+        fresh, sources = repeat_sources(n, count, p, gen)
+        steps = np.zeros((n, count))
+        steps[fresh] = increment_sample(triplet, 1.0 / n, gen, size=int(fresh.sum()))[:, 0]
+        return reinforced_prefix_sums(steps, sources, ks)
 
     sums = np.concatenate(_map_blocks(block, list(iter_blocks(replicas)), threads))
     return empirical_cf(sums, grid_times, queries)

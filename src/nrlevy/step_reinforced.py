@@ -5,6 +5,11 @@ previous steps chosen uniformly at random, otherwise it makes a fresh step.
 Repeats are tracked by the originating base index (not the step value), so
 counters remain correct when step values collide.  Counters are stored
 sparsely as event lists; a realization costs O(n) memory.
+
+The skeleton block kernel holds R walks as an (n, R) array of contiguous
+rows.  It draws the repeat genealogy first, one uniform per slot, then base
+steps for the fresh slots only (about 1 + (n - 1)(1 - p) per walk, not n),
+then fills each row with one gather from the earlier rows.
 """
 
 from __future__ import annotations
@@ -186,42 +191,53 @@ def skeleton_reinforced_walk(
 # ---------------------------------------------------------------------------
 
 
-def reinforced_prefix_sums(
-    steps: np.ndarray,
-    p: MemoryParameter | float,
-    gen: np.random.Generator,
-    prefix_ks: Sequence[int],
-) -> np.ndarray:
-    """Reinforce each row of ``steps`` and return S-hat at the given prefixes.
+def repeat_sources(
+    n: int, replicas: int, p: MemoryParameter | float, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-drawn genealogy ``(fresh, sources)`` of R = ``replicas`` walks of length n.
 
-    ``steps`` has shape (replicas, n) of scalar base steps; the reinforcement
-    is run for all rows in lockstep (one pass over the n slots, vectorized
-    across replicas).  Returns shape (replicas, len(prefix_ks)).
+    Both have shape (n, R).  ``fresh`` marks the slots that take a new base
+    step (step 0 always does); ``sources[i, r]`` is the flat index i * R + r
+    of a fresh slot itself, else slot * R + r of the earlier slot it repeats.
+    One uniform u per slot decides both: u < p is a repeat, of slot
+    floor((u / p) * i) clamped to i - 1.
     """
     pv = as_memory(p).p
-    r, n = steps.shape
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    u = gen.random((n, replicas))
+    u[0] = 1.0
+    fresh = u >= pv
+    rows = np.arange(n)[:, None]
+    u *= rows / pv
+    sources = np.minimum(u.astype(np.intp), rows - 1)
+    np.copyto(sources, rows, where=fresh)
+    sources *= replicas
+    sources += np.arange(replicas)
+    return fresh, sources
+
+
+def reinforced_prefix_sums(
+    steps: np.ndarray, sources: np.ndarray, prefix_ks: Sequence[int]
+) -> np.ndarray:
+    """Reinforce each column of ``steps`` and return S-hat at the given prefixes.
+
+    ``steps`` has shape (n, replicas), one contiguous row per slot; only its
+    fresh slots (see :func:`repeat_sources`) need base steps.  One pass over
+    i fills row i with a single gather from the earlier rows, then the rows
+    are summed in place, so ``steps`` may be overwritten.  Returns shape
+    (replicas, len(prefix_ks)).
+    """
+    hat = np.ascontiguousarray(steps, dtype=float)
+    n = hat.shape[0]
     ks = np.asarray(prefix_ks, dtype=np.int64)
-    if np.any(ks < 0) or np.any(ks > n):
-        raise DomainError("prefix indices must lie in [0, n]")
-    hat = np.array(steps, dtype=float)
-    rows = np.arange(r)
-    out = np.zeros((r, ks.size))
-    running = np.zeros(r)
-    k_order = np.argsort(ks, kind="stable")
-    next_pos = 0
-    sorted_ks = ks[k_order]
-    while next_pos < ks.size and sorted_ks[next_pos] == 0:
-        next_pos += 1
-    for i in range(n):
-        if i > 0:
-            rep = gen.random(r) < pv
-            slots = (gen.random(int(rep.sum())) * i).astype(np.int64)
-            hat[rep, i] = hat[rows[rep], slots]
-        running += hat[:, i]
-        while next_pos < ks.size and sorted_ks[next_pos] == i + 1:
-            out[:, k_order[next_pos]] = running
-            next_pos += 1
-    return out
+    if n < 1 or sources.shape != hat.shape or np.any(ks < 0) or np.any(ks > n):
+        raise DomainError("need n >= 1, sources shaped like steps and prefixes in [0, n]")
+    flat = hat.reshape(-1)
+    for i in range(1, n):
+        np.take(flat, sources[i], out=hat[i])
+    np.cumsum(hat, axis=0, out=hat)
+    return np.where(ks > 0, hat[ks - 1].T, 0.0)
 
 
 def simon_terminal_counts(

@@ -167,6 +167,17 @@ class TestRejections:
         assert main(["--config", str(thm1), "--tolerance-mult", mult]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        THM1.replace("mesh = 50,100", "mesh = 0,10"),
+        CF_SMALL.replace("mc_replicas = 1000", "mc_replicas = 0").replace("{extra}", "theory = mc"),
+        "[experiment]\nname = prop8\np = 0.5\nn = 0\nreplicas = 100\n[output]\ndir = {out}\n",
+    ], ids=["mesh-zero", "mc-replicas-zero", "n-zero"])
+    def test_empty_sample_sizes_rejected(self, tmp_path, capsys, config):
+        cfg = write(tmp_path, "c.ini", config.format(out=tmp_path / "o"))
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_library_error_is_one_line(self, tmp_path, capsys):
         # Validation passes; the closed-form cf then has no formula for
         # two-time stable-1.5 queries.

@@ -201,16 +201,16 @@ GOLDEN = {
         'report.json': 'fe24a0d6d52754672b011d8db866a8935edc61dc7b82862e1d4ef63a29102225',
     }),
     'supercritical': (0, {
-        'distances.csv': 'b2e3495c636d826f44c9f9033e722c0ce94414d2d138f2db31d7e1daac225c96',
-        'report.json': '14eb6938a190dc4611c785928ab13d4a14684871e57ff32a78519d8039b3b5d6',
+        'distances.csv': '1c80263ea4f9f6c5453f4f2daee5a39dc2f7339aa82758b0fb3ddfed16f4127e',
+        'report.json': '24074d0074d879d9657d1a437fc0ae90aa97bcc211f914db4b0f6b27877254b4',
     }),
     'theorem1-exact': (0, {
-        'distances.csv': '8e237aadcfe403adbb897a27a0feffe16ac749aa98c6361d397311d6abd0cff6',
-        'report.json': '48c5204710d1c9e84a58975184f2a5ae7e98f5d2fe066ed5ee827e8f80f2e3bd',
+        'distances.csv': '2731c4247616c4ef6187c8515d6c9b056c2cc111f9c2a61f5648e3aa2dc5b215',
+        'report.json': '3b08b06491c00881bcc50a47ccea951a6babef4989d760f9179e9104f3777b19',
     }),
     'theorem1-mc': (0, {
-        'distances.csv': '18b1d52221afb3819c321a9d5b726bc5267614c63832e59f9d3d4cb2cf8e9f80',
-        'report.json': '7a37f54cc31ca7bbba4b52195f674d3a216a8e640ca1e589a9c9113304b9adc9',
+        'distances.csv': '74c19cab6918939961a4a9b9157d386bb5a62bd6d89e866162e802aed177f5d3',
+        'report.json': '1f0df6bcc6abd33f0446e20a435ea975f5d8d2372b2c84b9d3ecf1ea39f861a6',
     }),
 }
 

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrlevy import diagnostics
 from nrlevy.errors import DomainError
-from nrlevy.levy_model import LevyTriplet
-from nrlevy.rng import RngStream
+from nrlevy.levy_model import LevyTriplet, increment_sample
+from nrlevy.noise_reinforced import CfQuery
+from nrlevy.rng import RngStream, iter_blocks
 from nrlevy.step_reinforced import (
     elephant_endpoints,
     elephant_walk,
     empirical_functional,
     reinforce,
     reinforced_prefix_sums,
+    repeat_sources,
     simon_terminal_counts,
     skeleton_reinforced_walk,
 )
@@ -152,9 +155,8 @@ class TestSkeleton:
 
     def test_brownian_centered(self):
         qs = reinforced_prefix_sums(
-            RngStream(316).generator().standard_normal((20_000, 100)) * 0.1,
-            0.3,
-            RngStream(317).generator(),
+            RngStream(316).generator().standard_normal((100, 20_000)) * 0.1,
+            repeat_sources(100, 20_000, 0.3, RngStream(317).generator())[1],
             [50, 100],
         )
         se = qs.std(axis=0) / math.sqrt(20_000)
@@ -162,6 +164,63 @@ class TestSkeleton:
 
 
 class TestBatchKernels:
+    @pytest.mark.parametrize("n, replicas, p", [(1, 3, 0.5), (7, 5, 0.5), (60, 8, 0.9), (40, 6, 0.05)])
+    def test_prefix_sums_match_reinforce_rule(self, n, replicas, p):
+        # Replay the pre-drawn genealogy through reinforce()'s rule
+        # origins[i] = origins[slot], one replica at a time.
+        gen = RngStream(321).generator()
+        fresh, sources = repeat_sources(n, replicas, p, gen)
+        steps = gen.standard_normal((n, replicas))
+        ks = [0, 1, n // 2, n]
+        got = reinforced_prefix_sums(steps.copy(), sources, ks)
+        assert fresh[0].all()
+        assert np.array_equal(fresh, sources == np.arange(n * replicas).reshape(n, replicas))
+        for r in range(replicas):
+            origins = np.arange(n)
+            for i in range(1, n):
+                if not fresh[i, r]:
+                    slot, col = divmod(int(sources[i, r]), replicas)
+                    assert col == r and 0 <= slot < i
+                    origins[i] = origins[slot]
+            sums = np.concatenate([[0.0], np.cumsum(steps[origins, r])])
+            assert np.array_equal(got[r], sums[ks])
+
+    def test_block_path_reads_only_earlier_slots(self):
+        # Repeated slots hold 0 until gathered, so reading a slot >= i would
+        # move S-hat(n) of a pure drift away from the drift.
+        query = CfQuery(np.asarray([1.0]), np.asarray([1.0]))
+        ecf = diagnostics._skeleton_ecf(
+            LevyTriplet.pure_drift([3.0]), 0.9, 500, [query], np.asarray([1.0]),
+            1500, RngStream(322), 2,
+        )
+        assert abs(ecf.estimates[0] - np.exp(3.0j)) < 1e-12
+
+    def test_block_path_draws_fresh_slots_only(self, monkeypatch):
+        sizes = []
+
+        def recording(triplet, dt, rng, size=None):
+            sizes.append(size)
+            return increment_sample(triplet, dt, rng, size=size)
+
+        monkeypatch.setattr(diagnostics, "increment_sample", recording)
+        n, p, replicas, stream = 300, 0.8, 1500, RngStream(323)
+        query = CfQuery(np.asarray([1.0]), np.asarray([1.0]))
+        diagnostics._skeleton_ecf(
+            LevyTriplet.stable(1.5), p, n, [query], np.asarray([1.0]), replicas, stream, 1
+        )
+        expected = [
+            int(repeat_sources(n, count, p, stream.generator(b))[0].sum())
+            for b, _, count in iter_blocks(replicas)
+        ]
+        assert sizes == expected
+        assert sum(sizes) < 0.25 * n * replicas
+
+    def test_kernel_rejects_empty_walks(self):
+        with pytest.raises(DomainError):
+            repeat_sources(0, 4, 0.5, RngStream(324).generator())
+        with pytest.raises(DomainError):
+            reinforced_prefix_sums(np.zeros((0, 4)), np.zeros((0, 4), dtype=np.intp), [0])
+
     def test_terminal_counts_identity_and_law(self):
         counts = simon_terminal_counts(5_000, 0.5, RngStream(318).generator(), 20)
         assert np.all(counts.sum(axis=1) == 5_000)
