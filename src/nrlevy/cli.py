@@ -455,7 +455,10 @@ def _choose_sampler(cfg: ExperimentConfig, nc: NrlpConfig) -> str:
 def _sample_marginals(cfg: ExperimentConfig, nc: NrlpConfig, replicas: int) -> tuple[np.ndarray, str]:
     sampler = _choose_sampler(cfg, nc)
     if sampler == "spectral":
-        return stable_nrlp_marginals(nc, cfg.stream().substream(7), replicas), sampler
+        values = stable_nrlp_marginals(
+            nc, cfg.stream().substream(7), replicas, threads=cfg.threads
+        )
+        return values, sampler
     return nrlp_marginals(nc, cfg.stream().substream(7), replicas), sampler
 
 
@@ -496,11 +499,12 @@ def _run_cf_compare(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
     queries = [
         CfQuery(np.asarray([th]), np.asarray([t])) for t in pos_times for th in cfg.thetas
     ]
-    values, sampler = _sample_marginals(cfg, nc, cfg.replicas)
-    ecf = dg.empirical_cf(values[:, :, 0], nc.grid, queries)
+    # Theory first: its transients are freed before the sampler's blocks run.
     theory = reinforced_cf_values(
         nc.triplet, nc.p, queries, cfg.theory, cfg.mc_replicas, cfg.stream()
     )
+    values, sampler = _sample_marginals(cfg, nc, cfg.replicas)
+    ecf = dg.empirical_cf(values[:, :, 0], nc.grid, queries)
     dist = np.abs(ecf.estimates - theory)
     threshold = cfg.tolerance_mult / math.sqrt(cfg.replicas)
     passed = bool(dist.max() < threshold)

@@ -13,7 +13,6 @@ worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,6 +22,7 @@ from .errors import DomainError, UnsupportedFamilyError
 from .levy_model import LevyTriplet, increment_sample
 from .noise_reinforced import CfQuery, query_grid_times, reinforced_cf_values
 from .rng import RngStream, iter_blocks
+from .rng import map_blocks as _map_blocks  # perfbench/tracing.py probes this name
 from .step_reinforced import reinforced_prefix_sums, repeat_sources, simon_terminal_counts
 from .yule_simon import CountingPath, MemoryParameter, as_memory, ys_process_values
 
@@ -140,13 +140,6 @@ def _trend_flags(distances: np.ndarray, stderr: np.ndarray, noise_mult: float = 
         if not (distances[i + 1] < distances[i] or max(distances[i], distances[i + 1]) < floor):
             ok = False
     return ok, strict
-
-
-def _map_blocks(fn, blocks, threads: int):
-    if threads <= 1:
-        return [fn(*b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda args: fn(*args), blocks))
 
 
 def default_theorem1_queries(

@@ -367,19 +367,55 @@ def thin(triplet: LevyTriplet, p: MemoryParameter | float) -> JumpMeasure:
 # ---------------------------------------------------------------------------
 
 
-def symmetric_stable_std(alpha: float, gen: np.random.Generator, size=None) -> np.ndarray:
+STABLE_CHUNK = 1 << 16
+"""Elements per in-place pass of :func:`symmetric_stable_std`'s transform."""
+
+
+def symmetric_stable_std(
+    alpha: float,
+    gen: np.random.Generator,
+    size=None,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Standard symmetric alpha-stable draws, cf exp(-|theta|^alpha).
 
     Chambers-Mallows-Stuck: with V uniform on (-pi/2, pi/2) and W standard
     exponential,  sin(aV) / cos(V)^(1/a) * (cos((1-a)V) / W)^((1-a)/a).
+
+    V is drawn into the first buffer and W into the second, then the
+    transform runs in place over chunks of ``STABLE_CHUNK`` elements, so the
+    only allocations are the two buffers and two chunk-sized temporaries.
+    ``buffers`` lets a caller that draws repeatedly reuse two flat float64
+    arrays of at least the draw count; the result is then a view of the
+    first.  Values and generator state are bitwise those of
+    ``gen.uniform(-pi/2, pi/2, size)``, ``gen.exponential(size=size)`` and
+    the formula above evaluated on whole arrays.
     """
-    v = gen.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    w = gen.exponential(size=size)
-    return (
-        np.sin(alpha * v)
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-    )
+    shape = () if size is None else size
+    n = int(np.prod(shape))
+    if buffers is None:
+        buffers = (np.empty(n), np.empty(n))
+    v, w = buffers[0][:n], buffers[1][:n]
+    gen.random(out=v)
+    v *= math.pi
+    v += -math.pi / 2.0
+    gen.standard_exponential(out=w)
+    num = np.empty(min(n, STABLE_CHUNK))
+    den = np.empty_like(num)
+    for start in range(0, n, STABLE_CHUNK):
+        vc = v[start : start + STABLE_CHUNK]
+        x, y = num[: vc.size], den[: vc.size]
+        np.multiply(alpha, vc, out=x)
+        np.sin(x, out=x)
+        np.cos(vc, out=y)
+        y **= 1.0 / alpha
+        x /= y
+        np.multiply(1.0 - alpha, vc, out=y)
+        np.cos(y, out=y)
+        y /= w[start : start + STABLE_CHUNK]
+        y **= (1.0 - alpha) / alpha
+        np.multiply(x, y, out=vc)
+    return v[0] if size is None else v.reshape(shape)
 
 
 def positive_stable_std(sigma: float, gen: np.random.Generator, size=None) -> np.ndarray:

@@ -121,7 +121,7 @@ class NrlpConfig:
 
     Admissibility (p * beta < 1) is enforced at construction; ``grid`` is the
     output time grid and ``truncation_eps`` the small-jump cutoff of the
-    Poisson series.
+    Poisson series (0 keeps every atom of a finite jump measure).
     """
 
     triplet: LevyTriplet
@@ -137,8 +137,12 @@ class NrlpConfig:
                 f"p * beta = {p.p * bg_index(self.triplet):.4g} >= 1: "
                 "no noise-reinforced process exists for these characteristics"
             )
-        if not (0.0 < self.truncation_eps < 1.0):
-            raise ConfigError("truncation_eps must lie in (0, 1)")
+        finite = isinstance(self.triplet.jump_measure, (ZeroJumps, FiniteAtomic))
+        if not (0.0 < self.truncation_eps < 1.0 or (finite and self.truncation_eps == 0.0)):
+            raise ConfigError(
+                "truncation_eps must lie in (0, 1); 0 (no cutoff) is allowed for "
+                "finite jump measures"
+            )
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
             raise ConfigError("grid must be nonempty and strictly increasing")
@@ -389,6 +393,18 @@ def _small_ball_moment(jm: JumpMeasure, q: float, eps: float, d: int) -> float:
     raise ConfigError(f"unknown jump measure {type(jm).__name__}")
 
 
+def _moment_orders(triplet: LevyTriplet, rho: float) -> tuple[float, np.ndarray]:
+    """(lo, orders): lo = max(beta, 1) and 12 moment orders inside (lo, rho).
+
+    ``truncation_budget`` and ``default_truncation`` both optimize over these
+    orders, so the Yule-Simon moment sums one computes serve the other.
+    """
+    lo = max(bg_index(LevyTriplet(triplet.dim, None, None, triplet.jump_measure)), 1.0)
+    if lo + 1e-9 >= rho:
+        raise DomainError("no admissible moment order: beta >= rho")
+    return lo, np.linspace(lo + 0.02 * (rho - lo), rho - 0.02 * (rho - lo), 12)
+
+
 def truncation_budget(config: NrlpConfig, q: float | None = None) -> float:
     """Certified q-th-moment bound on the dropped small-jump martingale tail.
 
@@ -396,18 +412,10 @@ def truncation_budget(config: NrlpConfig, q: float | None = None) -> float:
     thinned measure, for q between the Blumenthal-Getoor index and rho.  When
     q is omitted the bound is minimized over a grid of admissible q.
     """
-    jump_only = LevyTriplet(config.triplet.dim, None, None, config.triplet.jump_measure)
-    beta = bg_index(jump_only)
     rho = config.rho
-    lo = max(beta, 1.0)
-    if q is not None:
-        candidates = [q]
-    elif lo + 1e-9 >= rho:
-        raise DomainError("no admissible moment order: beta >= rho")
-    else:
-        candidates = list(np.linspace(lo + 0.02 * (rho - lo), rho - 0.02 * (rho - lo), 12))
+    lo, orders = _moment_orders(config.triplet, rho)
     best = math.inf
-    for qq in candidates:
+    for qq in orders if q is None else [q]:
         if not lo < qq < rho:
             raise DomainError(f"budget order must lie in ({lo}, {rho}), got {qq}")
         val = ys_abs_moment(qq, rho) * _small_ball_moment(
@@ -425,21 +433,19 @@ def default_truncation(
 ) -> float:
     """Largest cutoff meeting the error budget, floored for tractability.
 
-    For heavy small-jump activity (beta close to rho) the budget-satisfying
-    cutoff can be astronomically small; the returned value is then the floor
-    and the achievable budget should be read off ``truncation_budget``.
+    A finite jump measure needs no cutoff: the result is 0, which keeps every
+    atom and certifies a zero budget.  For heavy small-jump activity (beta
+    close to rho) the budget-satisfying cutoff can be astronomically small;
+    the returned value is then the floor and the achievable budget should be
+    read off ``truncation_budget``.
     """
     pv = as_memory(p)
     jm = thin(triplet, pv)
     if isinstance(jm, (ZeroJumps, FiniteAtomic)):
-        return 0.5
-    beta = bg_index(LevyTriplet(triplet.dim, None, None, triplet.jump_measure))
+        return 0.0
     rho = pv.rho
-    lo = max(beta, 1.0)
-    if lo + 1e-9 >= rho:
-        raise DomainError("no admissible moment order: beta >= rho")
     best = 0.0
-    for qq in np.linspace(lo + 0.02 * (rho - lo), rho - 0.02 * (rho - lo), 12):
+    for qq in _moment_orders(triplet, rho)[1]:
         moment = ys_abs_moment(qq, rho)
         if isinstance(jm, IsotropicStable):
             c = jm.scale * stable_radial_constant(jm.alpha, triplet.dim)

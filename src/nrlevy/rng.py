@@ -8,6 +8,7 @@ ids yield statistically independent generators via ``SeedSequence`` spawn keys.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ BLOCK_SIZE = 1024
 
 Fixed independently of the worker count so that experiment outputs are
 bitwise identical for any degree of parallelism.  Block ``b`` of an
-experiment draws from ``stream.generator(tag, b)`` and results are reduced
+experiment draws from ``stream.generator(b)`` and results are reduced
 in block order.
 """
 
@@ -72,3 +73,16 @@ def iter_blocks(total: int, block_size: int = BLOCK_SIZE):
         yield b, start, count
         b += 1
         start += count
+
+
+def map_blocks(fn, blocks, threads: int) -> list:
+    """``[fn(*b) for b in blocks]``, on a pool of ``threads`` threads if above 1.
+
+    Results come back in block order whatever the schedule, so a block
+    function that draws only from its own block's generator gives the same
+    list for every thread count.
+    """
+    if threads <= 1:
+        return [fn(*b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda args: fn(*args), blocks))

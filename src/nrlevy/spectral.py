@@ -21,6 +21,7 @@ sampler covers longer grids.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy.special import betainc, gammaln
 from .errors import DomainError, UnsupportedFamilyError
 from .levy_model import IsotropicStable, symmetric_stable_std
 from .noise_reinforced import NrlpConfig, nrbm_sample_many
-from .rng import RngStream, iter_blocks
+from .rng import BLOCK_SIZE, RngStream, iter_blocks, map_blocks
 from .yule_simon import ys_abs_moment, ys_pmf
 
 EXACT_MAX = 32
@@ -57,9 +58,21 @@ class StableMarkMixture:
     directions: np.ndarray
     weights: np.ndarray
 
-    def sample(self, gen: np.random.Generator, replicas: int) -> np.ndarray:
-        s = symmetric_stable_std(self.alpha, gen, (replicas, self.weights.size))
-        return (s * self.weights ** (1.0 / self.alpha)) @ self.directions
+    def sample(
+        self,
+        gen: np.random.Generator,
+        replicas: int,
+        buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Jump part at the grid times, (replicas, m).
+
+        ``buffers`` are passed to :func:`symmetric_stable_std` (two flat
+        float64 arrays of at least ``replicas * bins`` elements) and hold the
+        per-bin draws.
+        """
+        s = symmetric_stable_std(self.alpha, gen, (replicas, self.weights.size), buffers)
+        s *= self.weights ** (1.0 / self.alpha)
+        return s @ self.directions
 
     def exponent(self, thetas: np.ndarray) -> np.ndarray:
         """Jump-part exponent sum_b gamma_b |theta . w_b|^alpha, batched."""
@@ -168,6 +181,7 @@ def stable_nrlp_marginals(
     rng: RngStream,
     replicas: int,
     mixture: StableMarkMixture | None = None,
+    threads: int = 1,
 ) -> np.ndarray:
     """Marginals of the reinforced process via the mark mixture, (R, m, 1).
 
@@ -175,20 +189,28 @@ def stable_nrlp_marginals(
     positive grid times with the truncation removed; cost per replica is the
     number of mixture bins.  Gaussian and drift components are added exactly
     as in the series sampler.  Block b of ``rng.BLOCK_SIZE`` replicas draws
-    from ``rng.generator(b)``.
+    from ``rng.generator(b)`` and fills only its own rows; blocks run on
+    ``threads`` threads, and the result does not depend on ``threads``.  Each thread allocates its two (block, bins) draw buffers
+    once and reuses them for every block it runs.
     """
     if mixture is None:
         mixture = stable_mixture_for(config)
     grid = config.grid
     pos = grid > 0
+    draws = min(replicas, BLOCK_SIZE) * mixture.weights.size
+    local = threading.local()
     out = np.zeros((replicas, grid.size, 1))
     out += np.outer(grid, config.triplet.drift)[None, :, :]
-    for b, start, count in iter_blocks(replicas):
+
+    def block(b: int, start: int, count: int) -> None:
+        if not hasattr(local, "buffers"):
+            local.buffers = (np.empty(draws), np.empty(draws))
         gen = rng.generator(b)
+        rows = out[start : start + count]
         if config.triplet.has_gaussian:
             bhat = nrbm_sample_many(config.p, grid, 1, gen, count)
-            out[start : start + count] += np.einsum(
-                "rgd,ed->rge", bhat, config.triplet.gaussian_factor
-            )
-        out[start : start + count, pos, 0] += mixture.sample(gen, count)
+            rows += np.einsum("rgd,ed->rge", bhat, config.triplet.gaussian_factor)
+        rows[:, pos, 0] += mixture.sample(gen, count, local.buffers)
+
+    map_blocks(block, list(iter_blocks(replicas)), threads)
     return out

@@ -9,6 +9,7 @@ is represented by its jump times, so its value is known at every t in [0, 1].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,10 +150,16 @@ def ys_abs_moment(
     rho = _check_rho(rho, minimum=0.0)
     if not 0.0 < q < rho:
         raise DomainError(f"moment order must lie in (0, rho), got q={q}")
+    return t * _abs_moment_sum(q, rho, kmax, kmin)
+
+
+@functools.lru_cache(maxsize=64)
+def _abs_moment_sum(q: float, rho: float, kmax: int, kmin: int) -> float:
+    """E[Y(1)^q; Y(1) > kmin], cached: each call sums kmax - kmin terms."""
     k = np.arange(kmin + 1, kmax + 1, dtype=float)
     head = float(np.sum(np.exp(q * np.log(k) + np.log(rho) + betaln(k, rho + 1.0))))
     tail = rho * math.gamma(rho + 1.0) * kmax ** (q - rho) / (rho - q)
-    return t * (head + tail)
+    return head + tail
 
 
 # ---------------------------------------------------------------------------

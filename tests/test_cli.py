@@ -232,6 +232,21 @@ class TestDeterminism:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "distances.csv").read_bytes() == (out2 / "distances.csv").read_bytes()
 
+    def test_spectral_cf_compare_threads_do_not_change_bytes(self, tmp_path):
+        # 2500 replicas: blocks of 1024, 1024 and a partial 452.
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        cfg = write(
+            tmp_path, "mix.ini",
+            "[experiment]\nname = cf-compare\np = 0.5\ngrid = 0.5,1.0\nsampler = spectral\n"
+            f"seed = 42\nreplicas = 2500\n[triplet]\njumps = stable\nalpha = 1.5\n"
+            f"[output]\ndir = {out1}\n",
+        )
+        assert main(["--config", str(cfg), "--threads", "1"]) == 0
+        assert main(["--config", str(cfg), "--threads", "3", "--out", str(out2)]) == 0
+        assert json.loads((out1 / "report.json").read_text())["params"]["sampler"] == "spectral"
+        for name in ("report.json", "cfdata.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_rerun_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         cfg = write(tmp_path, "thm1.ini", THM1.format(out=out1))

@@ -12,6 +12,7 @@ from nrlevy.levy_model import (
     IsotropicStable,
     LevyTriplet,
     RadialDensity,
+    STABLE_CHUNK,
     add_triplets,
     bg_index,
     characteristic_exponent,
@@ -143,6 +144,30 @@ class TestStableVariates:
                 assert abs(ecf(x[:, None], np.array([th]))) == pytest.approx(
                     math.exp(-(th**alpha)), abs=4 / math.sqrt(300_000)
                 )
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_symmetric_stable_matches_closed_form_bitwise(self, alpha):
+        def closed_form(gen, size):
+            v = gen.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+            w = gen.exponential(size=size)
+            return (
+                np.sin(alpha * v)
+                / np.cos(v) ** (1.0 / alpha)
+                * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+            )
+
+        # (300, 437) is not a multiple of the chunk and spans two chunks.
+        assert (300 * 437) % STABLE_CHUNK and 300 * 437 > STABLE_CHUNK
+        spare = (np.empty(300 * 437 + 5), np.empty(300 * 437 + 5))
+        for size in (None, 1000, (300, 437)):
+            for buffers in (None, spare):
+                ref_gen, gen = RngStream(205).generator(), RngStream(205).generator()
+                expected = closed_form(ref_gen, size)
+                got = symmetric_stable_std(alpha, gen, size, buffers)
+                assert np.shape(got) == np.shape(expected)
+                assert type(got) is type(expected)
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+                assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_positive_stable_laplace(self):
         gen = RngStream(203).generator()

@@ -30,7 +30,12 @@ from nrlevy.noise_reinforced import (
     truncation_budget,
 )
 from nrlevy.rng import RngStream
-from nrlevy.yule_simon import MemoryParameter, ys_joint_values, ys_process_values
+from nrlevy.yule_simon import (
+    MemoryParameter,
+    _abs_moment_sum,
+    ys_joint_values,
+    ys_process_values,
+)
 
 
 class TestNrbm:
@@ -287,6 +292,17 @@ class TestTheoreticalCf:
         with pytest.raises(ConfigError):
             reinforced_cf_values(trip, 0.5, [single], "bogus", 1_000, rng)
 
+    def test_cf_theory_pass_sums_once(self):
+        # 20 single-time stable queries at two times share one moment order.
+        queries = [
+            CfQuery(np.asarray([th]), np.asarray([t]))
+            for t in (0.5, 1.0) for th in np.linspace(0.1, 2.0, 10)
+        ]
+        _abs_moment_sum.cache_clear()
+        reinforced_cf_values(LevyTriplet.stable(1.5), 0.5, queries, "exact", 1, RngStream(1))
+        info = _abs_moment_sum.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+
 
 class TestProperties:
     def test_additivity_pure_drifts(self):
@@ -351,3 +367,32 @@ class TestBudget:
         with pytest.warns(UserWarning):
             eps = default_truncation(LevyTriplet.stable(1.9), 0.5, budget=1e-3, floor=1e-6)
         assert eps == 1e-6
+
+    def test_default_truncation_keeps_every_atom_of_a_finite_measure(self):
+        # One atom at 0.3 below the old fixed cutoff 0.5: that cutoff dropped
+        # it, so every sampled X(1) was 0 and the budget was about 0.44.
+        trip = LevyTriplet.compound_poisson([[0.3]], [2.0])
+        eps = default_truncation(trip, 0.3, budget=1e-3)
+        cfg = NrlpConfig(trip, MemoryParameter(0.3), eps, np.array([1.0]))
+        assert truncation_budget(cfg) <= 1e-3
+        replicas = 20_000
+        x = nrlp_marginals(cfg, RngStream(431), replicas)[:, :, 0]
+        query = CfQuery(np.array([1.0]), np.array([1.0]))
+        theory = reinforced_cf(trip, 0.3, query, 400_000, RngStream(432).generator())
+        ecf = empirical_cf(x, cfg.grid, [query]).estimates[0]
+        assert abs(theory.value - 1.0) > 0.1
+        assert abs(ecf - theory.value) < 4.0 / math.sqrt(replicas) + 4.0 * theory.value_se
+
+    def test_zero_cutoff_only_for_finite_measures(self):
+        for trip in (LevyTriplet.compound_poisson([[0.3]], [2.0]), LevyTriplet.brownian()):
+            assert NrlpConfig(trip, MemoryParameter(0.3), 0.0).truncation_eps == 0.0
+        with pytest.raises(ConfigError):
+            NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.3), 0.0)
+
+    def test_budget_and_cutoff_share_one_moment_grid(self):
+        trip = LevyTriplet.cauchy()
+        _abs_moment_sum.cache_clear()
+        eps = default_truncation(trip, 0.5, budget=1e-2)
+        truncation_budget(NrlpConfig(trip, MemoryParameter(0.5), eps, np.array([1.0])))
+        info = _abs_moment_sum.cache_info()
+        assert (info.misses, info.hits) == (12, 12)

@@ -219,6 +219,11 @@ class TestMoments:
             ys_abs_moment(q, rho, t) - head, rel=1e-12
         )
 
+    def test_abs_moment_is_linear_in_t(self):
+        for q, rho, t in ((1.5, 2.0, 0.5), (0.7, 3.0, 0.3), (1.9, 2.5, 1.0)):
+            assert ys_abs_moment(q, rho, t) == t * ys_abs_moment(q, rho)
+            assert ys_abs_moment(q, rho, t, kmin=40) == t * ys_abs_moment(q, rho, kmin=40)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             ys_mean(0.5, 1.0)
