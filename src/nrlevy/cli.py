@@ -253,6 +253,12 @@ def validate(cfg: ExperimentConfig) -> None:
             )
     if cfg.experiment == "cf-compare" and cfg.triplet.dim != 1:
         raise ConfigError("cf-compare queries are one-dimensional: set dim = 1")
+    if (cfg.experiment in ("simulate-nrlp", "cf-compare") and cfg.sampler == "spectral"
+            and not _mixture_covers(cfg.triplet, cfg.grid)):
+        raise ConfigError(
+            "sampler = spectral covers one-dimensional stable jumps on one or two "
+            "positive grid times"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +445,20 @@ def _nrlp_config(cfg: ExperimentConfig) -> NrlpConfig:
     return NrlpConfig(cfg.triplet, cfg.memory(), cfg.truncation_eps, grid)
 
 
+def _mixture_covers(triplet: LevyTriplet, grid) -> bool:
+    """Whether the stable mark mixture can sample this triplet on this grid."""
+    positive = sum(t > 0 for t in grid)
+    return (isinstance(triplet.jump_measure, IsotropicStable) and triplet.dim == 1
+            and 1 <= positive <= 2)
+
+
 def _choose_sampler(cfg: ExperimentConfig, nc: NrlpConfig) -> str:
     if cfg.sampler != "auto":
         return cfg.sampler
-    jm = nc.triplet.jump_measure
-    pos = nc.grid[nc.grid > 0]
-    if isinstance(jm, IsotropicStable) and nc.triplet.dim == 1 and pos.size <= 2:
+    if _mixture_covers(nc.triplet, nc.grid):
         # Mixture sampling is exact and its cost does not grow as the cutoff
         # shrinks; prefer it whenever the series would need many atoms.
-        if jm.alpha * math.log(1.0 / nc.truncation_eps) > 4.0:
+        if nc.triplet.jump_measure.alpha * math.log(1.0 / nc.truncation_eps) > 4.0:
             return "spectral"
     return "series"
 
@@ -459,7 +470,7 @@ def _sample_marginals(cfg: ExperimentConfig, nc: NrlpConfig, replicas: int) -> t
             nc, cfg.stream().substream(7), replicas, threads=cfg.threads
         )
         return values, sampler
-    return nrlp_marginals(nc, cfg.stream().substream(7), replicas), sampler
+    return nrlp_marginals(nc, cfg.stream().substream(7), replicas, threads=cfg.threads), sampler
 
 
 def _run_simulate_nrlp(cfg: ExperimentConfig) -> tuple[dict, bool | None]:

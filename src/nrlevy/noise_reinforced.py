@@ -10,6 +10,7 @@ function of the process by Monte Carlo over mark paths.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .levy_model import (
     stable_radial_constant,
     thin,
 )
-from .rng import RngStream, as_generator, iter_blocks
+from .rng import RngStream, as_generator, iter_blocks, map_blocks
 from .yule_simon import (
     MemoryParameter,
     as_memory,
@@ -279,6 +280,13 @@ def _sample_tail_jumps(
 
 def _radial_inverse_cdf(jm: RadialDensity, eps: float, u: np.ndarray) -> np.ndarray:
     """Numerical inverse of the normalized radial tail cdf on [eps, inf)."""
+    return np.interp(u, *_radial_tail_table(jm, eps))
+
+
+@functools.lru_cache(maxsize=16)
+def _radial_tail_table(jm: RadialDensity, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, radius) table of the tail on [eps, inf), built once per measure
+    and cutoff rather than once per chunk of atoms."""
     hi = max(10.0 * eps, 1.0)
     total = _tail_mass(jm, eps, 1)
     while quad(jm._eval, hi, np.inf, limit=200)[0] > 1e-10 * total:
@@ -289,7 +297,7 @@ def _radial_inverse_cdf(jm: RadialDensity, eps: float, u: np.ndarray) -> np.ndar
     dens = np.asarray([jm._eval(r) for r in grid], dtype=float)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
     cdf /= cdf[-1]
-    return np.interp(u, cdf, grid)
+    return cdf, grid
 
 
 def _compensation_coefficient(triplet: LevyTriplet, eps: float) -> np.ndarray:
@@ -309,6 +317,15 @@ def _compensation_coefficient(triplet: LevyTriplet, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+ATOM_CHUNK = 1 << 17
+"""Atoms per chunk of a series block.
+
+A block's jumps, marks and replica ids are drawn and reduced one chunk at a
+time, which bounds a block's working set whatever the cutoff; a block with
+at most this many atoms draws in one chunk.
+"""
+
+
 def nrlp_sample(config: NrlpConfig, rng: RngStream | np.random.Generator) -> PathSample:
     """One path of the noise-reinforced process on the configured grid.
 
@@ -319,19 +336,25 @@ def nrlp_sample(config: NrlpConfig, rng: RngStream | np.random.Generator) -> Pat
     return PathSample(config.grid, _nrlp_block(config, as_generator(rng), 1)[0])
 
 
-def nrlp_marginals(config: NrlpConfig, rng: RngStream, replicas: int) -> np.ndarray:
+def nrlp_marginals(
+    config: NrlpConfig, rng: RngStream, replicas: int, threads: int = 1
+) -> np.ndarray:
     """Values of many independent paths on the grid, shape (replicas, m, d).
 
     Replicas are generated in blocks of ``rng.BLOCK_SIZE``; block b draws from
-    ``rng.generator(b)`` in the order: reinforced-Brownian normals, atom
-    counts, jump sizes, mark values.  Results are therefore independent of
-    any parallel scheduling of the blocks.
+    ``rng.generator(b)`` and fills only its own rows, in the order:
+    reinforced-Brownian normals, the Poisson atom counts of every replica,
+    then for each chunk of at most ``ATOM_CHUNK`` atoms (taken in replica
+    order) its jump sizes and its mark values.  Blocks run on ``threads``
+    threads; the chunk plan does not depend on ``threads``, so neither does
+    the result.
     """
-    grid = config.grid
-    d = config.triplet.dim
-    out = np.empty((replicas, grid.size, d))
-    for b, start, count in iter_blocks(replicas):
+    out = np.empty((replicas, config.grid.size, config.triplet.dim))
+
+    def block(b: int, start: int, count: int) -> None:
         out[start : start + count] = _nrlp_block(config, rng.generator(b), count)
+
+    map_blocks(block, list(iter_blocks(replicas)), threads)
     return out
 
 
@@ -352,20 +375,20 @@ def _nrlp_block(config: NrlpConfig, gen: np.random.Generator, replicas: int) -> 
         return values
     nu = config.thinned
     lam = _tail_mass(nu, config.truncation_eps, d)
-    counts = gen.poisson(lam, size=replicas)
-    total = int(counts.sum())
-    if total == 0:
-        return values
-    rep_ids = np.repeat(np.arange(replicas), counts)
-    jumps = _sample_tail_jumps(nu, config.truncation_eps, d, gen, total)
-    marks = ys_joint_values(config.rho, pos_times, gen, total)  # (total, m_pos)
+    ends = np.cumsum(gen.poisson(lam, size=replicas))
     pos_idx = np.flatnonzero(pos)
-    for g_local, g in enumerate(pos_idx):
-        weights = marks[:, g_local].astype(float)
-        for e in range(d):
-            values[:, g, e] += np.bincount(
-                rep_ids, weights=weights * jumps[:, e], minlength=replicas
-            )
+    total = int(ends[-1])
+    for a in range(0, total, ATOM_CHUNK):
+        n = min(ATOM_CHUNK, total - a)
+        rep_ids = np.searchsorted(ends, np.arange(a, a + n), side="right")
+        jumps = _sample_tail_jumps(nu, config.truncation_eps, d, gen, n)
+        marks = ys_joint_values(config.rho, pos_times, gen, n)  # (n, m_pos)
+        for g_local, g in enumerate(pos_idx):
+            weights = marks[:, g_local].astype(float)
+            for e in range(d):
+                values[:, g, e] += np.bincount(
+                    rep_ids, weights=weights * jumps[:, e], minlength=replicas
+                )
     return values
 
 
@@ -646,8 +669,9 @@ def _running_mean_diverges(values: np.ndarray, ratio: float = 1.5) -> bool:
     k = max(20, int(math.sqrt(positive.size))) if positive.size else 0
     if k and positive.size > 2 * k:
         top = np.sort(positive)[-k:]
-        hill = 1.0 / np.mean(np.log(top / top[0]))
-        if hill * (1.0 + 2.0 / math.sqrt(k)) <= 1.0:
+        # Hill index = 1 / mean log-spacing; tied top values (a mean of 0)
+        # read as an infinite index, so compare without dividing.
+        if 1.0 + 2.0 / math.sqrt(k) <= np.mean(np.log(top / top[0])):
             return True
     return False
 

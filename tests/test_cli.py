@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrlevy import cli, noise_reinforced
 from nrlevy.cli import (
     _EXPERIMENT_KEYS,
     _TRIPLET_KEYS,
@@ -178,6 +179,30 @@ class TestRejections:
         assert_one_line_error(capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("grid, jumps", [
+        ("1.0", "jumps = atoms\natoms = 0.5:1.0"),
+        ("1.0", "gaussian = 1.0"),
+        ("0.25,0.5,1.0", "jumps = stable\nalpha = 1.5"),
+    ], ids=["atoms", "no-jumps", "three-times"])
+    def test_spectral_sampler_outside_its_domain_rejected(
+        self, tmp_path, capsys, monkeypatch, grid, jumps
+    ):
+        # The mixture covers 1-d isotropic stable jumps on one or two
+        # positive times; anything else fails before the theory is computed.
+        theory_calls = []
+        monkeypatch.setattr(cli, "reinforced_cf_values",
+                            lambda *args: theory_calls.append(args))
+        out = tmp_path / "o"
+        cfg = write(
+            tmp_path, "c.ini",
+            f"[experiment]\nname = cf-compare\np = 0.3\nreplicas = 100\ngrid = {grid}\n"
+            f"sampler = spectral\n[triplet]\ndim = 1\n{jumps}\n[output]\ndir = {out}\n",
+        )
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        assert theory_calls == []
+        assert not out.exists()
+
     def test_runtime_library_error_is_one_line(self, tmp_path, capsys):
         # Validation passes; the closed-form cf then has no formula for
         # two-time stable-1.5 queries.
@@ -244,6 +269,22 @@ class TestDeterminism:
         assert main(["--config", str(cfg), "--threads", "1"]) == 0
         assert main(["--config", str(cfg), "--threads", "3", "--out", str(out2)]) == 0
         assert json.loads((out1 / "report.json").read_text())["params"]["sampler"] == "spectral"
+        for name in ("report.json", "cfdata.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_series_cf_compare_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # About 32 atoms per replica, so each block spans several chunks.
+        monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", 5000)
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        cfg = write(
+            tmp_path, "series.ini",
+            "[experiment]\nname = cf-compare\np = 0.5\ngrid = 0.5,1.0\nsampler = series\n"
+            f"truncation_eps = 1e-2\nseed = 42\nreplicas = 2500\n[triplet]\njumps = cauchy\n"
+            f"[output]\ndir = {out1}\n",
+        )
+        assert main(["--config", str(cfg), "--threads", "1"]) == 0
+        assert main(["--config", str(cfg), "--threads", "3", "--out", str(out2)]) == 0
+        assert json.loads((out1 / "report.json").read_text())["params"]["sampler"] == "series"
         for name in ("report.json", "cfdata.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

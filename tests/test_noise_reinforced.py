@@ -1,6 +1,7 @@
 """Reinforced-process construction, sampling, and characteristic functions."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from scipy.stats import cauchy as cauchy_dist
 from scipy.stats import ks_2samp, spearmanr
 
+from nrlevy import noise_reinforced
 from nrlevy.diagnostics import empirical_cf, ks_distance
 from nrlevy.errors import ConfigError, InadmissibleError, UnsupportedFamilyError
-from nrlevy.levy_model import FiniteAtomic, LevyTriplet
+from nrlevy.levy_model import FiniteAtomic, IsotropicStable, LevyTriplet, RadialDensity
 from nrlevy.noise_reinforced import (
     CfQuery,
     NrlpConfig,
+    _running_mean_diverges,
     _sample_tail_jumps,
     _tail_mass,
     check_additivity,
@@ -220,6 +223,77 @@ class TestNrlpSampling:
         assert abs(joint - prod) < 5 / math.sqrt(100_000)
 
 
+def _replay_block(cfg: NrlpConfig, seed: int, replicas: int, chunk: int | None):
+    """The documented block draw order, with replica ids from np.repeat.
+
+    Normals, then every replica's atom count, then per chunk of ``chunk``
+    atoms (all atoms at once for None) the jump sizes and the marks.
+    Returns the block's values and the replica id of each atom.
+    """
+    gen = np.random.default_rng(seed)
+    trip, grid, d = cfg.triplet, cfg.grid, cfg.triplet.dim
+    values = np.zeros((replicas, grid.size, d)) + np.outer(grid, trip.drift)[None]
+    bhat = nrbm_sample_many(cfg.p, grid, d, gen, replicas)
+    values += np.einsum("rgd,ed->rge", bhat, trip.gaussian_factor)
+    counts = gen.poisson(_tail_mass(cfg.thinned, cfg.truncation_eps, d), size=replicas)
+    ids = np.repeat(np.arange(replicas), counts)
+    chunk = chunk or ids.size
+    for a in range(0, ids.size, chunk):
+        n = min(chunk, ids.size - a)
+        jumps = _sample_tail_jumps(cfg.thinned, cfg.truncation_eps, d, gen, n)
+        marks = ys_joint_values(cfg.rho, grid[grid > 0], gen, n).astype(float)
+        for g in range(1, grid.size):
+            for e in range(d):
+                values[:, g, e] += np.bincount(ids[a : a + n], weights=marks[:, g - 1] * jumps[:, e],
+                                               minlength=replicas)
+    return values, ids
+
+
+class TestChunkedBlock:
+    # Gaussian, drift and symmetric stable jumps (no compensation drift) in
+    # d = 2, on a grid with a leading zero; about 5.6 atoms per replica.
+    CFG = NrlpConfig(LevyTriplet(2, np.eye(2), np.array([0.3, -0.2]), IsotropicStable(1.5)),
+                     MemoryParameter(0.3), 0.2, np.array([0.0, 0.5, 1.0]))
+
+    def test_chunks_replay_the_documented_order(self, monkeypatch):
+        # Chunks of 7 atoms split many replicas' atoms across two chunks.
+        monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", 7)
+        got = noise_reinforced._nrlp_block(self.CFG, np.random.default_rng(440), 40)
+        want, ids = _replay_block(self.CFG, 440, 40, 7)
+        assert np.sum(ids[6:-1:7] == ids[7::7]) >= 10  # replicas cut by a chunk edge
+        np.testing.assert_array_equal(got, want)
+
+    def test_one_chunk_block_equals_one_shot_series(self):
+        got = noise_reinforced._nrlp_block(self.CFG, np.random.default_rng(441), 300)
+        want, ids = _replay_block(self.CFG, 441, 300, None)
+        assert ids.size <= noise_reinforced.ATOM_CHUNK
+        np.testing.assert_array_equal(got, want)
+
+    def test_threads_do_not_change_marginals(self, monkeypatch):
+        # 2500 replicas: blocks of 1024, 1024 and a partial 452, each drawn
+        # in several chunks.
+        monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", 2048)
+        one = nrlp_marginals(self.CFG, RngStream(442), 2500)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside each block
+        try:
+            three = nrlp_marginals(self.CFG, RngStream(442), 2500, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(one, three)
+
+    def test_radial_table_built_once_per_block(self, monkeypatch):
+        monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", 16)
+        radial = RadialDensity(lambda r: np.exp(-np.asarray(r)) * np.asarray(r) ** -1.5,
+                               bg_hint=0.5)
+        cfg = NrlpConfig(LevyTriplet(1, None, None, radial), MemoryParameter(0.5), 0.05,
+                         np.array([1.0]))
+        noise_reinforced._radial_tail_table.cache_clear()
+        nrlp_marginals(cfg, RngStream(443), 200)
+        info = noise_reinforced._radial_tail_table.cache_info()
+        assert info.misses == 1 and info.hits >= 10
+
+
 class TestTheoreticalCf:
     def test_brownian_single_time(self):
         est = reinforced_cf(LevyTriplet.brownian(), 0.25,
@@ -253,6 +327,13 @@ class TestTheoreticalCf:
                             CfQuery(np.array([1.0]), np.array([1.0])),
                             400_000, RngStream(421).generator())
         assert est.diverged
+
+    def test_tied_tail_reads_as_convergent_without_warning(self):
+        # A finite-atomic exponent takes few values, so the Hill top-k can
+        # tie: a zero mean log-spacing is an infinite tail index.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _running_mean_diverges(np.r_[np.zeros(500), np.ones(1500)])
 
     def test_exact_vs_mc(self):
         query = CfQuery(np.array([0.6, 0.8]), np.array([0.5, 1.0]))
