@@ -253,6 +253,8 @@ def validate(cfg: ExperimentConfig) -> None:
             )
     if cfg.experiment == "cf-compare" and cfg.triplet.dim != 1:
         raise ConfigError("cf-compare queries are one-dimensional: set dim = 1")
+    if cfg.experiment == "cf-compare" and not any(t > 0 for t in cfg.grid):
+        raise ConfigError(f"cf-compare needs a positive grid time, got grid = {cfg.grid}")
     if (cfg.experiment in ("simulate-nrlp", "cf-compare") and cfg.sampler == "spectral"
             and not _mixture_covers(cfg.triplet, cfg.grid)):
         raise ConfigError(

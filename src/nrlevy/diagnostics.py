@@ -24,7 +24,7 @@ from .noise_reinforced import CfQuery, query_grid_times, reinforced_cf_values
 from .rng import RngStream, iter_blocks
 from .rng import map_blocks as _map_blocks  # perfbench/tracing.py probes this name
 from .step_reinforced import reinforced_prefix_sums, repeat_sources, simon_terminal_counts
-from .yule_simon import CountingPath, MemoryParameter, as_memory, ys_process_values
+from .yule_simon import MemoryParameter, as_memory, ys_process_values
 
 TOLERANCE_MULT = 4.0
 """Default verdict tolerance, in Monte Carlo standard errors."""
@@ -313,40 +313,28 @@ def terminal_ecf_schedule(
 
 @dataclass(frozen=True)
 class PathFunctional:
-    """A functional of counting paths, with an optional vectorized terminal form.
+    """A functional F of counting paths that depends only on their terminal value.
 
-    ``fn`` acts on a CountingPath; when the functional depends on the path
-    only through its terminal value, ``terminal`` gives the same map applied
-    elementwise to an integer array of terminal counts (enabling the fast
-    batched experiment path).  Must vanish on the zero path.
+    ``terminal`` applies F elementwise to an integer array of terminal
+    counts.  F must vanish on the zero path.
     """
 
     name: str
-    fn: Callable[[CountingPath], complex]
-    terminal: Callable[[np.ndarray], np.ndarray] | None = None
+    terminal: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
     def terminal_equals(k: int) -> "PathFunctional":
-        return PathFunctional(
-            name=f"terminal=={k}",
-            fn=lambda path: 1.0 if path.terminal == k else 0.0,
-            terminal=lambda counts: (counts == k).astype(float),
-        )
+        return PathFunctional(f"terminal=={k}", lambda counts: (counts == k).astype(float))
 
     @staticmethod
     def terminal_at_least(k: int) -> "PathFunctional":
-        return PathFunctional(
-            name=f"terminal>={k}",
-            fn=lambda path: 1.0 if path.terminal >= k else 0.0,
-            terminal=lambda counts: (counts >= k).astype(float),
-        )
+        return PathFunctional(f"terminal>={k}", lambda counts: (counts >= k).astype(float))
 
     @staticmethod
     def terminal_power(gamma: float) -> "PathFunctional":
         return PathFunctional(
-            name=f"terminal^{gamma}",
-            fn=lambda path: float(path.terminal) ** gamma if path.terminal else 0.0,
-            terminal=lambda counts: np.where(counts > 0, counts.astype(float) ** gamma, 0.0),
+            f"terminal^{gamma}",
+            lambda counts: np.where(counts > 0, counts.astype(float) ** gamma, 0.0),
         )
 
 
@@ -380,17 +368,10 @@ def prop8_experiment(
     """Average of F over the rescaled occupation counters vs (1-p) E[F(Y)].
 
     The reference expectation is Monte Carlo over the event-based mark
-    sampler (an independent route from the reinforcement dynamics).  Only
-    terminal-form functionals run at scale; general path functionals fall
-    back to explicit counter paths and are intended for small n.
+    sampler (an independent route from the reinforcement dynamics).
     """
     pv = as_memory(p)
     for f in functionals:
-        if f.terminal is None:
-            raise UnsupportedFamilyError(
-                "the batched experiment covers terminal-form functionals; evaluate "
-                "general path functionals with step_reinforced.empirical_functional"
-            )
         if float(np.atleast_1d(f.terminal(np.zeros(1, dtype=int)))[0]) != 0.0:
             raise DomainError(f"functional {f.name} must vanish on the zero path")
     schedule = tuple(int(n) for n in n_schedule)

@@ -2,14 +2,15 @@
 
 At each step k >= 2, with probability p the walker repeats one of its
 previous steps chosen uniformly at random, otherwise it makes a fresh step.
-Repeats are tracked by the originating base index (not the step value), so
-counters remain correct when step values collide.  Counters are stored
-sparsely as event lists; a realization costs O(n) memory.
-
-The skeleton block kernel holds R walks as an (n, R) array of contiguous
-rows.  It draws the repeat genealogy first, one uniform per slot, then base
-steps for the fresh slots only (about 1 + (n - 1)(1 - p) per walk, not n),
-then fills each row with one gather from the earlier rows.
+One genealogy implements that rule for every caller: :func:`repeat_sources`
+draws it for R walks at once as an (n, R) array of contiguous rows (one
+uniform per slot), and :func:`follow_sources` resolves it row by row with
+one gather from the earlier rows.  A single walk is one replica of it; the
+skeleton block kernel gathers step values (drawn for the fresh slots only,
+about 1 + (n - 1)(1 - p) per walk, not n); the occupation counts gather
+slot indices and count the originating base steps.  Repeats are tracked by
+the originating base index (not the step value), so counters remain
+correct when step values collide.
 """
 
 from __future__ import annotations
@@ -91,25 +92,19 @@ def reinforce(
     """Apply Simon's dynamics to a base step sequence.
 
     The first step is always kept; afterwards step i repeats a uniformly
-    chosen earlier reinforced step with probability p.  The repeat is recorded
-    against the originating base index.
+    chosen earlier reinforced step with probability p.  The genealogy is one
+    replica of :func:`repeat_sources`; each repeat is recorded against the
+    slot it copies and, resolved by :func:`follow_sources`, against the
+    originating base index.
     """
     base = np.asarray(steps, dtype=float)
     if base.shape[0] == 0:
         raise DomainError("steps must be nonempty")
     n = base.shape[0]
-    pv = as_memory(p).p
-    gen = as_generator(rng)
-    eps = gen.random(n) < pv
-    eps[0] = False
-    u = gen.random(n)
-    choices = np.zeros(n, dtype=np.int64)
-    origins = np.arange(1, n + 1, dtype=np.int64)
-    for i in range(1, n):
-        if eps[i]:
-            slot = int(u[i] * i)  # uniform over slots 1..i (0-based slot index)
-            choices[i] = slot + 1
-            origins[i] = origins[slot]
+    fresh, sources = repeat_sources(n, 1, p, as_generator(rng))
+    eps = ~fresh[:, 0]
+    choices = np.where(eps, sources[:, 0] + 1, 0)
+    origins = follow_sources(sources.copy(), sources)[:, 0] + 1
     return ReinforcedWalk(ReinforcementRecord(n, eps, choices, origins), base)
 
 
@@ -210,11 +205,27 @@ def repeat_sources(
     fresh = u >= pv
     rows = np.arange(n)[:, None]
     u *= rows / pv
-    sources = np.minimum(u.astype(np.intp), rows - 1)
+    np.minimum(u, rows - 1, out=u)  # before the cast, which overflows for tiny p
+    sources = u.astype(np.intp)
     np.copyto(sources, rows, where=fresh)
     sources *= replicas
     sources += np.arange(replicas)
     return fresh, sources
+
+
+def follow_sources(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Resolve a genealogy in place and return ``values``.
+
+    For i = 1..n-1 in turn, row i of the (n, R) array ``values`` becomes
+    ``values.flat[sources[i]]``: fresh slots read themselves and repeats read
+    an already resolved earlier row.  Any dtype works, and ``values`` may be
+    ``sources`` itself: ``follow_sources(s, s)`` turns each slot's source
+    index into the flat index of its originating fresh slot.
+    """
+    flat = values.reshape(-1)
+    for i in range(1, values.shape[0]):
+        np.take(flat, sources[i], out=values[i])
+    return values
 
 
 def reinforced_prefix_sums(
@@ -223,9 +234,9 @@ def reinforced_prefix_sums(
     """Reinforce each column of ``steps`` and return S-hat at the given prefixes.
 
     ``steps`` has shape (n, replicas), one contiguous row per slot; only its
-    fresh slots (see :func:`repeat_sources`) need base steps.  One pass over
-    i fills row i with a single gather from the earlier rows, then the rows
-    are summed in place, so ``steps`` may be overwritten.  Returns shape
+    fresh slots (see :func:`repeat_sources`) need base steps.
+    :func:`follow_sources` fills the repeated slots, then the rows are summed
+    in place, so ``steps`` may be overwritten.  Returns shape
     (replicas, len(prefix_ks)).
     """
     hat = np.ascontiguousarray(steps, dtype=float)
@@ -233,9 +244,7 @@ def reinforced_prefix_sums(
     ks = np.asarray(prefix_ks, dtype=np.int64)
     if n < 1 or sources.shape != hat.shape or np.any(ks < 0) or np.any(ks > n):
         raise DomainError("need n >= 1, sources shaped like steps and prefixes in [0, n]")
-    flat = hat.reshape(-1)
-    for i in range(1, n):
-        np.take(flat, sources[i], out=hat[i])
+    follow_sources(hat, sources)
     np.cumsum(hat, axis=0, out=hat)
     return np.where(ks > 0, hat[ks - 1].T, 0.0)
 
@@ -248,17 +257,15 @@ def simon_terminal_counts(
 ) -> np.ndarray:
     """Terminal occupation counts N_j(n) for many independent realizations.
 
-    Only the dynamics of word choices matter (step values are irrelevant);
-    returns an int32 array of shape (replicas, n) with row sums n.
+    Only the dynamics of word choices matter (step values are irrelevant):
+    the genealogy of :func:`repeat_sources` is chased to each slot's
+    originating row and counted.  Returns an int32 array of shape
+    (replicas, n) with row sums n.
     """
-    pv = as_memory(p).p
-    origins = np.tile(np.arange(1, n + 1, dtype=np.int64), (replicas, 1))
-    rows = np.arange(replicas)
-    for i in range(1, n):
-        rep = gen.random(replicas) < pv
-        if np.any(rep):
-            slots = (gen.random(rep.sum()) * i).astype(np.int64)
-            origins[rep, i] = origins[rows[rep], slots]
-    counts = np.zeros((replicas, n + 1), dtype=np.int32)
-    np.add.at(counts, (rows[:, None], origins), 1)
-    return counts[:, 1:]
+    origins = repeat_sources(n, replicas, p, gen)[1]
+    follow_sources(origins, origins)
+    origins //= replicas
+    origins += np.arange(replicas) * n
+    counts = np.bincount(origins.reshape(-1), minlength=replicas * n)
+    del origins  # so that it and the int32 copy below are never held together
+    return counts.astype(np.int32).reshape(replicas, n)

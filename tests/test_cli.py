@@ -154,6 +154,15 @@ class TestRejections:
         assert run(cfg) == 1
         assert_one_line_error(capsys)
 
+    def test_cf_compare_requires_positive_grid_time(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path, "c.ini",
+            CF_SMALL.replace("grid = 1.0", "grid = 0.0").format(extra="", out=tmp_path / "o"),
+        )
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("mult", ["0", "-1"])
     def test_nonpositive_tolerance_mult_rejected(self, tmp_path, capsys, mult):
         out = tmp_path / "o"

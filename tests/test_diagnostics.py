@@ -162,7 +162,7 @@ class TestProp8:
         assert rep.estimates[0, 0] == pytest.approx(0.6, abs=0.01)
 
     def test_functional_must_vanish_at_zero(self):
-        bad = PathFunctional("const", lambda path: 1.0, terminal=lambda c: np.ones_like(c, dtype=float))
+        bad = PathFunctional("const", terminal=lambda c: np.ones_like(c, dtype=float))
         with pytest.raises(DomainError):
             prop8_experiment(0.5, [100], [bad], 2, RngStream(1))
 

@@ -179,22 +179,22 @@ GOLDEN = {
         'report.json': 'dd639bcae81a7c83a11e5f24fee9f47cfa53ddffc8508750b98c7f722346aacc',
     }),
     'prop8': (0, {
-        'prop8.csv': '44330707d96ed1740784be983de64b66d336952daf029f887538f70a0fcd36b7',
-        'report.json': '353cab5cde0a243e5c41dfaa931d38714a3498909529c91f4a48cd7805267d5f',
+        'prop8.csv': 'c76dd23667915e149470f00fa749ae6330df049212d4ad544ea84d00f2868768',
+        'report.json': '46b9aab867f3dd0a37435e0f07b1304a3ff715df75ca84c273ff793dace27c3c',
     }),
     'simulate-nrlp-series': (0, {
         'paths.csv': '7b52d855a53d545be72b65143afead2dd20e89299e7f07ef11343f8a5be63a5c',
         'report.json': 'fb746b2306afe14bd976d88c44cf9f984acbcc1d0cb7b7c42a74cb52fda64366',
     }),
     'simulate-walk-elephant': (0, {
-        'counters.csv': '330922068aa6e9782d5d8cc00e9ec6cd9f6aceedaa5451a8b58fd1e454865929',
-        'report.json': 'db413882d7935bc5619be4dcd4c0780475e5686df71e893973e7d0e2534795aa',
-        'walk.csv': 'c5e48cd7e15c9f1da84fd7269d0883e07bf7ceeab47e8b1fa0a1551152742cdc',
+        'counters.csv': '57aac03f59634ea692e1ef5aaa5cb28af704ed71adf1b4fbcfbb62e75fbb1559',
+        'report.json': 'a7832537709329d85660bf7d295719d5753b9027955917fb97d9665e6628c07e',
+        'walk.csv': '72699821a264f7ef7b9c4334a38520f666c2c8cdf7d0840cd7ca52fb1b000f4f',
     }),
     'simulate-walk-skeleton': (0, {
-        'counters.csv': '7b12cc36f67ab3ce3a810136e4ffdc96e46148990f8a3eaa9a100390cfadac6d',
-        'report.json': '114f377aaf42d67931a8914ca12bb107b799fb6ce35261248330df6f13a6bfca',
-        'walk.csv': '7254c715d11e21e653953ebbc8138bd141beba4c6123a7abc2179b591359dbbf',
+        'counters.csv': '4a3c12f91e271b2e759c929c6b042c775e5cd28b63c137c1b2b45133ed44d6f4',
+        'report.json': '6f54471c745a4be768e04aae7560dc8e8f4ff99dd36e8a59dd0374dc3f7d308b',
+        'walk.csv': 'e5a0dcc96fe113d454f8c5c40c9cbe644027738e39b9f94e3e71faf44cb423ec',
     }),
     'simulate-ys': (0, {
         'histogram.csv': '2d2214ff76cd8b8f60ac74c11224503fa4197a6eed1aaf75609044c08d1a1874',

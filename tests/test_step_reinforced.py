@@ -1,6 +1,7 @@
 """Reinforcement-dynamics invariants and couplings."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,22 @@ from nrlevy.step_reinforced import (
     skeleton_reinforced_walk,
 )
 from nrlevy.yule_simon import ys_pmf
+
+
+def replay_genealogy(fresh, sources):
+    """Repeated slot (1-based, 0 when fresh) and originating slot of every
+    slot of a :func:`repeat_sources` draw, replayed one step at a time."""
+    n, replicas = fresh.shape
+    choices = np.zeros((n, replicas), dtype=np.int64)
+    origins = np.tile(np.arange(n)[:, None], (1, replicas))
+    for r in range(replicas):
+        for i in range(1, n):
+            if not fresh[i, r]:
+                slot, col = divmod(int(sources[i, r]), replicas)
+                assert col == r and 0 <= slot < i
+                choices[i, r] = slot + 1
+                origins[i, r] = origins[slot, r]
+    return choices, origins
 
 
 class TestReinforce:
@@ -166,8 +183,9 @@ class TestSkeleton:
 class TestBatchKernels:
     @pytest.mark.parametrize("n, replicas, p", [(1, 3, 0.5), (7, 5, 0.5), (60, 8, 0.9), (40, 6, 0.05)])
     def test_prefix_sums_match_reinforce_rule(self, n, replicas, p):
-        # Replay the pre-drawn genealogy through reinforce()'s rule
-        # origins[i] = origins[slot], one replica at a time.
+        # Replay the pre-drawn genealogy through the rule origins[i] =
+        # origins[slot], one replica at a time; the skeleton prefix sums, the
+        # occupation counts and a single walk must all match the replay.
         gen = RngStream(321).generator()
         fresh, sources = repeat_sources(n, replicas, p, gen)
         steps = gen.standard_normal((n, replicas))
@@ -175,15 +193,20 @@ class TestBatchKernels:
         got = reinforced_prefix_sums(steps.copy(), sources, ks)
         assert fresh[0].all()
         assert np.array_equal(fresh, sources == np.arange(n * replicas).reshape(n, replicas))
+        _, origins = replay_genealogy(fresh, sources)
         for r in range(replicas):
-            origins = np.arange(n)
-            for i in range(1, n):
-                if not fresh[i, r]:
-                    slot, col = divmod(int(sources[i, r]), replicas)
-                    assert col == r and 0 <= slot < i
-                    origins[i] = origins[slot]
-            sums = np.concatenate([[0.0], np.cumsum(steps[origins, r])])
+            sums = np.concatenate([[0.0], np.cumsum(steps[origins[:, r], r])])
             assert np.array_equal(got[r], sums[ks])
+        counts = simon_terminal_counts(n, p, RngStream(321).generator(), replicas)
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, [np.bincount(o, minlength=n) for o in origins.T])
+        # A single walk is the one-replica draw from the same seed.
+        one_fresh, one_sources = repeat_sources(n, 1, p, RngStream(321).generator())
+        choices, origins = replay_genealogy(one_fresh, one_sources)
+        record = reinforce(np.zeros(n), p, RngStream(321).generator()).record
+        assert np.array_equal(record.epsilons, ~one_fresh[:, 0])
+        assert np.array_equal(record.choices, choices[:, 0])
+        assert np.array_equal(record.origins, origins[:, 0] + 1)
 
     def test_block_path_reads_only_earlier_slots(self):
         # Repeated slots hold 0 until gathered, so reading a slot >= i would
@@ -220,6 +243,14 @@ class TestBatchKernels:
             repeat_sources(0, 4, 0.5, RngStream(324).generator())
         with pytest.raises(DomainError):
             reinforced_prefix_sums(np.zeros((0, 4)), np.zeros((0, 4), dtype=np.intp), [0])
+
+    def test_tiny_memory_casts_without_overflow(self):
+        # (u / p) * i exceeds the integer range for fresh slots when p is
+        # tiny, so the clamp to i - 1 has to come before the cast.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh, _ = repeat_sources(100_000, 2, 1e-15, RngStream(325).generator())
+        assert fresh.all()
 
     def test_terminal_counts_identity_and_law(self):
         counts = simon_terminal_counts(5_000, 0.5, RngStream(318).generator(), 20)
