@@ -64,6 +64,21 @@ drift = 0.2
 jumps = atoms
 atoms = 1.0:2.0; -0.5:0.3
 """,
+    "simulate-nrlp-spectral": """
+[experiment]
+name = simulate-nrlp
+p = 0.3
+seed = 23
+replicas = 1500
+grid = 0.0,0.5,1.0
+sampler = spectral
+[triplet]
+dim = 1
+gaussian = 0.7
+drift = -0.2
+jumps = stable
+alpha = 1.5
+""",
     "cf-compare-series-exact": """
 [experiment]
 name = cf-compare
@@ -185,6 +200,10 @@ GOLDEN = {
     'simulate-nrlp-series': (0, {
         'paths.csv': '7b52d855a53d545be72b65143afead2dd20e89299e7f07ef11343f8a5be63a5c',
         'report.json': 'fb746b2306afe14bd976d88c44cf9f984acbcc1d0cb7b7c42a74cb52fda64366',
+    }),
+    'simulate-nrlp-spectral': (0, {
+        'paths.csv': 'd2f2f6154c9589803fbfce4332077837211ce01aa1ebd99ce24ba8d22a481f8a',
+        'report.json': '9d5873b59cfea9e84f25acaf907f1d3f40fd612aaff89608e090de86a3549a6e',
     }),
     'simulate-walk-elephant': (0, {
         'counters.csv': '57aac03f59634ea692e1ef5aaa5cb28af704ed71adf1b4fbcfbb62e75fbb1559',
