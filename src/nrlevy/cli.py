@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .noise_reinforced import (
     truncation_budget,
 )
 from .rng import RngStream
-from .spectral import stable_nrlp_marginals
+from .spectral import mixture_covers, stable_nrlp_marginals
 from .step_reinforced import elephant_walk, skeleton_reinforced_walk
 from .yule_simon import MemoryParameter, ys_cross_moment, ys_mean, ys_pmf, ys_process_values, ys_sample
 
@@ -96,7 +96,6 @@ class ExperimentConfig:
     final_threshold: float = 0.1
     out_dir: Path = Path("out")
     triplet: LevyTriplet | None = None
-    triplet_section: dict = field(default_factory=dict)
 
     def memory(self) -> MemoryParameter:
         if self.p is None:
@@ -213,7 +212,6 @@ def load_config(path: Path) -> ExperimentConfig:
             setattr(cfg, key, parse(exp[key]))
     if "dir" in out:
         cfg.out_dir = Path(out["dir"])
-    cfg.triplet_section = trip
     if trip:
         cfg.triplet = build_triplet(trip)
     return cfg
@@ -223,6 +221,14 @@ def validate(cfg: ExperimentConfig) -> None:
     for key in ("replicas", "threads", "n", "mc_replicas"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive")
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")
+    for experiment, key in (("moments", "replicas"), ("prop8", "replicas"), ("prop8", "mc_replicas")):
+        if cfg.experiment == experiment and getattr(cfg, key) < 2:
+            raise ConfigError(f"{experiment} estimates a standard error: {key} must be at least 2")
+    for experiment, key in (("cf-compare", "thetas"), ("prop8", "ks")):
+        if cfg.experiment == experiment and not getattr(cfg, key):
+            raise ConfigError(f"{experiment} needs at least one entry in {key}")
     if min(cfg.mesh, default=1) < 1:
         raise ConfigError(f"mesh entries must be at least 1, got {cfg.mesh}")
     if not cfg.tolerance_mult > 0:
@@ -232,8 +238,9 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; choose from {allowed}")
     if cfg.experiment == "simulate-walk" and cfg.walk == "skeleton" and cfg.triplet is None:
         raise ConfigError("walk = skeleton requires a [triplet] section")
-    if cfg.experiment in ("theorem1", "supercritical") and len(cfg.mesh) < 2:
-        raise ConfigError("mesh must contain at least two points")
+    if cfg.experiment in ("theorem1", "supercritical") and (
+            len(cfg.mesh) < 2 or any(b <= a for a, b in zip(cfg.mesh, cfg.mesh[1:]))):
+        raise ConfigError(f"mesh must be strictly increasing with at least two points, got {cfg.mesh}")
     if cfg.experiment == "supercritical":
         alpha = cfg.alpha if cfg.alpha is not None else 1.5
         p = cfg.memory().p
@@ -256,7 +263,7 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "cf-compare" and not any(t > 0 for t in cfg.grid):
         raise ConfigError(f"cf-compare needs a positive grid time, got grid = {cfg.grid}")
     if (cfg.experiment in ("simulate-nrlp", "cf-compare") and cfg.sampler == "spectral"
-            and not _mixture_covers(cfg.triplet, cfg.grid)):
+            and not mixture_covers(cfg.triplet, cfg.grid)):
         raise ConfigError(
             "sampler = spectral covers one-dimensional stable jumps on one or two "
             "positive grid times"
@@ -447,17 +454,10 @@ def _nrlp_config(cfg: ExperimentConfig) -> NrlpConfig:
     return NrlpConfig(cfg.triplet, cfg.memory(), cfg.truncation_eps, grid)
 
 
-def _mixture_covers(triplet: LevyTriplet, grid) -> bool:
-    """Whether the stable mark mixture can sample this triplet on this grid."""
-    positive = sum(t > 0 for t in grid)
-    return (isinstance(triplet.jump_measure, IsotropicStable) and triplet.dim == 1
-            and 1 <= positive <= 2)
-
-
 def _choose_sampler(cfg: ExperimentConfig, nc: NrlpConfig) -> str:
     if cfg.sampler != "auto":
         return cfg.sampler
-    if _mixture_covers(nc.triplet, nc.grid):
+    if mixture_covers(nc.triplet, nc.grid):
         # Mixture sampling is exact and its cost does not grow as the cutoff
         # shrinks; prefer it whenever the series would need many atoms.
         if nc.triplet.jump_measure.alpha * math.log(1.0 / nc.truncation_eps) > 4.0:
@@ -467,12 +467,8 @@ def _choose_sampler(cfg: ExperimentConfig, nc: NrlpConfig) -> str:
 
 def _sample_marginals(cfg: ExperimentConfig, nc: NrlpConfig, replicas: int) -> tuple[np.ndarray, str]:
     sampler = _choose_sampler(cfg, nc)
-    if sampler == "spectral":
-        values = stable_nrlp_marginals(
-            nc, cfg.stream().substream(7), replicas, threads=cfg.threads
-        )
-        return values, sampler
-    return nrlp_marginals(nc, cfg.stream().substream(7), replicas, threads=cfg.threads), sampler
+    sample = stable_nrlp_marginals if sampler == "spectral" else nrlp_marginals
+    return sample(nc, cfg.stream().substream(7), replicas, threads=cfg.threads), sampler
 
 
 def _run_simulate_nrlp(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
@@ -521,18 +517,6 @@ def _run_cf_compare(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
     dist = np.abs(ecf.estimates - theory)
     threshold = cfg.tolerance_mult / math.sqrt(cfg.replicas)
     passed = bool(dist.max() < threshold)
-    rows = []
-    for qi, q in enumerate(queries):
-        rows.append([
-            float(q.thetas[0, 0]), float(q.times[0]),
-            float(ecf.estimates[qi].real), float(ecf.estimates[qi].imag),
-            float(theory[qi].real), float(theory[qi].imag),
-            float(dist[qi]), float(ecf.stderr),
-        ])
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out_dir / "cfdata.csv",
-               ["theta", "t", "ecf_re", "ecf_im", "theory_re", "theory_im",
-                "distance", "stderr"], rows)
     records = [
         {
             "theta": float(q.thetas[0, 0]), "t": float(q.times[0]),
@@ -542,6 +526,12 @@ def _run_cf_compare(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
         }
         for qi, q in enumerate(queries)
     ]
+    rows = [[r["theta"], r["t"], r["re"], r["im"], r["theory_re"], r["theory_im"],
+             float(d), r["stderr"]] for r, d in zip(records, dist)]
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(cfg.out_dir / "cfdata.csv",
+               ["theta", "t", "ecf_re", "ecf_im", "theory_re", "theory_im",
+                "distance", "stderr"], rows)
     report = {
         "experiment": "cf-compare",
         "params": {
@@ -561,24 +551,19 @@ def _run_moments(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
     grid = np.asarray([t for t in cfg.grid if t > 0])
     vals = ys_process_values(rho, grid, cfg.stream().generator(0), cfg.replicas)
     checks = []
-    ok = True
+
+    def check(moment: str, samples: np.ndarray, ref: float) -> None:
+        emp = float(samples.mean())
+        se = float(samples.std(ddof=1) / math.sqrt(cfg.replicas))
+        checks.append({"moment": moment, "estimate": emp, "stderr": se,
+                       "reference": ref, "z": (emp - ref) / se})
+
     for gi, t in enumerate(grid):
-        emp = float(vals[:, gi].mean())
-        se = float(vals[:, gi].std(ddof=1) / math.sqrt(cfg.replicas))
-        ref = ys_mean(float(t), rho)
-        z = (emp - ref) / se
-        ok &= abs(z) < cfg.tolerance_mult
-        checks.append({"moment": f"mean@{t}", "estimate": emp, "stderr": se,
-                       "reference": ref, "z": z})
+        check(f"mean@{t}", vals[:, gi], ys_mean(float(t), rho))
     if rho > 2 and grid.size >= 2:
-        prod = vals[:, 0].astype(float) * vals[:, -1].astype(float)
-        emp = float(prod.mean())
-        se = float(prod.std(ddof=1) / math.sqrt(cfg.replicas))
-        ref = ys_cross_moment(float(grid[0]), float(grid[-1]), rho)
-        z = (emp - ref) / se
-        ok &= abs(z) < cfg.tolerance_mult
-        checks.append({"moment": f"cross@{grid[0]},{grid[-1]}", "estimate": emp,
-                       "stderr": se, "reference": ref, "z": z})
+        check(f"cross@{grid[0]},{grid[-1]}", vals[:, 0].astype(float) * vals[:, -1].astype(float),
+              ys_cross_moment(float(grid[0]), float(grid[-1]), rho))
+    ok = all(abs(c["z"]) < cfg.tolerance_mult for c in checks)
     report = {
         "experiment": "moments",
         "params": {"rho": rho, "replicas": cfg.replicas, "seed": cfg.seed},
@@ -625,22 +610,16 @@ def run(config_path: Path, overrides: argparse.Namespace | None = None) -> int:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.replicas is not None:
-        cfg.replicas = args.replicas
-    if args.out is not None:
-        cfg.out_dir = Path(args.out)
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.tolerance_mult is not None:
-        cfg.tolerance_mult = args.tolerance_mult
-    if args.p is not None:
-        cfg.p = args.p
-    if args.alpha is not None:
-        cfg.alpha = args.alpha
-    if args.mesh is not None:
-        cfg.mesh = _parse_ints(args.mesh)
+    for key in ("seed", "replicas", "out", "threads", "tolerance_mult", "p", "alpha", "mesh"):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key == "out":
+            cfg.out_dir = Path(value)
+        elif key == "mesh":
+            cfg.mesh = _parse_ints(value)
+        else:
+            setattr(cfg, key, value)
 
 
 def main(argv=None) -> int:

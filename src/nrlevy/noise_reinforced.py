@@ -1,11 +1,13 @@
 """Noise-reinforced Levy processes.
 
-Construction on [0, 1]: a reinforced Brownian component (exact Gaussian
-sampling from its covariance), plus a Poisson series of jumps marked with
-independent Yule-Simon counting processes.  Jumps with norm below a
-truncation level are dropped and the remaining small-jump sum is compensated
-by its mean; the module also evaluates the multidimensional characteristic
-function of the process by Monte Carlo over mark paths.
+Construction on [0, 1]: drift, plus a reinforced Brownian component (exact
+Gaussian sampling from its covariance), plus a Poisson series of jumps marked
+with independent Yule-Simon counting processes.  Both samplers of the process
+share one block plan, :func:`map_nrlp_blocks`, and differ only in its jump
+part: the series here drops jumps with norm below a truncation level and
+compensates the remaining small-jump sum by its mean; :mod:`nrlevy.spectral`
+draws the stable mark mixture.  The module also evaluates the
+multidimensional characteristic function by Monte Carlo over mark paths.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -341,54 +343,74 @@ def nrlp_marginals(
 ) -> np.ndarray:
     """Values of many independent paths on the grid, shape (replicas, m, d).
 
-    Replicas are generated in blocks of ``rng.BLOCK_SIZE``; block b draws from
-    ``rng.generator(b)`` and fills only its own rows, in the order:
-    reinforced-Brownian normals, the Poisson atom counts of every replica,
-    then for each chunk of at most ``ATOM_CHUNK`` atoms (taken in replica
-    order) its jump sizes and its mark values.  Blocks run on ``threads``
-    threads; the chunk plan does not depend on ``threads``, so neither does
-    the result.
+    The blocks of :func:`map_nrlp_blocks` with the Poisson-series jump part:
+    after its reinforced-Brownian normals, a block draws the Poisson atom
+    counts of every replica, then for each chunk of at most ``ATOM_CHUNK``
+    atoms (taken in replica order) their jump sizes and mark values.
+    """
+    return map_nrlp_blocks(config, rng, replicas, threads, _series_jumps)
+
+
+def map_nrlp_blocks(
+    config: NrlpConfig, rng: RngStream, replicas: int, threads: int, jumps: Callable
+) -> np.ndarray:
+    """The block plan of both samplers of the process, shape (replicas, m, d).
+
+    Block b of ``rng.BLOCK_SIZE`` replicas draws from ``rng.generator(b)``
+    and fills only its own rows through :func:`_nrlp_block`, whose
+    ``jumps(config, gen, values)`` adds the jump part in place to the block's
+    positive-time columns.  Blocks run on ``threads`` threads; no draw depends
+    on ``threads``, so neither does the result.
     """
     out = np.empty((replicas, config.grid.size, config.triplet.dim))
 
     def block(b: int, start: int, count: int) -> None:
-        out[start : start + count] = _nrlp_block(config, rng.generator(b), count)
+        out[start : start + count] = _nrlp_block(config, rng.generator(b), count, jumps)
 
     map_blocks(block, list(iter_blocks(replicas)), threads)
     return out
 
 
-def _nrlp_block(config: NrlpConfig, gen: np.random.Generator, replicas: int) -> np.ndarray:
-    triplet = config.triplet
-    grid = config.grid
-    d = triplet.dim
-    pos = grid > 0
-    pos_times = grid[pos]
-    values = np.zeros((replicas, grid.size, d))
-    values += np.outer(grid, triplet.drift)[None, :, :]
-    if triplet.has_gaussian:
-        bhat = nrbm_sample_many(config.p, grid, d, gen, replicas)
-        values += np.einsum("rgd,ed->rge", bhat, triplet.gaussian_factor)
-    comp = _compensation_coefficient(triplet, config.truncation_eps)
-    values -= np.outer(grid, comp)[None, :, :]
-    if isinstance(triplet.jump_measure, ZeroJumps) or not np.any(pos):
-        return values
+def _series_jumps(config: NrlpConfig, gen: np.random.Generator, values: np.ndarray) -> None:
+    """The Poisson series of marked jumps above the cutoff, chunk by chunk."""
+    if isinstance(config.triplet.jump_measure, ZeroJumps):
+        return
+    replicas, _, d = values.shape
     nu = config.thinned
     lam = _tail_mass(nu, config.truncation_eps, d)
     ends = np.cumsum(gen.poisson(lam, size=replicas))
-    pos_idx = np.flatnonzero(pos)
+    pos_times = config.grid[config.grid > 0]
     total = int(ends[-1])
     for a in range(0, total, ATOM_CHUNK):
         n = min(ATOM_CHUNK, total - a)
         rep_ids = np.searchsorted(ends, np.arange(a, a + n), side="right")
         jumps = _sample_tail_jumps(nu, config.truncation_eps, d, gen, n)
         marks = ys_joint_values(config.rho, pos_times, gen, n)  # (n, m_pos)
-        for g_local, g in enumerate(pos_idx):
-            weights = marks[:, g_local].astype(float)
+        for g in range(pos_times.size):
+            weights = marks[:, g].astype(float)
             for e in range(d):
                 values[:, g, e] += np.bincount(
                     rep_ids, weights=weights * jumps[:, e], minlength=replicas
                 )
+
+
+def _nrlp_block(
+    config: NrlpConfig, gen: np.random.Generator, replicas: int, jumps: Callable = _series_jumps
+) -> np.ndarray:
+    """One block of replicas: drift, reinforced-Brownian part and compensation,
+    then ``jumps`` at the positive grid times, all drawn from ``gen``."""
+    triplet = config.triplet
+    grid = config.grid
+    values = np.zeros((replicas, grid.size, triplet.dim))
+    values += np.outer(grid, triplet.drift)[None, :, :]
+    if triplet.has_gaussian:
+        bhat = nrbm_sample_many(config.p, grid, triplet.dim, gen, replicas)
+        values += np.einsum("rgd,ed->rge", bhat, triplet.gaussian_factor)
+    comp = _compensation_coefficient(triplet, config.truncation_eps)
+    values -= np.outer(grid, comp)[None, :, :]
+    first = int(grid[0] == 0.0)  # the grid increases from t >= 0
+    if first < grid.size:
+        jumps(config, gen, values[:, first:])
     return values
 
 

@@ -15,8 +15,11 @@ limiting direction.  This avoids the epsilon-truncated series entirely: its
 cost is independent of the small-jump activity, which makes indices close to
 the critical one tractable.
 
-Only grids with one or two positive times are supported; the generic series
-sampler covers longer grids.
+The mixture replaces only the jump part of the process: the block plan, the
+drift, the reinforced-Brownian part and the thread pool are those of the
+series sampler (:func:`nrlevy.noise_reinforced.map_nrlp_blocks`).
+:func:`mixture_covers` states its domain, one-dimensional isotropic stable
+jumps on one or two positive grid times; the series sampler covers the rest.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 from .errors import DomainError, UnsupportedFamilyError
-from .levy_model import IsotropicStable, symmetric_stable_std
-from .noise_reinforced import NrlpConfig, nrbm_sample_many
-from .rng import BLOCK_SIZE, RngStream, iter_blocks, map_blocks
+from .levy_model import IsotropicStable, LevyTriplet, symmetric_stable_std
+from .noise_reinforced import NrlpConfig, map_nrlp_blocks
+from .rng import BLOCK_SIZE, RngStream
 from .yule_simon import ys_abs_moment, ys_pmf
 
 EXACT_MAX = 32
@@ -164,16 +167,21 @@ def build_stable_mixture(
     return StableMarkMixture(alpha, times, directions, gamma)
 
 
+def mixture_covers(triplet: LevyTriplet, grid) -> bool:
+    """Whether the mark mixture can be the jump part of this triplet on this
+    grid: one-dimensional isotropic stable jumps on one or two positive times."""
+    positive = sum(t > 0 for t in grid)
+    return (isinstance(triplet.jump_measure, IsotropicStable) and triplet.dim == 1
+            and 1 <= positive <= 2)
+
+
 def stable_mixture_for(config: NrlpConfig) -> StableMarkMixture:
     """Mixture table for the jump part of a stable-jump configuration."""
-    jm = config.triplet.jump_measure
-    if not isinstance(jm, IsotropicStable) or config.triplet.dim != 1:
-        raise UnsupportedFamilyError(
-            "the mixture sampler covers one-dimensional isotropic stable jumps"
-        )
-    pos = config.grid[config.grid > 0]
-    scale_nu = (1.0 - config.p.p) * jm.scale
-    return build_stable_mixture(jm.alpha, scale_nu, config.rho, pos)
+    if not mixture_covers(config.triplet, config.grid):
+        raise UnsupportedFamilyError("the mixture sampler covers one-dimensional "
+                                     "isotropic stable jumps on one or two positive times")
+    nu = config.thinned
+    return build_stable_mixture(nu.alpha, nu.scale, config.rho, config.grid[config.grid > 0])
 
 
 def stable_nrlp_marginals(
@@ -185,32 +193,20 @@ def stable_nrlp_marginals(
 ) -> np.ndarray:
     """Marginals of the reinforced process via the mark mixture, (R, m, 1).
 
-    Law-equivalent to :func:`nrlevy.noise_reinforced.nrlp_marginals` on the
-    positive grid times with the truncation removed; cost per replica is the
-    number of mixture bins.  Gaussian and drift components are added exactly
-    as in the series sampler.  Block b of ``rng.BLOCK_SIZE`` replicas draws
-    from ``rng.generator(b)`` and fills only its own rows; blocks run on
-    ``threads`` threads, and the result does not depend on ``threads``.  Each thread allocates its two (block, bins) draw buffers
-    once and reuses them for every block it runs.
+    Law-equivalent to :func:`nrlevy.noise_reinforced.nrlp_marginals` with the
+    truncation removed; cost per replica is the number of mixture bins.  The
+    mixture is the jump part of :func:`nrlevy.noise_reinforced.map_nrlp_blocks`,
+    whose result does not depend on ``threads``.  Each thread allocates its two
+    (block, bins) draw buffers once and reuses them for every block it runs.
     """
     if mixture is None:
         mixture = stable_mixture_for(config)
-    grid = config.grid
-    pos = grid > 0
     draws = min(replicas, BLOCK_SIZE) * mixture.weights.size
     local = threading.local()
-    out = np.zeros((replicas, grid.size, 1))
-    out += np.outer(grid, config.triplet.drift)[None, :, :]
 
-    def block(b: int, start: int, count: int) -> None:
+    def jumps(_config: NrlpConfig, gen: np.random.Generator, values: np.ndarray) -> None:
         if not hasattr(local, "buffers"):
             local.buffers = (np.empty(draws), np.empty(draws))
-        gen = rng.generator(b)
-        rows = out[start : start + count]
-        if config.triplet.has_gaussian:
-            bhat = nrbm_sample_many(config.p, grid, 1, gen, count)
-            rows += np.einsum("rgd,ed->rge", bhat, config.triplet.gaussian_factor)
-        rows[:, pos, 0] += mixture.sample(gen, count, local.buffers)
+        values[:, :, 0] += mixture.sample(gen, values.shape[0], local.buffers)
 
-    map_blocks(block, list(iter_blocks(replicas)), threads)
-    return out
+    return map_nrlp_blocks(config, rng, replicas, threads, jumps)

@@ -117,6 +117,19 @@ dir = {out}
 """
 
 
+PROP8_SMALL = """
+[experiment]
+name = prop8
+p = 0.5
+n = 50
+ks = 1,2
+replicas = 100
+mc_replicas = 1000
+[output]
+dir = {out}
+"""
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -211,6 +224,41 @@ class TestRejections:
         assert_one_line_error(capsys)
         assert theory_calls == []
         assert not out.exists()
+
+    def test_out_of_range_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write(tmp_path, "c.ini", THM1.replace("seed = 42", "seed = -1").format(out=out))
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        thm1 = write(tmp_path, "thm1.ini", THM1.format(out=out))
+        assert main(["--config", str(thm1), "--seed", str(2**64)]) == 1
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        CF_SMALL.replace("thetas = 0.5", "thetas =").replace("{extra}", ""),
+        PROP8_SMALL.replace("ks = 1,2", "ks ="),
+        "[experiment]\nname = moments\nrho = 4.0\nreplicas = 1\n[output]\ndir = {out}\n",
+        PROP8_SMALL.replace("replicas = 100", "replicas = 1"),
+        PROP8_SMALL.replace("mc_replicas = 1000", "mc_replicas = 1"),
+        THM1.replace("mesh = 50,100", "mesh = 100,50"),
+        THM1.replace("mesh = 50,100", "mesh = 50,50"),
+        "[experiment]\nname = supercritical\np = 0.8\nalpha = 1.5\nreplicas = 64\n"
+        "mesh = 50,20\n[output]\ndir = {out}\n",
+    ], ids=["cf-compare-no-thetas", "prop8-no-ks", "moments-one-replica", "prop8-one-replica",
+            "prop8-one-mc-replica", "theorem1-mesh-decreasing", "theorem1-mesh-repeated",
+            "supercritical-mesh-decreasing"])
+    def test_empty_or_undefined_checks_rejected(self, tmp_path, capsys, monkeypatch, config):
+        # Each config would check nothing, write a NaN standard error, or run
+        # every mesh point before failing: validate stops it before its runner.
+        calls = []
+        for name in EXPERIMENTS:
+            monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: calls.append(cfg) or ({}, None))
+        cfg = write(tmp_path, "c.ini", config.format(out=tmp_path / "o"))
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
     def test_runtime_library_error_is_one_line(self, tmp_path, capsys):
         # Validation passes; the closed-form cf then has no formula for
