@@ -239,7 +239,7 @@ class TestRejections:
         CF_SMALL.replace("thetas = 0.5", "thetas =").replace("{extra}", ""),
         PROP8_SMALL.replace("ks = 1,2", "ks ="),
         "[experiment]\nname = moments\nrho = 4.0\nreplicas = 1\n[output]\ndir = {out}\n",
-        PROP8_SMALL.replace("replicas = 100", "replicas = 1"),
+        PROP8_SMALL.replace("\nreplicas = 100\n", "\nreplicas = 1\n"),
         PROP8_SMALL.replace("mc_replicas = 1000", "mc_replicas = 1"),
         THM1.replace("mesh = 50,100", "mesh = 100,50"),
         THM1.replace("mesh = 50,100", "mesh = 50,50"),
