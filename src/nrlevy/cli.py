@@ -8,8 +8,9 @@ non-deterministic: rerunning with the same config and seed is byte-identical
 for any ``--threads`` value.
 
 Exit codes: 0 when the experiment's verdict passes (or it has no verdict),
-2 when a verdict fails, 1 for configuration or usage errors and for errors
-the library raises while the experiment runs.
+2 when a verdict fails, 1 for configuration or usage errors, for errors
+the library raises while the experiment runs and for outputs that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class ExperimentConfig:
     grid: tuple[float, ...] = (0.5, 1.0)
     thetas: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0)
     theta: float = 1.0
-    alpha: float | None = None
+    alpha: float = 1.5
     rho: float | None = None
     n: int = 10000
     ks: tuple[int, ...] = (1, 2, 3)
@@ -106,8 +107,16 @@ class ExperimentConfig:
         return RngStream(self.seed)
 
 
+def _parse_float(text: str) -> float:
+    """``float(text)``, rejecting nan and infinities: no check can pass or fail on them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+    return tuple(_parse_float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -116,25 +125,25 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 # [experiment] key -> parser; each key sets the ExperimentConfig field of its name.
 _EXPERIMENT_FIELDS = {
-    "p": float,
+    "p": _parse_float,
     "seed": int,
     "replicas": int,
     "mesh": _parse_ints,
     "grid": _parse_floats,
     "thetas": _parse_floats,
-    "theta": float,
-    "alpha": float,
-    "rho": float,
+    "theta": _parse_float,
+    "alpha": _parse_float,
+    "rho": _parse_float,
     "n": int,
     "ks": _parse_ints,
-    "truncation_eps": float,
-    "tolerance_mult": float,
+    "truncation_eps": _parse_float,
+    "tolerance_mult": _parse_float,
     "threads": int,
     "walk": str.strip,
     "theory": str.strip,
     "mc_replicas": int,
     "sampler": str.strip,
-    "final_threshold": float,
+    "final_threshold": _parse_float,
 }
 _EXPERIMENT_KEYS = {"name", *_EXPERIMENT_FIELDS}
 
@@ -161,8 +170,8 @@ def build_triplet(section: dict) -> LevyTriplet:
     if family == "none":
         jumps = None
     elif family in ("stable", "cauchy"):
-        alpha = 1.0 if family == "cauchy" else float(section.get("alpha", 1.5))
-        jumps = IsotropicStable(alpha, float(section.get("scale", 1.0)))
+        alpha = 1.0 if family == "cauchy" else _parse_float(section.get("alpha", "1.5"))
+        jumps = IsotropicStable(alpha, _parse_float(section.get("scale", "1.0")))
     elif family == "atoms":
         if "atoms" not in section:
             raise ConfigError("jumps = atoms requires an atoms entry")
@@ -172,12 +181,22 @@ def build_triplet(section: dict) -> LevyTriplet:
             if not chunk:
                 continue
             pos_text, mass_text = chunk.rsplit(":", 1)
-            positions.append([float(v) for v in pos_text.split(",")])
-            masses.append(float(mass_text))
+            positions.append([_parse_float(v) for v in pos_text.split(",")])
+            masses.append(_parse_float(mass_text))
         jumps = FiniteAtomic(np.asarray(positions), np.asarray(masses))
     else:
         raise ConfigError(f"unknown jump family {family!r}")
     return LevyTriplet(dim, gaussian, drift, jumps if jumps is not None else ZERO_JUMPS)
+
+
+def _set_fields(cfg: ExperimentConfig, values: dict) -> None:
+    """Parse each given value with its key's parser: config values and flags share this route."""
+    for key, parse in _EXPERIMENT_FIELDS.items():
+        if values.get(key) is not None:
+            try:
+                setattr(cfg, key, parse(values[key]))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
 
 
 def load_config(path: Path) -> ExperimentConfig:
@@ -189,27 +208,21 @@ def load_config(path: Path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file {path} not found")
     sections = {s.lower(): dict(parser.items(s)) for s in parser.sections()}
-    unknown_sections = set(sections) - {"experiment", "triplet", "output"}
+    known = {"experiment": _EXPERIMENT_KEYS, "triplet": _TRIPLET_KEYS, "output": _OUTPUT_KEYS}
+    unknown_sections = set(sections) - set(known)
     if unknown_sections:
         raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
-    exp = sections.get("experiment", {})
-    for bad in set(exp) - _EXPERIMENT_KEYS:
-        raise ConfigError(f"unknown key {bad!r} in [experiment]")
-    trip = sections.get("triplet", {})
-    for bad in set(trip) - _TRIPLET_KEYS:
-        raise ConfigError(f"unknown key {bad!r} in [triplet]")
-    out = sections.get("output", {})
-    for bad in set(out) - _OUTPUT_KEYS:
-        raise ConfigError(f"unknown key {bad!r} in [output]")
+    exp, trip, out = (sections.get(name, {}) for name in known)
+    for name, keys in known.items():
+        for bad in set(sections.get(name, {})) - keys:
+            raise ConfigError(f"unknown key {bad!r} in [{name}]")
     if "name" not in exp:
         raise ConfigError("[experiment] must set name")
     name = exp["name"].strip()
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     cfg = ExperimentConfig(experiment=name)
-    for key, parse in _EXPERIMENT_FIELDS.items():
-        if key in exp:
-            setattr(cfg, key, parse(exp[key]))
+    _set_fields(cfg, exp)
     if "dir" in out:
         cfg.out_dir = Path(out["dir"])
     if trip:
@@ -229,10 +242,14 @@ def validate(cfg: ExperimentConfig) -> None:
     for experiment, key in (("cf-compare", "thetas"), ("prop8", "ks")):
         if cfg.experiment == experiment and not getattr(cfg, key):
             raise ConfigError(f"{experiment} needs at least one entry in {key}")
-    if min(cfg.mesh, default=1) < 1:
-        raise ConfigError(f"mesh entries must be at least 1, got {cfg.mesh}")
-    if not cfg.tolerance_mult > 0:
-        raise ConfigError(f"tolerance_mult must be positive, got {cfg.tolerance_mult}")
+    for key in ("mesh", "ks"):
+        if min(getattr(cfg, key), default=1) < 1:
+            raise ConfigError(f"{key} entries must be at least 1, got {getattr(cfg, key)}")
+    for key in ("tolerance_mult", "final_threshold"):
+        if not getattr(cfg, key) > 0:
+            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
+    if cfg.p is not None:
+        cfg.memory()
     for key, allowed in (("sampler", SAMPLERS), ("theory", THEORIES), ("walk", WALKS)):
         if getattr(cfg, key) not in allowed:
             raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; choose from {allowed}")
@@ -241,14 +258,11 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.experiment in ("theorem1", "supercritical") and (
             len(cfg.mesh) < 2 or any(b <= a for a, b in zip(cfg.mesh, cfg.mesh[1:]))):
         raise ConfigError(f"mesh must be strictly increasing with at least two points, got {cfg.mesh}")
-    if cfg.experiment == "supercritical":
-        alpha = cfg.alpha if cfg.alpha is not None else 1.5
-        p = cfg.memory().p
-        if alpha * p <= 1.0:
-            raise ConfigError(
-                f"supercritical requires alpha * p > 1, got {alpha * p:.4g} "
-                "(use theorem1 for admissible parameters)"
-            )
+    if cfg.experiment == "supercritical" and cfg.alpha * cfg.memory().p <= 1.0:
+        raise ConfigError(
+            f"supercritical requires alpha * p > 1, got {cfg.alpha * cfg.p:.4g} "
+            "(use theorem1 for admissible parameters)"
+        )
     if cfg.experiment in ("theorem1", "simulate-nrlp", "cf-compare"):
         if cfg.triplet is None:
             raise ConfigError(f"{cfg.experiment} requires a [triplet] section")
@@ -274,13 +288,14 @@ def validate(cfg: ExperimentConfig) -> None:
 # Report and CSV emission
 # ---------------------------------------------------------------------------
 
+# A runner returns (report, verdict or None, {csv file name: (header, rows)}).
+Outputs = tuple[dict, bool | None, dict[str, tuple[list[str], list]]]
+
 
 def write_report(report: dict, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(report, indent=2, allow_nan=False)  # NaN is not JSON: raise, write nothing
     path = out_dir / "report.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    path.write_text(text + "\n")
     return path
 
 
@@ -292,25 +307,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
 
 
-def emit_plotdata(report: dict, out_dir: Path) -> Path:
-    """Tidy distances CSV: one row per (mesh point, query)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "distances.csv"
+def distance_table(report: dict) -> tuple[list[str], list]:
+    """Tidy distances table: one row per (mesh point, query)."""
     rows = []
-    schedule = report.get("schedule", [])
-    per_query = report.get("per_query", [])
-    stderr = report.get("stderr", [])
-    for i, n in enumerate(schedule):
-        for qi, dist in enumerate(per_query[i]):
-            rows.append([n, qi, float(dist), float(stderr[i])])
-    _write_csv(path, ["n", "query", "distance", "stderr"], rows)
-    return path
+    for i, n in enumerate(report["schedule"]):
+        for qi, dist in enumerate(report["per_query"][i]):
+            rows.append([n, qi, float(dist), float(report["stderr"][i])])
+    return ["n", "query", "distance", "stderr"], rows
 
 
-def _report_from_convergence(rep: dg.ConvergenceReport) -> dict:
-    return {
+def _convergence_outputs(rep: dg.ConvergenceReport) -> Outputs:
+    report = {
         "experiment": rep.experiment,
-        "params": rep.params,
+        "params": dict(rep.params),
         "schedule": list(rep.mesh_schedule),
         "distances": [float(v) for v in rep.distances],
         "stderr": [float(v) for v in rep.stderr],
@@ -324,6 +333,7 @@ def _report_from_convergence(rep: dg.ConvergenceReport) -> dict:
             "final_distance": rep.final_distance,
         },
     }
+    return report, rep.passed, {"distances.csv": distance_table(report)}
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +341,8 @@ def _report_from_convergence(rep: dg.ConvergenceReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_theorem1(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
-    rep = dg.theorem1_experiment(
+def _run_theorem1(cfg: ExperimentConfig) -> Outputs:
+    return _convergence_outputs(dg.theorem1_experiment(
         cfg.triplet,
         cfg.memory(),
         None,
@@ -343,17 +353,12 @@ def _run_theorem1(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
         theory_mc_replicas=cfg.mc_replicas,
         tolerance_mult=cfg.tolerance_mult,
         threads=cfg.threads,
-    )
-    report = _report_from_convergence(rep)
-    report["params"]["seed"] = cfg.seed
-    emit_plotdata(report, cfg.out_dir)
-    return report, rep.passed
+    ))
 
 
-def _run_supercritical(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
-    alpha = cfg.alpha if cfg.alpha is not None else 1.5
-    rep = dg.supercritical_experiment(
-        alpha,
+def _run_supercritical(cfg: ExperimentConfig) -> Outputs:
+    return _convergence_outputs(dg.supercritical_experiment(
+        cfg.alpha,
         cfg.memory(),
         cfg.theta,
         cfg.mesh,
@@ -361,14 +366,10 @@ def _run_supercritical(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
         cfg.stream(),
         final_threshold=cfg.final_threshold,
         threads=cfg.threads,
-    )
-    report = _report_from_convergence(rep)
-    report["params"]["seed"] = cfg.seed
-    emit_plotdata(report, cfg.out_dir)
-    return report, rep.passed
+    ))
 
 
-def _run_prop8(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
+def _run_prop8(cfg: ExperimentConfig) -> Outputs:
     functionals = [dg.PathFunctional.terminal_equals(k) for k in cfg.ks]
     rep = dg.prop8_experiment(
         cfg.memory(), [cfg.n], functionals, cfg.replicas, cfg.stream(),
@@ -378,7 +379,7 @@ def _run_prop8(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
     passed = bool(np.all(np.abs(z) < cfg.tolerance_mult))
     report = {
         "experiment": "prop8",
-        "params": {"p": cfg.p, "n": cfg.n, "replicas": cfg.replicas, "seed": cfg.seed},
+        "params": {"p": cfg.p, "n": cfg.n, "replicas": cfg.replicas},
         "schedule": list(rep.n_schedule),
         "functionals": list(rep.functional_names),
         "estimates": [[float(v) for v in row] for row in rep.estimates],
@@ -395,63 +396,57 @@ def _run_prop8(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
                 [n, name, float(rep.estimates[i, fi]), float(rep.stderr[i, fi]),
                  float(rep.references[fi]), float(rep.reference_se[fi]), float(z[i, fi])]
             )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out_dir / "prop8.csv",
-               ["n", "functional", "estimate", "stderr", "reference", "reference_se", "z"],
-               rows)
-    return report, passed
+    header = ["n", "functional", "estimate", "stderr", "reference", "reference_se", "z"]
+    return report, passed, {"prop8.csv": (header, rows)}
 
 
-def _run_simulate_ys(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
-    rho = cfg.rho if cfg.rho is not None else (cfg.memory().rho if cfg.p else 2.0)
+def _run_simulate_ys(cfg: ExperimentConfig) -> Outputs:
+    rho = cfg.rho if cfg.rho is not None else (cfg.memory().rho if cfg.p is not None else 2.0)
     draws = ys_sample(rho, cfg.stream().generator(0), size=cfg.replicas)
     counts = np.bincount(draws)
     rows = [[int(k), int(c), c / cfg.replicas] for k, c in enumerate(counts) if k >= 1]
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out_dir / "histogram.csv", ["k", "count", "freq"], rows)
     kmax = counts.size - 1
     pmf = ys_pmf(np.arange(1, kmax + 1), rho)
     emp = counts[1:] / cfg.replicas
     tv = 0.5 * float(np.abs(emp - pmf).sum()) + 0.5 * float(1.0 - pmf.sum())
     report = {
         "experiment": "simulate-ys",
-        "params": {"rho": rho, "replicas": cfg.replicas, "seed": cfg.seed},
+        "params": {"rho": rho, "replicas": cfg.replicas},
         "schedule": [],
         "tv_distance": tv,
         "verdict": None,
     }
-    return report, None
+    return report, None, {"histogram.csv": (["k", "count", "freq"], rows)}
 
 
-def _run_simulate_walk(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
+def _run_simulate_walk(cfg: ExperimentConfig) -> Outputs:
     stream = cfg.stream()
     if cfg.walk == "elephant":
         walk = elephant_walk(cfg.n, cfg.memory(), stream.generator(0))
     else:
         walk = skeleton_reinforced_walk(cfg.triplet, cfg.n, cfg.memory(), stream.generator(0))
     sums = walk.partial_sums
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     rows = [[k] + [float(v) for v in np.atleast_1d(sums[k])] for k in range(sums.shape[0])]
     dim = np.atleast_1d(sums[0]).size
-    _write_csv(cfg.out_dir / "walk.csv", ["k"] + [f"value{i}" for i in range(dim)], rows)
     counter_rows = []
     for j, events in sorted(walk.record.counters().items()):
         for k in events:
             counter_rows.append([j, int(k)])
-    _write_csv(cfg.out_dir / "counters.csv", ["j", "k_event"], counter_rows)
     report = {
         "experiment": "simulate-walk",
-        "params": {"p": cfg.p, "n": cfg.n, "walk": cfg.walk, "seed": cfg.seed},
+        "params": {"p": cfg.p, "n": cfg.n, "walk": cfg.walk},
         "schedule": [],
         "terminal": [float(v) for v in np.atleast_1d(sums[-1])],
         "verdict": None,
     }
-    return report, None
+    return report, None, {
+        "walk.csv": (["k"] + [f"value{i}" for i in range(dim)], rows),
+        "counters.csv": (["j", "k_event"], counter_rows),
+    }
 
 
 def _nrlp_config(cfg: ExperimentConfig) -> NrlpConfig:
-    grid = np.asarray(cfg.grid, dtype=float)
-    return NrlpConfig(cfg.triplet, cfg.memory(), cfg.truncation_eps, grid)
+    return NrlpConfig(cfg.triplet, cfg.memory(), cfg.truncation_eps, cfg.grid)
 
 
 def _choose_sampler(cfg: ExperimentConfig, nc: NrlpConfig) -> str:
@@ -471,17 +466,14 @@ def _sample_marginals(cfg: ExperimentConfig, nc: NrlpConfig, replicas: int) -> t
     return sample(nc, cfg.stream().substream(7), replicas, threads=cfg.threads), sampler
 
 
-def _run_simulate_nrlp(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
+def _run_simulate_nrlp(cfg: ExperimentConfig) -> Outputs:
     nc = _nrlp_config(cfg)
     values, sampler = _sample_marginals(cfg, nc, cfg.replicas)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for r in range(values.shape[0]):
         for gi, t in enumerate(nc.grid):
             rows.append([r, float(t)] + [float(v) for v in values[r, gi]])
-    dim = values.shape[2]
-    _write_csv(cfg.out_dir / "paths.csv",
-               ["replica", "time"] + [f"value{i}" for i in range(dim)], rows)
+    header = ["replica", "time"] + [f"value{i}" for i in range(values.shape[2])]
     budget = None
     if not isinstance(nc.triplet.jump_measure, ZeroJumps):
         try:
@@ -492,17 +484,17 @@ def _run_simulate_nrlp(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
         "experiment": "simulate-nrlp",
         "params": {
             "p": cfg.p, "replicas": cfg.replicas, "truncation_eps": cfg.truncation_eps,
-            "sampler": sampler, "seed": cfg.seed,
+            "sampler": sampler,
         },
         "schedule": [],
         "grid": [float(t) for t in nc.grid],
         "truncation_budget": budget,
         "verdict": None,
     }
-    return report, None
+    return report, None, {"paths.csv": (header, rows)}
 
 
-def _run_cf_compare(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
+def _run_cf_compare(cfg: ExperimentConfig) -> Outputs:
     nc = _nrlp_config(cfg)
     pos_times = nc.grid[nc.grid > 0]
     queries = [
@@ -528,26 +520,23 @@ def _run_cf_compare(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
     ]
     rows = [[r["theta"], r["t"], r["re"], r["im"], r["theory_re"], r["theory_im"],
              float(d), r["stderr"]] for r, d in zip(records, dist)]
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out_dir / "cfdata.csv",
-               ["theta", "t", "ecf_re", "ecf_im", "theory_re", "theory_im",
-                "distance", "stderr"], rows)
+    header = ["theta", "t", "ecf_re", "ecf_im", "theory_re", "theory_im", "distance", "stderr"]
     report = {
         "experiment": "cf-compare",
         "params": {
             "p": cfg.p, "replicas": cfg.replicas, "truncation_eps": cfg.truncation_eps,
-            "sampler": sampler, "theory": cfg.theory, "seed": cfg.seed,
+            "sampler": sampler, "theory": cfg.theory,
         },
         "schedule": [],
         "records": records,
         "max_distance": float(dist.max()),
         "verdict": {"passed": passed, "threshold": threshold},
     }
-    return report, passed
+    return report, passed, {"cfdata.csv": (header, rows)}
 
 
-def _run_moments(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
-    rho = cfg.rho if cfg.rho is not None else (cfg.memory().rho if cfg.p else 4.0)
+def _run_moments(cfg: ExperimentConfig) -> Outputs:
+    rho = cfg.rho if cfg.rho is not None else (cfg.memory().rho if cfg.p is not None else 4.0)
     grid = np.asarray([t for t in cfg.grid if t > 0])
     vals = ys_process_values(rho, grid, cfg.stream().generator(0), cfg.replicas)
     checks = []
@@ -566,12 +555,12 @@ def _run_moments(cfg: ExperimentConfig) -> tuple[dict, bool | None]:
     ok = all(abs(c["z"]) < cfg.tolerance_mult for c in checks)
     report = {
         "experiment": "moments",
-        "params": {"rho": rho, "replicas": cfg.replicas, "seed": cfg.seed},
+        "params": {"rho": rho, "replicas": cfg.replicas},
         "schedule": [],
         "checks": checks,
         "verdict": {"passed": bool(ok), "tolerance_mult": cfg.tolerance_mult},
     }
-    return report, bool(ok)
+    return report, bool(ok), {}
 
 
 _RUNNERS = {
@@ -593,15 +582,16 @@ def run(config_path: Path, overrides: argparse.Namespace | None = None) -> int:
         if overrides is not None:
             _apply_overrides(cfg, overrides)
         validate(cfg)
-    except (NrlevyError, ValueError) as exc:
+        report, passed, tables = _RUNNERS[cfg.experiment](cfg)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        # CSVs first: report.json is the last file a run writes.
+        for name, (header, rows) in tables.items():
+            _write_csv(cfg.out_dir / name, header, rows)
+        report["params"]["seed"] = cfg.seed
+        path = write_report(report, cfg.out_dir)
+    except (NrlevyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        report, passed = _RUNNERS[cfg.experiment](cfg)
-    except NrlevyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    path = write_report(report, cfg.out_dir)
     print(f"wrote {path}")
     if passed is None:
         return 0
@@ -610,35 +600,40 @@ def run(config_path: Path, overrides: argparse.Namespace | None = None) -> int:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    for key in ("seed", "replicas", "out", "threads", "tolerance_mult", "p", "alpha", "mesh"):
-        value = getattr(args, key)
-        if value is None:
-            continue
-        if key == "out":
-            cfg.out_dir = Path(value)
-        elif key == "mesh":
-            cfg.mesh = _parse_ints(value)
-        else:
-            setattr(cfg, key, value)
+    _set_fields(cfg, vars(args))
+    if args.out is not None:
+        cfg.out_dir = Path(args.out)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises on a usage error, so that it ends as one ``error:`` line with exit 1."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nrlevy",
         description="Experiment harness for reinforced walks and noise-reinforced Levy processes",
     )
-    parser.add_argument("--config", required=True, type=Path, help="experiment config file")
-    parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--replicas", type=int, help="replica count override")
-    parser.add_argument("--out", type=str, help="output directory override")
-    parser.add_argument("--threads", type=int, help="worker threads (never changes results)")
-    parser.add_argument("--tolerance-mult", dest="tolerance_mult", type=float,
+    # Flags are strings here; _apply_overrides parses them as the config file's values.
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--seed", help="master seed override")
+    parser.add_argument("--replicas", help="replica count override")
+    parser.add_argument("--out", help="output directory override")
+    parser.add_argument("--threads", help="worker threads (never changes results)")
+    parser.add_argument("--tolerance-mult", dest="tolerance_mult",
                         help="verdict tolerance in Monte Carlo standard errors")
-    parser.add_argument("--p", type=float, help="memory parameter override")
-    parser.add_argument("--alpha", type=float, help="stable index override")
-    parser.add_argument("--mesh", type=str, help="comma-separated mesh override")
-    args = parser.parse_args(argv)
-    return run(args.config, args)
+    parser.add_argument("--p", help="memory parameter override")
+    parser.add_argument("--alpha", help="stable index override")
+    parser.add_argument("--mesh", help="comma-separated mesh override")
+    try:
+        args = parser.parse_args(argv)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return run(Path(args.config), args)
 
 
 if __name__ == "__main__":

@@ -65,8 +65,10 @@ class FiniteAtomic:
         masses = np.asarray(self.masses, dtype=float)
         if pos.shape[0] != masses.shape[0]:
             raise DomainError("positions and masses must have matching lengths")
-        if np.any(masses <= 0):
-            raise DomainError("atom masses must be positive")
+        if not np.all(np.isfinite(pos)):
+            raise DomainError("atom positions must be finite")
+        if not np.all((masses > 0) & np.isfinite(masses)):
+            raise DomainError("atom masses must be positive and finite")
         if np.any(np.linalg.norm(pos, axis=1) == 0):
             raise DomainError("jump measure cannot charge the origin")
         object.__setattr__(self, "positions", pos)
@@ -172,6 +174,8 @@ class LevyTriplet:
                 m = None
             object.__setattr__(self, "gaussian_factor", m)
         a = np.zeros(d) if self.drift is None else np.asarray(self.drift, dtype=float).reshape(d)
+        if not np.all(np.isfinite(a)):
+            raise DomainError("drift must be finite")
         object.__setattr__(self, "drift", a)
         jm = self.jump_measure
         if isinstance(jm, FiniteAtomic) and jm.positions.shape[1] != d:

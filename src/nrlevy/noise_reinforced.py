@@ -85,7 +85,7 @@ class CfQuery:
             thetas = thetas[:, None]
         if times.ndim != 1 or times.size != thetas.shape[0]:
             raise DomainError("one time per theta required")
-        if np.any(times < 0) or np.any(times > 1):
+        if not np.all((times >= 0) & (times <= 1)):
             raise DomainError("query times must lie in [0, 1]")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "times", times)
@@ -147,9 +147,9 @@ class NrlpConfig:
                 "finite jump measures"
             )
         grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
+        if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
             raise ConfigError("grid must be nonempty and strictly increasing")
-        if grid[0] < 0 or grid[-1] > 1:
+        if not 0 <= grid[0] <= grid[-1] <= 1:
             raise ConfigError("grid must lie within [0, 1]")
         object.__setattr__(self, "grid", grid)
 

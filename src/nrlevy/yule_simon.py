@@ -260,6 +260,6 @@ def _check_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a nonempty 1-d array")
-    if np.any(times <= 0) or np.any(times > 1) or np.any(np.diff(times) <= 0):
+    if not (np.all((times > 0) & (times <= 1)) and np.all(np.diff(times) > 0)):
         raise DomainError("times must be strictly increasing within (0, 1]")
     return times

@@ -16,7 +16,7 @@ from nrlevy.cli import (
     _TRIPLET_KEYS,
     EXPERIMENTS,
     build_triplet,
-    emit_plotdata,
+    distance_table,
     fmt,
     load_config,
     main,
@@ -98,6 +98,18 @@ class TestParsing:
         assert cfg.seed == 0
         assert cfg.rho == 2.0
 
+    def test_usage_errors_are_one_line(self, tmp_path, capsys):
+        # A bad flag value, an unknown flag and a missing --config are usage
+        # errors (exit 1), not failed verdicts (exit 2).
+        cfg = str(write(tmp_path, "thm1.ini", THM1.format(out=tmp_path / "o")))
+        for argv in (["--config", cfg, "--seed", "abc"], ["--config", cfg, "--bogus", "1"], []):
+            assert main(argv) == 1
+            assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
 
 CF_SMALL = """
 [experiment]
@@ -112,6 +124,33 @@ mc_replicas = 1000
 [triplet]
 dim = 1
 jumps = cauchy
+[output]
+dir = {out}
+"""
+
+
+SUPERCRITICAL_SMALL = """
+[experiment]
+name = supercritical
+p = 0.8
+alpha = 1.5
+replicas = 64
+mesh = 20,50
+{extra}
+[output]
+dir = {out}
+"""
+
+
+NRLP_SMALL = """
+[experiment]
+name = simulate-nrlp
+p = 0.3
+replicas = 10
+{extra}
+[triplet]
+dim = 1
+gaussian = 1.0
 [output]
 dir = {out}
 """
@@ -190,6 +229,41 @@ class TestRejections:
         assert main(["--config", str(thm1), "--tolerance-mult", mult]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, flags", [
+        (CF_SMALL.replace("{extra}", "tolerance_mult = inf"), []),
+        (CF_SMALL.replace("{extra}", ""), ["--tolerance-mult", "inf"]),
+        (CF_SMALL.replace("thetas = 0.5", "thetas = 0.5,nan").replace("{extra}", ""), []),
+        (SUPERCRITICAL_SMALL.replace("{extra}", "theta = nan"), []),
+        (NRLP_SMALL.replace("{extra}", "grid = 0.5,nan"), []),
+        (NRLP_SMALL.replace("{extra}", "").replace("gaussian = 1.0", "drift = nan"), []),
+        (CF_SMALL.replace("{extra}", "").replace("jumps = cauchy", "jumps = stable\nscale = inf"), []),
+        (CF_SMALL.replace("{extra}", "").replace("jumps = cauchy", "jumps = atoms\natoms = 1.0:nan"), []),
+    ], ids=["tolerance-mult-inf", "tolerance-mult-flag-inf", "thetas-nan", "theta-nan", "grid-nan",
+            "drift-nan", "scale-inf", "atom-mass-nan"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, config, flags):
+        # An infinite tolerance passes every verdict, and a NaN makes
+        # report.json invalid JSON: both stop at parsing.
+        out = tmp_path / "o"
+        cfg = write(tmp_path, "c.ini", config.format(out=out))
+        assert main(["--config", str(cfg), *flags]) == 1
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_non_finite_report_is_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._RUNNERS, "moments",
+                            lambda cfg: ({"params": {}, "z": float("nan")}, None, {}))
+        out = tmp_path / "o"
+        cfg = write(tmp_path, "m.ini", f"[experiment]\nname = moments\nrho = 4.0\n[output]\ndir = {out}\n")
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        assert not (out / "report.json").exists()
+
+    def test_unwritable_output_is_one_line(self, tmp_path, capsys):
+        taken = write(tmp_path, "taken", "")
+        cfg = write(tmp_path, "m.ini", "[experiment]\nname = moments\nrho = 4.0\nreplicas = 100\n")
+        assert main(["--config", str(cfg), "--out", str(taken / "o")]) == 1
+        assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("config", [
         THM1.replace("mesh = 50,100", "mesh = 0,10"),
         CF_SMALL.replace("mc_replicas = 1000", "mc_replicas = 0").replace("{extra}", "theory = mc"),
@@ -245,15 +319,21 @@ class TestRejections:
         THM1.replace("mesh = 50,100", "mesh = 50,50"),
         "[experiment]\nname = supercritical\np = 0.8\nalpha = 1.5\nreplicas = 64\n"
         "mesh = 50,20\n[output]\ndir = {out}\n",
+        "[experiment]\nname = simulate-ys\np = 0\nreplicas = 100\n[output]\ndir = {out}\n",
+        "[experiment]\nname = moments\np = 0\nreplicas = 100\n[output]\ndir = {out}\n",
+        PROP8_SMALL.replace("ks = 1,2", "ks = -1,2"),
+        SUPERCRITICAL_SMALL.replace("{extra}", "final_threshold = 0"),
     ], ids=["cf-compare-no-thetas", "prop8-no-ks", "moments-one-replica", "prop8-one-replica",
             "prop8-one-mc-replica", "theorem1-mesh-decreasing", "theorem1-mesh-repeated",
-            "supercritical-mesh-decreasing"])
+            "supercritical-mesh-decreasing", "simulate-ys-p-zero", "moments-p-zero",
+            "prop8-ks-below-one", "supercritical-final-threshold-zero"])
     def test_empty_or_undefined_checks_rejected(self, tmp_path, capsys, monkeypatch, config):
-        # Each config would check nothing, write a NaN standard error, or run
-        # every mesh point before failing: validate stops it before its runner.
+        # Each config would check nothing, check something other than it says,
+        # write a NaN z-score or standard error, or run every mesh point before
+        # failing: validate stops it before its runner.
         calls = []
         for name in EXPERIMENTS:
-            monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: calls.append(cfg) or ({}, None))
+            monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: calls.append(cfg) or ({}, None, {}))
         cfg = write(tmp_path, "c.ini", config.format(out=tmp_path / "o"))
         assert run(cfg) == 1
         assert_one_line_error(capsys)
@@ -374,13 +454,14 @@ class TestOutputs:
         k1 = next(r for r in rows if r["k"] == "1")
         assert abs(float(k1["freq"]) - 2.0 / 3.0) < 0.005
 
-    def test_emit_plotdata_counts_and_roundtrip(self, tmp_path):
+    def test_distance_table_counts_and_roundtrip(self, tmp_path):
         report = {
             "schedule": [10, 100, 1000],
             "per_query": [[0.1 * (i + 1) + 0.01 * q for q in range(6)] for i in range(3)],
             "stderr": [0.5, 0.05, 0.005],
         }
-        path = emit_plotdata(report, tmp_path)
+        path = tmp_path / "distances.csv"
+        cli._write_csv(path, *distance_table(report))
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 18
@@ -390,8 +471,9 @@ class TestOutputs:
             assert float(row["distance"]) == report["per_query"][i][q]
             assert float(row["stderr"]) == report["stderr"][i]
 
-    def test_emit_plotdata_empty_schedule(self, tmp_path):
-        path = emit_plotdata({"schedule": [], "per_query": [], "stderr": []}, tmp_path)
+    def test_distance_table_empty_schedule(self, tmp_path):
+        path = tmp_path / "distances.csv"
+        cli._write_csv(path, *distance_table({"schedule": [], "per_query": [], "stderr": []}))
         lines = path.read_text().strip().splitlines()
         assert lines == ["n,query,distance,stderr"]
 

@@ -11,7 +11,7 @@ from scipy.stats import ks_2samp, spearmanr
 
 from nrlevy import noise_reinforced
 from nrlevy.diagnostics import empirical_cf, ks_distance
-from nrlevy.errors import ConfigError, InadmissibleError, UnsupportedFamilyError
+from nrlevy.errors import ConfigError, InadmissibleError, NrlevyError, UnsupportedFamilyError
 from nrlevy.levy_model import FiniteAtomic, IsotropicStable, LevyTriplet, RadialDensity
 from nrlevy.noise_reinforced import (
     CfQuery,
@@ -94,6 +94,22 @@ class TestConfig:
             NrlpConfig(trip, MemoryParameter(0.5), grid=np.array([0.5, 0.5]))
         with pytest.raises(ConfigError):
             NrlpConfig(trip, MemoryParameter(0.5), grid=np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: NrlpConfig(LevyTriplet.cauchy(), 0.5, grid=np.array([0.5, np.nan])),
+        lambda: NrlpConfig(LevyTriplet.cauchy(), 0.5, grid=np.array([np.nan])),
+        lambda: CfQuery(np.array([1.0]), np.array([np.nan])),
+        lambda: ys_process_values(2.0, [0.5, np.nan], RngStream(1).generator(), 10),
+        lambda: LevyTriplet(1, drift=[np.nan]),
+        lambda: FiniteAtomic(np.array([[np.nan]]), np.array([1.0])),
+        lambda: FiniteAtomic(np.array([[1.0]]), np.array([np.nan])),
+        lambda: FiniteAtomic(np.array([[1.0]]), np.array([np.inf])),
+    ], ids=["grid-nan", "grid-only-nan", "query-time-nan", "mark-time-nan", "drift-nan",
+            "atom-position-nan", "atom-mass-nan", "atom-mass-inf"])
+    def test_rejects_non_finite(self, build):
+        # Range checks written as `x < lo or x > hi` let NaN through.
+        with pytest.raises(NrlevyError):
+            build()
 
 
 def zero_fraction_se(cfg: NrlpConfig, rng: RngStream, replicas: int) -> tuple[float, float]:
