@@ -64,8 +64,8 @@ EXPERIMENTS = (
 SAMPLERS = ("auto", "series", "spectral")
 WALKS = ("elephant", "skeleton")
 
-_TRIPLET_KEYS = {"dim", "gaussian_factor", "gaussian", "drift", "jumps", "alpha", "scale", "atoms"}
 _OUTPUT_KEYS = {"dir"}
+_DEFAULT_RHO = {"simulate-ys": 2.0, "moments": 4.0}  # rho when neither p nor rho is set
 
 
 def fmt(x: float) -> str:
@@ -106,6 +106,12 @@ class ExperimentConfig:
     def stream(self) -> RngStream:
         return RngStream(self.seed)
 
+    def mark_rho(self) -> float:
+        """``rho`` if set, else the 1/p that ``p`` implies, else the experiment's default."""
+        if self.rho is not None:
+            return self.rho
+        return self.memory().rho if self.p is not None else _DEFAULT_RHO[self.experiment]
+
 
 def _parse_float(text: str) -> float:
     """``float(text)``, rejecting nan and infinities: no check can pass or fail on them."""
@@ -121,6 +127,28 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_atoms(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and masses from ``position:mass`` pairs separated by ';'."""
+    positions, masses = [], []
+    for chunk in filter(str.strip, text.split(";")):
+        pos_text, mass_text = chunk.rsplit(":", 1)
+        positions.append([_parse_float(v) for v in pos_text.split(",")])
+        masses.append(_parse_float(mass_text))
+    return np.asarray(positions), np.asarray(masses)
+
+
+def _parse_section(parsers: dict, values: dict) -> dict:
+    """Parse each given value, from a config section or a flag, with its key's parser."""
+    parsed = {}
+    for key, parse in parsers.items():
+        if values.get(key) is not None:
+            try:
+                parsed[key] = parse(values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+    return parsed
 
 
 # [experiment] key -> parser; each key sets the ExperimentConfig field of its name.
@@ -147,56 +175,47 @@ _EXPERIMENT_FIELDS = {
 }
 _EXPERIMENT_KEYS = {"name", *_EXPERIMENT_FIELDS}
 
+# [triplet] key -> parser; build_triplet turns the parsed values into a LevyTriplet.
+_TRIPLET_FIELDS = {
+    "dim": int,
+    "gaussian_factor": _parse_floats,
+    "gaussian": _parse_floats,
+    "drift": _parse_floats,
+    "jumps": lambda text: text.strip().lower(),
+    "alpha": _parse_float,
+    "scale": _parse_float,
+    "atoms": _parse_atoms,
+}
+_TRIPLET_KEYS = set(_TRIPLET_FIELDS)
+
 
 def build_triplet(section: dict) -> LevyTriplet:
     """Triplet from a flat key-value config section (see README for the format)."""
-    dim = int(section.get("dim", 1))
-    gaussian = None
-    gauss_key = "gaussian_factor" if "gaussian_factor" in section else "gaussian"
-    if gauss_key in section:
-        vals = _parse_floats(section[gauss_key])
-        if len(vals) not in (1, dim * dim):
+    values = _parse_section(_TRIPLET_FIELDS, section)
+    dim = values.get("dim", 1)
+    if "gaussian_factor" in values and "gaussian" in values:
+        raise ConfigError("set gaussian_factor or gaussian, not both")
+    gaussian = values.get("gaussian_factor", values.get("gaussian"))
+    if gaussian is not None:
+        if len(gaussian) not in (1, dim * dim):
             raise ConfigError("gaussian must have 1 or dim*dim entries (row-major)")
-        gaussian = (np.eye(dim) * vals[0]) if len(vals) == 1 else np.reshape(vals, (dim, dim))
-        if "gaussian_factor" in section and "gaussian" in section:
-            raise ConfigError("set gaussian_factor or gaussian, not both")
-    drift = None
-    if "drift" in section:
-        vals = _parse_floats(section["drift"])
-        if len(vals) != dim:
-            raise ConfigError("drift must have dim entries")
-        drift = np.asarray(vals)
-    family = section.get("jumps", "none").strip().lower()
+        gaussian = np.eye(dim) * gaussian[0] if len(gaussian) == 1 else np.reshape(gaussian, (dim, dim))
+    drift = values.get("drift")
+    if drift is not None and len(drift) != dim:
+        raise ConfigError("drift must have dim entries")
+    family = values.get("jumps", "none")
     if family == "none":
-        jumps = None
+        jumps = ZERO_JUMPS
     elif family in ("stable", "cauchy"):
-        alpha = 1.0 if family == "cauchy" else _parse_float(section.get("alpha", "1.5"))
-        jumps = IsotropicStable(alpha, _parse_float(section.get("scale", "1.0")))
+        alpha = 1.0 if family == "cauchy" else values.get("alpha", 1.5)
+        jumps = IsotropicStable(alpha, values.get("scale", 1.0))
     elif family == "atoms":
-        if "atoms" not in section:
+        if "atoms" not in values:
             raise ConfigError("jumps = atoms requires an atoms entry")
-        positions, masses = [], []
-        for chunk in section["atoms"].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            pos_text, mass_text = chunk.rsplit(":", 1)
-            positions.append([_parse_float(v) for v in pos_text.split(",")])
-            masses.append(_parse_float(mass_text))
-        jumps = FiniteAtomic(np.asarray(positions), np.asarray(masses))
+        jumps = FiniteAtomic(*values["atoms"])
     else:
         raise ConfigError(f"unknown jump family {family!r}")
-    return LevyTriplet(dim, gaussian, drift, jumps if jumps is not None else ZERO_JUMPS)
-
-
-def _set_fields(cfg: ExperimentConfig, values: dict) -> None:
-    """Parse each given value with its key's parser: config values and flags share this route."""
-    for key, parse in _EXPERIMENT_FIELDS.items():
-        if values.get(key) is not None:
-            try:
-                setattr(cfg, key, parse(values[key]))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
+    return LevyTriplet(dim, gaussian, drift, jumps)
 
 
 def load_config(path: Path) -> ExperimentConfig:
@@ -221,8 +240,7 @@ def load_config(path: Path) -> ExperimentConfig:
     name = exp["name"].strip()
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    cfg = ExperimentConfig(experiment=name)
-    _set_fields(cfg, exp)
+    cfg = ExperimentConfig(experiment=name, **_parse_section(_EXPERIMENT_FIELDS, exp))
     if "dir" in out:
         cfg.out_dir = Path(out["dir"])
     if trip:
@@ -250,6 +268,8 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
     if cfg.p is not None:
         cfg.memory()
+    if cfg.experiment in _DEFAULT_RHO and cfg.p is not None and cfg.rho is not None:
+        raise ConfigError(f"{cfg.experiment} reads rho: set p (rho = 1/p) or rho, not both")
     for key, allowed in (("sampler", SAMPLERS), ("theory", THEORIES), ("walk", WALKS)):
         if getattr(cfg, key) not in allowed:
             raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; choose from {allowed}")
@@ -401,7 +421,7 @@ def _run_prop8(cfg: ExperimentConfig) -> Outputs:
 
 
 def _run_simulate_ys(cfg: ExperimentConfig) -> Outputs:
-    rho = cfg.rho if cfg.rho is not None else (cfg.memory().rho if cfg.p is not None else 2.0)
+    rho = cfg.mark_rho()
     draws = ys_sample(rho, cfg.stream().generator(0), size=cfg.replicas)
     counts = np.bincount(draws)
     rows = [[int(k), int(c), c / cfg.replicas] for k, c in enumerate(counts) if k >= 1]
@@ -536,7 +556,7 @@ def _run_cf_compare(cfg: ExperimentConfig) -> Outputs:
 
 
 def _run_moments(cfg: ExperimentConfig) -> Outputs:
-    rho = cfg.rho if cfg.rho is not None else (cfg.memory().rho if cfg.p is not None else 4.0)
+    rho = cfg.mark_rho()
     grid = np.asarray([t for t in cfg.grid if t > 0])
     vals = ys_process_values(rho, grid, cfg.stream().generator(0), cfg.replicas)
     checks = []
@@ -600,7 +620,8 @@ def run(config_path: Path, overrides: argparse.Namespace | None = None) -> int:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
-    _set_fields(cfg, vars(args))
+    for key, value in _parse_section(_EXPERIMENT_FIELDS, vars(args)).items():
+        setattr(cfg, key, value)
     if args.out is not None:
         cfg.out_dir = Path(args.out)
 

@@ -94,91 +94,111 @@ def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
 # Convergence reports
 # ---------------------------------------------------------------------------
 
+NOISE_MULT = 3.0
+"""Noise floor of the ``decreasing`` trend flag, in Monte Carlo standard errors."""
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-mesh distances of a convergence (or blow-up) experiment.
+    """Per-mesh distances of a convergence (or blow-up) experiment, and its verdict.
 
-    ``strictly_decreasing`` is the raw ordering of the distances;
-    ``decreasing`` is the trend flag used in the verdict, which tolerates an
-    inversion between values that are both within the Monte Carlo noise floor
-    (indistinguishable from the limit at the given replica count).
+    ``passed`` needs ``decreasing`` and ``final_ok`` (final distance below
+    ``threshold``).  ``decreasing`` tolerates an inversion between values both
+    below ``NOISE_MULT`` standard errors, which are indistinguishable from the
+    limit; ``strictly_decreasing`` is the raw ordering.
     """
 
     experiment: str
     mesh_schedule: tuple[int, ...]
-    distances: np.ndarray  # per-n sup distance (or |ECF| for blow-up runs)
-    per_query: np.ndarray  # (len(schedule), n_queries)
+    per_query: np.ndarray  # (len(schedule), n_queries); |ECF| for blow-up runs
     stderr: np.ndarray  # per-n Monte Carlo noise scale
     threshold: float
-    decreasing: bool
-    final_ok: bool
-    strictly_decreasing: bool = False
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if np.any(np.asarray(self.distances) < 0):
+        if np.any(np.asarray(self.per_query) < 0):
             raise DomainError("distances must be nonnegative")
-        if np.any(np.diff(self.mesh_schedule) <= 0):
-            raise DomainError("mesh schedule must be strictly increasing")
+        _check_mesh(self.mesh_schedule)
 
     @property
-    def passed(self) -> bool:
-        return self.decreasing and self.final_ok
+    def distances(self) -> np.ndarray:  # per-n sup over the queries
+        return self.per_query.max(axis=1)
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        return bool(np.all(np.diff(self.distances) < 0))
+
+    @property
+    def decreasing(self) -> bool:
+        d, se = self.distances, self.stderr
+        floor = NOISE_MULT * np.maximum(se[:-1], se[1:])
+        return bool(np.all((d[1:] < d[:-1]) | (np.maximum(d[:-1], d[1:]) < floor)))
 
     @property
     def final_distance(self) -> float:
         return float(self.distances[-1])
 
+    @property
+    def final_ok(self) -> bool:
+        return self.final_distance < self.threshold
 
-def _trend_flags(distances: np.ndarray, stderr: np.ndarray, noise_mult: float = 3.0):
-    """(noise-aware decreasing, strictly decreasing) for a distance schedule."""
-    strict = bool(np.all(np.diff(distances) < 0))
-    ok = True
-    for i in range(len(distances) - 1):
-        floor = noise_mult * max(stderr[i], stderr[i + 1])
-        if not (distances[i + 1] < distances[i] or max(distances[i], distances[i + 1]) < floor):
-            ok = False
-    return ok, strict
+    @property
+    def passed(self) -> bool:
+        return self.decreasing and self.final_ok
 
 
-def default_theorem1_queries(
-    times: Sequence[float] = (0.5, 1.0),
-    thetas: Sequence[float] = (0.5, 1.0, 2.0),
-) -> list[CfQuery]:
-    """Cartesian two-time query grid: one angle from ``thetas`` per time."""
-    times_arr = np.asarray(times, dtype=float)
-    queries = []
-    for th1 in thetas:
-        for th2 in thetas:
-            queries.append(CfQuery(np.asarray([th1, th2]), times_arr))
-    return queries
+def _check_mesh(mesh_schedule: Sequence[int]) -> tuple[int, ...]:
+    """The mesh as a tuple of ints; it must be strictly increasing from n >= 1."""
+    mesh = tuple(int(n) for n in mesh_schedule)
+    if not mesh or mesh[0] < 1 or any(b <= a for a, b in zip(mesh, mesh[1:])):
+        raise DomainError(f"mesh schedule must be strictly increasing from n >= 1, got {mesh}")
+    return mesh
 
 
-def _skeleton_ecf(
+def default_theorem1_queries() -> list[CfQuery]:
+    """Two-time queries at t = (0.5, 1): each angle pair from (0.5, 1, 2)."""
+    thetas, times = (0.5, 1.0, 2.0), np.asarray([0.5, 1.0])
+    return [CfQuery(np.asarray([th1, th2]), times) for th1 in thetas for th2 in thetas]
+
+
+def _mesh_ecf(
     triplet: LevyTriplet,
-    p: MemoryParameter,
-    n: int,
+    p: MemoryParameter | float,
     queries: Sequence[CfQuery],
-    grid_times: np.ndarray,
+    mesh: Sequence[int],
     replicas: int,
-    stream: RngStream,
+    rng: RngStream,
     threads: int,
-) -> EcfEstimate:
-    """ECF of the reinforced skeleton walk at floor(n t) for each query time."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """ECFs of the reinforced skeleton walk at floor(n t), per mesh point n and query.
+
+    Returns the complex estimates, shape (len(mesh), len(queries)), and their
+    stderr per mesh point.  d = 1 and the mesh are checked before any draw.
+    Streams: mesh point i uses ``rng.substream(i)`` with one generator per
+    replica block.
+    """
     if triplet.dim != 1:
         raise UnsupportedFamilyError("skeleton experiments are implemented for d = 1")
-    ks = np.floor(n * grid_times + 1e-9).astype(np.int64)
+    mesh = _check_mesh(mesh)
+    grid_times = query_grid_times(queries)
+    estimates = np.empty((len(mesh), len(queries)), dtype=complex)
+    stderr = np.empty(len(mesh))
+    for i, n in enumerate(mesh):
+        stream = rng.substream(i)
+        ks = np.floor(n * grid_times + 1e-9).astype(np.int64)
 
-    def block(b: int, start: int, count: int) -> np.ndarray:
-        gen = stream.generator(b)
-        fresh, sources = repeat_sources(n, count, p, gen)
-        steps = np.zeros((n, count))
-        steps[fresh] = increment_sample(triplet, 1.0 / n, gen, size=int(fresh.sum()))[:, 0]
-        return reinforced_prefix_sums(steps, sources, ks)
+        def block(b: int, start: int, count: int) -> np.ndarray:
+            gen = stream.generator(b)
+            fresh, sources = repeat_sources(n, count, p, gen)
+            steps = np.zeros((n, count))
+            steps[fresh] = increment_sample(triplet, 1.0 / n, gen, size=int(fresh.sum()))[:, 0]
+            return reinforced_prefix_sums(steps, sources, ks)
 
-    sums = np.concatenate(_map_blocks(block, list(iter_blocks(replicas)), threads))
-    return empirical_cf(sums, grid_times, queries)
+        sums = np.concatenate(_map_blocks(block, list(iter_blocks(replicas)), threads))
+        ecf = empirical_cf(sums, grid_times, queries)
+        estimates[i] = ecf.estimates
+        stderr[i] = ecf.stderr
+    return estimates, stderr
 
 
 def theorem1_experiment(
@@ -198,40 +218,25 @@ def theorem1_experiment(
 
     For each n the reinforced skeleton walk is sampled ``replicas`` times and
     its finite-dimensional ECF compared with the reinforced cf; the verdict
-    requires strictly decreasing sup distances and a final distance below
-    ``tolerance_mult / sqrt(replicas)``.  ``theory`` picks the cf evaluation
-    (see :func:`nrlevy.noise_reinforced.reinforced_cf_values`): "exact"
-    (closed form families only), "mc", or "auto".  Streams: mesh point i uses
-    ``rng.substream(i)`` with one generator per replica block; the mc theory
-    route uses ``rng.substream(1000 + query_index)``.
+    (see :class:`ConvergenceReport`) requires decreasing sup distances and a
+    final distance below ``tolerance_mult / sqrt(replicas)``.  ``theory``
+    picks the cf evaluation (see
+    :func:`nrlevy.noise_reinforced.reinforced_cf_values`): "exact" (closed
+    form families only), "mc", or "auto".  Streams: mesh point i uses
+    ``rng.substream(i)`` (see :func:`_mesh_ecf`); the mc theory route uses
+    ``rng.substream(1000 + query_index)``.
     """
     pv = as_memory(p)
-    if queries is None:
-        queries = default_theorem1_queries()
-    mesh = tuple(int(n) for n in mesh_schedule)
-    grid_times = query_grid_times(queries)
+    queries = default_theorem1_queries() if queries is None else queries
+    mesh = _check_mesh(mesh_schedule)
     theory_vals = reinforced_cf_values(triplet, pv, queries, theory, theory_mc_replicas, rng)
-    per_query = np.empty((len(mesh), len(queries)))
-    stderr = np.empty(len(mesh))
-    for i, n in enumerate(mesh):
-        ecf = _skeleton_ecf(
-            triplet, pv, n, queries, grid_times, replicas, rng.substream(i), threads
-        )
-        per_query[i] = np.abs(ecf.estimates - theory_vals)
-        stderr[i] = ecf.stderr
-    distances = per_query.max(axis=1)
-    threshold = tolerance_mult / math.sqrt(replicas)
-    decreasing, strict = _trend_flags(distances, stderr)
+    estimates, stderr = _mesh_ecf(triplet, pv, queries, mesh, replicas, rng, threads)
     return ConvergenceReport(
         experiment="theorem1",
         mesh_schedule=mesh,
-        distances=distances,
-        per_query=per_query,
+        per_query=np.abs(estimates - theory_vals),
         stderr=stderr,
-        threshold=threshold,
-        decreasing=decreasing,
-        final_ok=bool(distances[-1] < threshold),
-        strictly_decreasing=strict,
+        threshold=tolerance_mult / math.sqrt(replicas),
         params={"p": pv.p, "replicas": replicas, "theory": theory},
     )
 
@@ -244,17 +249,16 @@ def supercritical_experiment(
     replicas: int,
     rng: RngStream,
     *,
-    scale: float = 1.0,
     final_threshold: float = 0.1,
     threads: int = 1,
 ) -> ConvergenceReport:
-    """|ECF| of the terminal reinforced skeleton value for a stable walk.
+    """|ECF| of the terminal reinforced skeleton value for a unit-scale stable walk.
 
-    Requires alpha * p > 1 (supercritical); the verdict asks for strictly
-    decreasing |ECF(S-hat(n))| at the given nonzero angle and a final value
-    below ``final_threshold``.  Admissible parameters are rejected: run
-    :func:`theorem1_experiment` (or the same schedule through this module's
-    CLI contrast mode) for those.
+    Requires alpha * p > 1 (supercritical); the verdict (see
+    :class:`ConvergenceReport`) asks for decreasing |ECF(S-hat(n))| at the
+    given nonzero angle and a final value below ``final_threshold``.
+    Admissible parameters are rejected: run :func:`theorem1_experiment` or
+    :func:`terminal_ecf_schedule` for those.
     """
     pv = as_memory(p)
     if alpha * pv.p <= 1.0:
@@ -264,20 +268,14 @@ def supercritical_experiment(
     if theta == 0.0:
         raise DomainError("theta must be nonzero (the ECF at 0 is identically 1)")
     values, stderr = terminal_ecf_schedule(
-        LevyTriplet.stable(alpha, scale), pv, theta, mesh_schedule, replicas, rng,
-        threads=threads,
+        LevyTriplet.stable(alpha), pv, theta, mesh_schedule, replicas, rng, threads=threads
     )
-    decreasing, strict = _trend_flags(values, stderr)
     return ConvergenceReport(
         experiment="supercritical",
         mesh_schedule=tuple(int(n) for n in mesh_schedule),
-        distances=values,
         per_query=values[:, None],
         stderr=stderr,
         threshold=final_threshold,
-        decreasing=decreasing,
-        final_ok=bool(values[-1] < final_threshold),
-        strictly_decreasing=strict,
         params={"alpha": alpha, "p": pv.p, "theta": theta, "replicas": replicas},
     )
 
@@ -293,17 +291,12 @@ def terminal_ecf_schedule(
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """|ECF(S-hat(n))| across a mesh schedule (contrast runs for any regime)."""
-    pv = as_memory(p)
-    query = [CfQuery(np.asarray([float(theta)]), np.asarray([1.0]))]
-    values = np.empty(len(mesh_schedule))
-    stderr = np.empty(len(mesh_schedule))
-    for i, n in enumerate(mesh_schedule):
-        ecf = _skeleton_ecf(
-            triplet, pv, int(n), query, np.asarray([1.0]), replicas, rng.substream(i), threads
-        )
-        values[i] = abs(ecf.estimates[0])
-        stderr[i] = ecf.stderr
-    return values, stderr
+    query = CfQuery(np.asarray([float(theta)]), np.asarray([1.0]))
+    estimates, stderr = _mesh_ecf(
+        triplet, as_memory(p), [query], mesh_schedule, replicas, rng, threads
+    )
+    # Builtin abs per value: numpy's vectorised complex abs can differ by an ulp.
+    return np.asarray([abs(z) for z in estimates[:, 0]]), stderr
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +322,6 @@ class PathFunctional:
     @staticmethod
     def terminal_at_least(k: int) -> "PathFunctional":
         return PathFunctional(f"terminal>={k}", lambda counts: (counts >= k).astype(float))
-
-    @staticmethod
-    def terminal_power(gamma: float) -> "PathFunctional":
-        return PathFunctional(
-            f"terminal^{gamma}",
-            lambda counts: np.where(counts > 0, counts.astype(float) ** gamma, 0.0),
-        )
 
 
 @dataclass(frozen=True)

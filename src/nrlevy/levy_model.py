@@ -74,10 +74,6 @@ class FiniteAtomic:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", masses)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
 
 @dataclass(frozen=True)
 class RadialDensity:

@@ -669,11 +669,15 @@ def reinforced_cf_values(
     return values
 
 
-def _running_mean_diverges(values: np.ndarray, ratio: float = 1.5) -> bool:
+DIVERGENCE_RATIO = 1.5
+"""Growth factor of doubling-size running means that :func:`_running_mean_diverges` flags."""
+
+
+def _running_mean_diverges(values: np.ndarray) -> bool:
     """Infinite-mean alarm for the inner expectation.
 
     Two complementary signals, either of which trips the flag: running means
-    over doubling sample sizes that keep growing by more than ``ratio``, and
+    over doubling sample sizes that each grow by over ``DIVERGENCE_RATIO``, and
     a Hill estimate of the tail index of the positive part whose two-sigma
     upper confidence bound falls at or below 1 (the mean exists iff the tail
     index exceeds 1).  The ratio rule alone misses divergent cases whose
@@ -685,7 +689,7 @@ def _running_mean_diverges(values: np.ndarray, ratio: float = 1.5) -> bool:
     m1 = values[: n // 4].mean()
     m2 = values[: n // 2].mean()
     m3 = values.mean()
-    if m1 > 0 and m2 > 0 and (m2 / m1 > ratio) and (m3 / m2 > ratio):
+    if m1 > 0 and m2 > 0 and (m2 / m1 > DIVERGENCE_RATIO) and (m3 / m2 > DIVERGENCE_RATIO):
         return True
     positive = values[values > 0]
     k = max(20, int(math.sqrt(positive.size))) if positive.size else 0
@@ -752,10 +756,6 @@ class StabilityReport:
     expected: np.ndarray  # c^alpha
     base: CfEstimate
     scaled: tuple[CfEstimate, ...]
-
-    @property
-    def max_relative_error(self) -> float:
-        return float(np.max(np.abs(self.ratios / self.expected - 1.0)))
 
 
 def check_stability(

@@ -80,9 +80,6 @@ class ReinforcedWalk:
         zero = np.zeros_like(sums[:1])
         return np.concatenate([zero, sums], axis=0)
 
-    def value(self, k: int) -> np.ndarray:
-        return self.partial_sums[k]
-
 
 def reinforce(
     steps,

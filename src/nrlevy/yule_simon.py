@@ -69,9 +69,6 @@ class CountingPath:
     def terminal(self) -> int:
         return self.jump_times.size
 
-    def __len__(self) -> int:
-        return self.jump_times.size
-
 
 ZERO_PATH = CountingPath(np.empty(0))
 
@@ -139,26 +136,28 @@ def ys_cross_moment(s: float, t: float, rho: float) -> float:
     return c * s ** (1.0 - 1.0 / rho) * t ** (1.0 / rho)
 
 
-def ys_abs_moment(
-    q: float, rho: float, t: float = 1.0, kmax: int = 10**6, kmin: int = 0
-) -> float:
+ABS_MOMENT_KMAX = 10**6
+"""Last term of the series in :func:`ys_abs_moment`; an integral covers the rest."""
+
+
+def ys_abs_moment(q: float, rho: float, t: float = 1.0, kmin: int = 0) -> float:
     """E[Y(t)^q; Y(t) > kmin] for 0 < q < rho, by series plus an integral tail.
 
     With the default ``kmin = 0`` this is the full moment E[Y(t)^q].  The
-    tail beyond ``kmax`` uses B(k, rho+1) ~ Gamma(rho+1) k^-(rho+1).
+    tail beyond ``ABS_MOMENT_KMAX`` uses B(k, rho+1) ~ Gamma(rho+1) k^-(rho+1).
     """
     rho = _check_rho(rho, minimum=0.0)
     if not 0.0 < q < rho:
         raise DomainError(f"moment order must lie in (0, rho), got q={q}")
-    return t * _abs_moment_sum(q, rho, kmax, kmin)
+    return t * _abs_moment_sum(q, rho, kmin)
 
 
 @functools.lru_cache(maxsize=64)
-def _abs_moment_sum(q: float, rho: float, kmax: int, kmin: int) -> float:
-    """E[Y(1)^q; Y(1) > kmin], cached: each call sums kmax - kmin terms."""
-    k = np.arange(kmin + 1, kmax + 1, dtype=float)
+def _abs_moment_sum(q: float, rho: float, kmin: int) -> float:
+    """E[Y(1)^q; Y(1) > kmin], cached: each call sums ABS_MOMENT_KMAX - kmin terms."""
+    k = np.arange(kmin + 1, ABS_MOMENT_KMAX + 1, dtype=float)
     head = float(np.sum(np.exp(q * np.log(k) + np.log(rho) + betaln(k, rho + 1.0))))
-    tail = rho * math.gamma(rho + 1.0) * kmax ** (q - rho) / (rho - q)
+    tail = rho * math.gamma(rho + 1.0) * ABS_MOMENT_KMAX ** (q - rho) / (rho - q)
     return head + tail
 
 

@@ -323,10 +323,13 @@ class TestRejections:
         "[experiment]\nname = moments\np = 0\nreplicas = 100\n[output]\ndir = {out}\n",
         PROP8_SMALL.replace("ks = 1,2", "ks = -1,2"),
         SUPERCRITICAL_SMALL.replace("{extra}", "final_threshold = 0"),
+        "[experiment]\nname = simulate-ys\np = 0.5\nrho = 3.0\nreplicas = 100\n[output]\ndir = {out}\n",
+        "[experiment]\nname = moments\np = 0.5\nrho = 3.0\nreplicas = 100\n[output]\ndir = {out}\n",
     ], ids=["cf-compare-no-thetas", "prop8-no-ks", "moments-one-replica", "prop8-one-replica",
             "prop8-one-mc-replica", "theorem1-mesh-decreasing", "theorem1-mesh-repeated",
             "supercritical-mesh-decreasing", "simulate-ys-p-zero", "moments-p-zero",
-            "prop8-ks-below-one", "supercritical-final-threshold-zero"])
+            "prop8-ks-below-one", "supercritical-final-threshold-zero",
+            "simulate-ys-p-and-rho", "moments-p-and-rho"])
     def test_empty_or_undefined_checks_rejected(self, tmp_path, capsys, monkeypatch, config):
         # Each config would check nothing, check something other than it says,
         # write a NaN z-score or standard error, or run every mesh point before
@@ -339,6 +342,21 @@ class TestRejections:
         assert_one_line_error(capsys)
         assert calls == []
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, triplet", [
+        ("dim", "dim = abc"),
+        ("gaussian", "gaussian = abc"),
+        ("alpha", "jumps = stable\nalpha = x"),
+        ("atoms", "jumps = atoms\natoms = 1.0"),
+    ])
+    def test_triplet_errors_name_their_key(self, tmp_path, capsys, key, triplet):
+        out = tmp_path / "o"
+        cfg = write(tmp_path, "c.ini", THM1.replace("dim = 1\ngaussian = 1.0", triplet).format(out=out))
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_runtime_library_error_is_one_line(self, tmp_path, capsys):
         # Validation passes; the closed-form cf then has no formula for

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
+from nrlevy import diagnostics
 from nrlevy.diagnostics import (
     ConvergenceReport,
     PathFunctional,
@@ -170,7 +171,36 @@ class TestProp8:
 class TestReportInvariants:
     def test_distances_nonnegative_enforced(self):
         with pytest.raises(DomainError):
-            ConvergenceReport(
-                "x", (1, 2), np.array([-0.1, 0.0]), np.zeros((2, 1)), np.zeros(2),
-                0.1, True, True,
-            )
+            ConvergenceReport("x", (1, 2), np.array([[-0.1], [0.0]]), np.zeros(2), 0.1)
+
+    @pytest.mark.parametrize("distances, stderr, flags", [
+        ([0.30, 0.20, 0.05], [0.01, 0.01, 0.01], (True, True, True)),
+        # 0.02 < 0.025 inverts, but both sit below 3 * 0.01: noise, not a trend.
+        ([0.30, 0.02, 0.025], [0.01, 0.01, 0.01], (True, False, True)),
+        # 0.04 < 0.05 inverts above the 3 * 0.01 floor.
+        ([0.30, 0.04, 0.05], [0.01, 0.01, 0.01], (False, False, True)),
+        ([0.30, 0.20, 0.10], [0.01, 0.01, 0.01], (True, True, False)),
+    ], ids=["strict-decrease", "inversion-below-floor", "inversion-above-floor",
+            "final-at-threshold"])
+    def test_verdict_derived_from_distances(self, distances, stderr, flags):
+        # Two queries: the report's distance is the larger one per mesh point.
+        per_query = np.column_stack([distances, np.asarray(distances) / 2])
+        rep = ConvergenceReport("x", (10, 20, 40), per_query, np.asarray(stderr), 0.1)
+        assert np.array_equal(rep.distances, distances)
+        assert rep.final_distance == distances[-1]
+        assert (rep.decreasing, rep.strictly_decreasing, rep.final_ok) == flags
+        assert rep.passed == (flags[0] and flags[2])
+
+    @pytest.mark.parametrize("experiment", [
+        lambda: theorem1_experiment(
+            LevyTriplet.brownian(), 0.3, None, [100, 100], 50, RngStream(1)
+        ),
+        lambda: supercritical_experiment(1.5, 0.8, 1.0, [100, 50], 50, RngStream(1)),
+    ], ids=["theorem1", "supercritical"])
+    def test_bad_mesh_rejected_before_any_draw(self, monkeypatch, experiment):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a skeleton block was drawn")
+
+        monkeypatch.setattr(diagnostics, "repeat_sources", no_draws)
+        with pytest.raises(DomainError, match="mesh"):
+            experiment()

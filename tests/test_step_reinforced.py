@@ -212,11 +212,10 @@ class TestBatchKernels:
         # Repeated slots hold 0 until gathered, so reading a slot >= i would
         # move S-hat(n) of a pure drift away from the drift.
         query = CfQuery(np.asarray([1.0]), np.asarray([1.0]))
-        ecf = diagnostics._skeleton_ecf(
-            LevyTriplet.pure_drift([3.0]), 0.9, 500, [query], np.asarray([1.0]),
-            1500, RngStream(322), 2,
+        estimates, _ = diagnostics._mesh_ecf(
+            LevyTriplet.pure_drift([3.0]), 0.9, [query], [500], 1500, RngStream(322), 2
         )
-        assert abs(ecf.estimates[0] - np.exp(3.0j)) < 1e-12
+        assert abs(estimates[0, 0] - np.exp(3.0j)) < 1e-12
 
     def test_block_path_draws_fresh_slots_only(self, monkeypatch):
         sizes = []
@@ -226,13 +225,11 @@ class TestBatchKernels:
             return increment_sample(triplet, dt, rng, size=size)
 
         monkeypatch.setattr(diagnostics, "increment_sample", recording)
-        n, p, replicas, stream = 300, 0.8, 1500, RngStream(323)
+        n, p, replicas, rng = 300, 0.8, 1500, RngStream(323)
         query = CfQuery(np.asarray([1.0]), np.asarray([1.0]))
-        diagnostics._skeleton_ecf(
-            LevyTriplet.stable(1.5), p, n, [query], np.asarray([1.0]), replicas, stream, 1
-        )
+        diagnostics._mesh_ecf(LevyTriplet.stable(1.5), p, [query], [n], replicas, rng, 1)
         expected = [
-            int(repeat_sources(n, count, p, stream.generator(b))[0].sum())
+            int(repeat_sources(n, count, p, rng.substream(0).generator(b))[0].sum())
             for b, _, count in iter_blocks(replicas)
         ]
         assert sizes == expected
