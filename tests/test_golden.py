@@ -134,6 +134,18 @@ theory = exact
 dim = 1
 gaussian = 1.0
 """,
+    "theorem1-multiblock": """
+[experiment]
+name = theorem1
+p = 0.3
+seed = 24
+replicas = 1025
+mesh = 100,200
+theory = exact
+[triplet]
+dim = 1
+gaussian = 1.0
+""",
     "theorem1-mc": """
 [experiment]
 name = theorem1
@@ -230,6 +242,10 @@ GOLDEN = {
     'theorem1-mc': (0, {
         'distances.csv': '74c19cab6918939961a4a9b9157d386bb5a62bd6d89e866162e802aed177f5d3',
         'report.json': '1f0df6bcc6abd33f0446e20a435ea975f5d8d2372b2c84b9d3ecf1ea39f861a6',
+    }),
+    'theorem1-multiblock': (0, {
+        'distances.csv': '12befdae03f6f159661113d4628c6451eb45cb975cfefce9b75defc639660801',
+        'report.json': 'bb89439b13920e35c0ea7901fb22032db30fc287abe79a344a57a91d64126450',
     }),
 }
 
