@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +50,22 @@ from .spectral import mixture_covers, stable_nrlp_marginals
 from .step_reinforced import elephant_walk, skeleton_reinforced_walk
 from .yule_simon import MemoryParameter, ys_cross_moment, ys_mean, ys_pmf, ys_process_values, ys_sample
 
-EXPERIMENTS = (
-    "simulate-ys",
-    "simulate-walk",
-    "simulate-nrlp",
-    "cf-compare",
-    "theorem1",
-    "supercritical",
-    "prop8",
-    "moments",
-)
+# experiment -> the [experiment] keys besides name that it reads; validate
+# rejects any other key that the config or a flag sets.
+_EXPERIMENT_READS = {
+    "simulate-ys": {"seed", "p", "rho", "replicas"},
+    "simulate-walk": {"seed", "p", "n", "walk"},
+    "simulate-nrlp": {"seed", "p", "replicas", "grid", "truncation_eps", "sampler", "threads"},
+    "cf-compare": {
+        "seed", "p", "replicas", "grid", "thetas", "truncation_eps", "sampler", "theory",
+        "mc_replicas", "tolerance_mult", "threads",
+    },
+    "theorem1": {"seed", "p", "replicas", "mesh", "theory", "mc_replicas", "tolerance_mult", "threads"},
+    "supercritical": {"seed", "p", "alpha", "theta", "replicas", "mesh", "final_threshold", "threads"},
+    "prop8": {"seed", "p", "n", "ks", "replicas", "mc_replicas", "tolerance_mult"},
+    "moments": {"seed", "p", "rho", "replicas", "grid", "tolerance_mult"},
+}
+EXPERIMENTS = tuple(_EXPERIMENT_READS)
 
 SAMPLERS = ("auto", "series", "spectral")
 WALKS = ("elephant", "skeleton")
@@ -97,6 +103,7 @@ class ExperimentConfig:
     final_threshold: float = 0.1
     out_dir: Path = Path("out")
     triplet: LevyTriplet | None = None
+    given: set[str] = field(default_factory=set, init=False, repr=False)  # keys set by config or flag
 
     def memory(self) -> MemoryParameter:
         if self.p is None:
@@ -240,7 +247,9 @@ def load_config(path: Path) -> ExperimentConfig:
     name = exp["name"].strip()
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    cfg = ExperimentConfig(experiment=name, **_parse_section(_EXPERIMENT_FIELDS, exp))
+    values = _parse_section(_EXPERIMENT_FIELDS, exp)
+    cfg = ExperimentConfig(experiment=name, **values)
+    cfg.given = set(values)
     if "dir" in out:
         cfg.out_dir = Path(out["dir"])
     if trip:
@@ -249,6 +258,9 @@ def load_config(path: Path) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
+    unread = sorted(cfg.given - _EXPERIMENT_READS[cfg.experiment])
+    if unread:
+        raise ConfigError(f"{cfg.experiment} does not read {', '.join(unread)}")
     for key in ("replicas", "threads", "n", "mc_replicas"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive")
@@ -292,8 +304,8 @@ def validate(cfg: ExperimentConfig) -> None:
                 f"inadmissible memory parameter: p * beta = "
                 f"{mp.p * bg_index(cfg.triplet):.4g} >= 1 (need p * beta < 1)"
             )
-    if cfg.experiment == "cf-compare" and cfg.triplet.dim != 1:
-        raise ConfigError("cf-compare queries are one-dimensional: set dim = 1")
+    if cfg.experiment in ("cf-compare", "theorem1") and cfg.triplet.dim != 1:
+        raise ConfigError(f"{cfg.experiment} is one-dimensional: set dim = 1")
     if cfg.experiment == "cf-compare" and not any(t > 0 for t in cfg.grid):
         raise ConfigError(f"cf-compare needs a positive grid time, got grid = {cfg.grid}")
     if (cfg.experiment in ("simulate-nrlp", "cf-compare") and cfg.sampler == "spectral"
@@ -622,6 +634,7 @@ def run(config_path: Path, overrides: argparse.Namespace | None = None) -> int:
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     for key, value in _parse_section(_EXPERIMENT_FIELDS, vars(args)).items():
         setattr(cfg, key, value)
+        cfg.given.add(key)
     if args.out is not None:
         cfg.out_dir = Path(args.out)
 

@@ -4,13 +4,14 @@ At each step k >= 2, with probability p the walker repeats one of its
 previous steps chosen uniformly at random, otherwise it makes a fresh step.
 One genealogy implements that rule for every caller: :func:`repeat_sources`
 draws it for R walks at once as an (n, R) array of contiguous rows (one
-uniform per slot), and :func:`follow_sources` resolves it row by row with
-one gather from the earlier rows.  A single walk is one replica of it; the
-skeleton block kernel gathers step values (drawn for the fresh slots only,
-about 1 + (n - 1)(1 - p) per walk, not n); the occupation counts gather
-slot indices and count the originating base steps.  Repeats are tracked by
-the originating base index (not the step value), so counters remain
-correct when step values collide.
+uniform per slot, drawn and transformed one cache-sized chunk of rows at a
+time; int32 sources while n * R < 2**31), and :func:`follow_sources`
+resolves it row by row with one gather from the earlier rows.  A single
+walk is one replica of it; the skeleton block kernel gathers step values
+(drawn for the fresh slots only, about 1 + (n - 1)(1 - p) per walk, not n);
+the occupation counts gather slot indices and count the originating base
+steps.  Repeats are tracked by the originating base index (not the step
+value), so counters remain correct when step values collide.
 """
 
 from __future__ import annotations
@@ -182,6 +183,13 @@ def skeleton_reinforced_walk(
 # Vectorized batch kernels (one block of replicas at a time)
 # ---------------------------------------------------------------------------
 
+SOURCE_CHUNK = 1 << 16
+"""Slots per chunk of rows in :func:`repeat_sources` (at least one row).
+
+One chunk of uniforms and its whole transform stay in cache; the chunk size
+never changes which uniform a slot gets.
+"""
+
 
 def repeat_sources(
     n: int, replicas: int, p: MemoryParameter | float, gen: np.random.Generator
@@ -192,21 +200,35 @@ def repeat_sources(
     step (step 0 always does); ``sources[i, r]`` is the flat index i * R + r
     of a fresh slot itself, else slot * R + r of the earlier slot it repeats.
     One uniform u per slot decides both: u < p is a repeat, of slot
-    floor((u / p) * i) clamped to i - 1.
+    floor((u / p) * i) clamped to i - 1.  The uniforms are drawn and
+    transformed in chunks of about ``SOURCE_CHUNK`` slots (whole rows) into
+    one reused buffer, which reads the same stream as a single
+    ``gen.random((n, R))``.  ``sources`` is int32 while n * R < 2**31, else
+    intp.
     """
     pv = as_memory(p).p
     if n < 1:
         raise DomainError("n must be >= 1")
-    u = gen.random((n, replicas))
-    u[0] = 1.0
-    fresh = u >= pv
-    rows = np.arange(n)[:, None]
-    u *= rows / pv
-    np.minimum(u, rows - 1, out=u)  # before the cast, which overflows for tiny p
-    sources = u.astype(np.intp)
-    np.copyto(sources, rows, where=fresh)
-    sources *= replicas
-    sources += np.arange(replicas)
+    dtype = np.int32 if n * replicas < 2**31 else np.intp
+    fresh = np.empty((n, replicas), dtype=bool)
+    sources = np.empty((n, replicas), dtype=dtype)
+    chunk_rows = min(n, max(1, SOURCE_CHUNK // replicas))
+    buf = np.empty((chunk_rows, replicas))
+    cols = np.arange(replicas, dtype=dtype)
+    for start in range(0, n, chunk_rows):
+        stop = min(start + chunk_rows, n)
+        u, fr, src = buf[: stop - start], fresh[start:stop], sources[start:stop]
+        gen.random(out=u)
+        np.greater_equal(u, pv, out=fr)
+        rows = np.arange(start, stop)[:, None]
+        u *= rows / pv
+        np.minimum(u, rows - 1, out=u)  # before the cast, which overflows for tiny p
+        np.copyto(src, u, casting="unsafe")
+        np.copyto(src, rows, where=fr)
+        src *= replicas
+        src += cols
+    fresh[0] = True  # step 0 draws a uniform but is always fresh
+    sources[0] = cols
     return fresh, sources
 
 
@@ -219,9 +241,9 @@ def follow_sources(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
     ``sources`` itself: ``follow_sources(s, s)`` turns each slot's source
     index into the flat index of its originating fresh slot.
     """
-    flat = values.reshape(-1)
-    for i in range(1, values.shape[0]):
-        np.take(flat, sources[i], out=values[i])
+    take = values.reshape(-1).take
+    for src, row in zip(sources[1:], values[1:]):
+        take(src, out=row)
     return values
 
 
@@ -262,7 +284,11 @@ def simon_terminal_counts(
     origins = repeat_sources(n, replicas, p, gen)[1]
     follow_sources(origins, origins)
     origins //= replicas
-    origins += np.arange(replicas) * n
-    counts = np.bincount(origins.reshape(-1), minlength=replicas * n)
-    del origins  # so that it and the int32 copy below are never held together
+    origins += np.arange(replicas, dtype=origins.dtype) * n
+    # bincount wants intp: convert here and drop the int32 origins first,
+    # else its hidden copy is held together with them and the counts.
+    flat = origins.reshape(-1).astype(np.intp)
+    del origins
+    counts = np.bincount(flat, minlength=replicas * n)
+    del flat  # so that it and the int32 copy below are never held together
     return counts.astype(np.int32).reshape(replicas, n)

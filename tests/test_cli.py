@@ -325,11 +325,12 @@ class TestRejections:
         SUPERCRITICAL_SMALL.replace("{extra}", "final_threshold = 0"),
         "[experiment]\nname = simulate-ys\np = 0.5\nrho = 3.0\nreplicas = 100\n[output]\ndir = {out}\n",
         "[experiment]\nname = moments\np = 0.5\nrho = 3.0\nreplicas = 100\n[output]\ndir = {out}\n",
+        THM1.replace("dim = 1", "dim = 2"),
     ], ids=["cf-compare-no-thetas", "prop8-no-ks", "moments-one-replica", "prop8-one-replica",
             "prop8-one-mc-replica", "theorem1-mesh-decreasing", "theorem1-mesh-repeated",
             "supercritical-mesh-decreasing", "simulate-ys-p-zero", "moments-p-zero",
             "prop8-ks-below-one", "supercritical-final-threshold-zero",
-            "simulate-ys-p-and-rho", "moments-p-and-rho"])
+            "simulate-ys-p-and-rho", "moments-p-and-rho", "theorem1-dim-two"])
     def test_empty_or_undefined_checks_rejected(self, tmp_path, capsys, monkeypatch, config):
         # Each config would check nothing, check something other than it says,
         # write a NaN z-score or standard error, or run every mesh point before
@@ -342,6 +343,24 @@ class TestRejections:
         assert_one_line_error(capsys)
         assert calls == []
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("extra, flags, named", [
+        ("rho = 3.0\nalpha = 1.2\n", [], "alpha, rho"),
+        ("", ["--alpha", "1.2"], "alpha"),
+    ], ids=["config", "flag"])
+    def test_unread_keys_rejected(self, tmp_path, capsys, monkeypatch, extra, flags, named):
+        # A Brownian theorem1 run never reads alpha or rho: dropping them
+        # would run another experiment than the one asked for.
+        calls = []
+        for name in EXPERIMENTS:
+            monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: calls.append(cfg) or ({}, None, {}))
+        out = tmp_path / "o"
+        cfg = write(tmp_path, "c.ini", THM1.replace("[triplet]", extra + "[triplet]").format(out=out))
+        assert main(["--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: theorem1 does not read {named}\n"
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, triplet", [
         ("dim", "dim = abc"),

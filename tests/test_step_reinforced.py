@@ -14,6 +14,7 @@ from nrlevy.levy_model import LevyTriplet, increment_sample
 from nrlevy.noise_reinforced import CfQuery
 from nrlevy.rng import RngStream, iter_blocks
 from nrlevy.step_reinforced import (
+    SOURCE_CHUNK,
     elephant_endpoints,
     elephant_walk,
     empirical_functional,
@@ -207,6 +208,31 @@ class TestBatchKernels:
         assert np.array_equal(record.epsilons, ~one_fresh[:, 0])
         assert np.array_equal(record.choices, choices[:, 0])
         assert np.array_equal(record.origins, origins[:, 0] + 1)
+
+    @pytest.mark.parametrize("n, replicas, p", [
+        (200, 1000, 0.5),
+        (70_000, 1, 0.5),
+        (4, SOURCE_CHUNK + 5, 0.5),
+        (1000, 300, 1e-12),
+        (1000, 300, 0.99),
+    ], ids=["partial-last-chunk", "one-replica", "row-per-chunk", "tiny-p", "p-near-one"])
+    def test_chunked_genealogy_matches_one_shot(self, n, replicas, p):
+        # One-shot oracle: all n * R uniforms from one draw, clamped before
+        # the cast.  The chunked kernel must give the same genealogy and
+        # leave the generator at the same point of its stream.
+        gen = RngStream(326).generator()
+        u = gen.random((n, replicas))
+        u[0] = 1.0
+        fresh = u >= p
+        rows = np.arange(n)[:, None]
+        slots = np.minimum(u * (rows / p), rows - 1).astype(np.intp)
+        expected = np.where(fresh, rows, slots) * replicas + np.arange(replicas)
+        chunked = RngStream(326).generator()
+        got_fresh, got = repeat_sources(n, replicas, p, chunked)
+        assert np.array_equal(got_fresh, fresh)
+        assert np.array_equal(got, expected)
+        assert got.dtype == np.int32
+        assert chunked.random() == gen.random()
 
     def test_block_path_reads_only_earlier_slots(self):
         # Repeated slots hold 0 until gathered, so reading a slot >= i would
