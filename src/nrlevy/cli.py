@@ -285,8 +285,16 @@ def validate(cfg: ExperimentConfig) -> None:
     for key, allowed in (("sampler", SAMPLERS), ("theory", THEORIES), ("walk", WALKS)):
         if getattr(cfg, key) not in allowed:
             raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; choose from {allowed}")
-    if cfg.experiment == "simulate-walk" and cfg.walk == "skeleton" and cfg.triplet is None:
-        raise ConfigError("walk = skeleton requires a [triplet] section")
+    reads_triplet = cfg.experiment in ("theorem1", "simulate-nrlp", "cf-compare") or (
+        cfg.experiment == "simulate-walk" and cfg.walk == "skeleton")
+    what = f"walk = {cfg.walk}" if cfg.experiment == "simulate-walk" else cfg.experiment
+    if reads_triplet and cfg.triplet is None:
+        raise ConfigError(f"{what} requires a [triplet] section")
+    if cfg.triplet is not None and not reads_triplet:
+        if cfg.experiment == "supercritical":
+            raise ConfigError("supercritical walks a unit-scale stable process of index alpha "
+                              "and reads no [triplet] section")
+        raise ConfigError(f"{what} reads no [triplet] section")
     if cfg.experiment in ("theorem1", "supercritical") and (
             len(cfg.mesh) < 2 or any(b <= a for a, b in zip(cfg.mesh, cfg.mesh[1:]))):
         raise ConfigError(f"mesh must be strictly increasing with at least two points, got {cfg.mesh}")
@@ -296,8 +304,6 @@ def validate(cfg: ExperimentConfig) -> None:
             "(use theorem1 for admissible parameters)"
         )
     if cfg.experiment in ("theorem1", "simulate-nrlp", "cf-compare"):
-        if cfg.triplet is None:
-            raise ConfigError(f"{cfg.experiment} requires a [triplet] section")
         mp = cfg.memory()
         if not is_admissible(mp, cfg.triplet):
             raise ConfigError(
@@ -621,8 +627,8 @@ def run(config_path: Path, overrides: argparse.Namespace | None = None) -> int:
             _write_csv(cfg.out_dir / name, header, rows)
         report["params"]["seed"] = cfg.seed
         path = write_report(report, cfg.out_dir)
-    except (NrlevyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NrlevyError, ValueError, OSError, TypeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     print(f"wrote {path}")
     if passed is None:

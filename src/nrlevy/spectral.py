@@ -1,4 +1,4 @@
-"""Exact mixture sampler for reinforced symmetric-stable jump sums.
+"""Mark-mixture sampler for reinforced symmetric-stable jump sums.
 
 Group the atoms of the marked Poisson measure by the integer vector of mark
 values on the output grid.  For a symmetric stable jump measure, the summed
@@ -8,12 +8,22 @@ part of the reinforced process on an m-point grid is
 
     sum over mark vectors v of  v * Z_v,   Z_v ~ SaS(P(v) * scale),
 
-with independent Z_v.  The mixture is evaluated by enumerating mark vectors
-exactly up to a bound, collapsing larger vectors radially (exact, by
-stability) within narrow direction bins, and closing the far tail with its
-limiting direction.  This avoids the epsilon-truncated series entirely: its
-cost is independent of the small-jump activity, which makes indices close to
-the critical one tractable.
+with independent Z_v.  On a two-point grid the table has three parts:
+
+- Vectors with terminal value up to ``EXACT_MAX`` are exact.  Vectors that
+  share a direction (the same reduced pair (j/g, k/g), g = gcd(j, k)) merge
+  into one bin with their summed scale, which is exact by stability:
+  sum_i gamma_i^(1/alpha) u S_i has the law of (sum_i gamma_i)^(1/alpha) u S.
+- Vectors with terminal value up to ``ENUM_MAX`` are enumerated exactly, but
+  each of ``DIR_BINS`` narrow direction bins replaces its vectors'
+  directions by their mass-weighted mean direction.  This is an
+  approximation: the vectors in one bin are not collinear.
+- The far tail is closed with its limiting direction and its exact weight.
+
+That makes 582 bins (325 singleton directions, 256 direction bins and the
+tail); a one-point grid needs one bin.  This avoids the epsilon-truncated
+series entirely: its cost is independent of the small-jump activity, which
+makes indices close to the critical one tractable.
 
 The mixture replaces only the jump part of the process: the block plan, the
 drift, the reinforced-Brownian part and the thread pool are those of the
@@ -37,7 +47,7 @@ from .rng import BLOCK_SIZE, RngStream
 from .yule_simon import ys_abs_moment, ys_pmf
 
 EXACT_MAX = 32
-"""Mark vectors with terminal value up to this become singleton bins."""
+"""Mark vectors with terminal value up to this become exact bins, one per direction."""
 
 ENUM_MAX = 4000
 """Mark vectors with terminal value up to this are enumerated."""
@@ -45,13 +55,16 @@ ENUM_MAX = 4000
 DIR_BINS = 256
 """Direction bins for the enumerated vectors beyond ``EXACT_MAX``."""
 
+TABLE_CHUNK = 1 << 16
+"""Cells per chunk of whole rows when the mark table is enumerated."""
+
 
 @dataclass(frozen=True)
 class StableMarkMixture:
     """Precomputed direction/weight table for the reinforced stable jump part.
 
-    ``directions`` has shape (bins, m) and ``weights`` the per-bin stable
-    scales gamma_b; a sample of the jump part at the grid times is
+    ``directions`` has shape (bins, m) with unit rows and ``weights`` the
+    per-bin stable scales gamma_b; a sample of the jump part at the grid times is
     sum_b gamma_b^(1/alpha) * directions[b] * S_b with S_b independent
     standard symmetric alpha-stable draws.
     """
@@ -92,11 +105,15 @@ def build_stable_mixture(
 ) -> StableMarkMixture:
     """Tabulate the mark-vector mixture on a one- or two-point grid.
 
-    Vectors with terminal value <= ``EXACT_MAX`` become singleton bins (their
-    stable collapse is exact); terminal values up to ``ENUM_MAX`` are grouped
-    into ``DIR_BINS`` direction bins with mass-weighted representative
-    directions; beyond that the mixture is closed with the limiting direction
-    profile, whose weight comes from the exact marginal tail.
+    Vectors with terminal value <= ``EXACT_MAX`` become one bin per direction,
+    with the summed scale of the vectors that share it (exact, by stability).
+    Terminal values up to ``ENUM_MAX`` are enumerated in chunks of whole rows
+    (:func:`_mark_cells`) and grouped into ``DIR_BINS`` direction bins, each
+    with its mass-weighted mean direction (an approximation); beyond that the
+    mixture is closed with the limiting direction profile, whose weight comes
+    from the exact marginal tail.  Every direction has unit norm.  The bins
+    are the singleton directions (ordered by reduced pair), the direction
+    bins and the tail: 582 bins on a two-point grid, one on a one-point grid.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(np.diff(times) <= 0) or times[-1] > 1:
@@ -115,56 +132,74 @@ def build_stable_mixture(
         )
     t1, t2 = float(times[0]), float(times[1])
     q = (t1 / t2) ** (1.0 / rho)
-    log_q, log_1mq = np.log(q), np.log1p(-q)
 
-    dirs: list[np.ndarray] = []
-    weights: list[float] = []
+    singles: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     bin_gamma = np.zeros(DIR_BINS)
-    bin_dir = np.zeros((DIR_BINS, 2))
-
-    k_all = np.arange(1, ENUM_MAX + 1)
-    for j in range(0, ENUM_MAX + 1):
-        if j == 0:
-            k = k_all
-            prob = t2 * ys_pmf(k, rho) * (
-                1.0 - betainc(rho + 1.0, k.astype(float), q)
-            )
-        else:
-            k = np.arange(j, ENUM_MAX + 1)
-            nb = k - j
-            log_nb = (
-                gammaln(k.astype(float))
-                - gammaln(float(j))
-                - gammaln(nb.astype(float) + 1.0)
-                + j * log_q
-                + nb * log_1mq
-            )
-            prob = t1 * ys_pmf(j, rho) * np.exp(log_nb)
-        norms = np.hypot(float(j), k.astype(float))
+    bin_dir = np.zeros((2, DIR_BINS))
+    for j, k, prob in _mark_cells(rho, t1, t2, q):
+        norms = np.hypot(j.astype(float), k.astype(float))
         gamma_cells = scale_nu * prob * norms**alpha
-        u = np.stack([np.full(k.size, float(j)) / norms, k / norms], axis=1)
         exact = k <= EXACT_MAX
-        for idx in np.flatnonzero(exact):
-            dirs.append(u[idx])
-            weights.append(float(gamma_cells[idx]))
+        singles.append((j[exact], k[exact], gamma_cells[exact]))
         rest = ~exact
-        if np.any(rest):
-            phi = np.full(k.size, float(j)) / k  # ratio in [0, 1]
-            bins = np.minimum((phi[rest] * DIR_BINS).astype(int), DIR_BINS - 1)
-            np.add.at(bin_gamma, bins, gamma_cells[rest])
-            np.add.at(bin_dir, bins, gamma_cells[rest, None] * u[rest])
+        j, k, norms, gamma_cells = j[rest], k[rest], norms[rest], gamma_cells[rest]
+        bins = np.minimum((j / k * DIR_BINS).astype(int), DIR_BINS - 1)
+        np.add.at(bin_gamma, bins, gamma_cells)
+        np.add.at(bin_dir[0], bins, gamma_cells * (j / norms))
+        np.add.at(bin_dir[1], bins, gamma_cells * (k / norms))
 
+    # One bin per direction among the singletons, keyed by the reduced pair.
+    j, k, gamma_cells = (np.concatenate(c) for c in zip(*singles))
+    g = np.gcd(j, k)
+    keys, which = np.unique(j // g * (EXACT_MAX + 1) + k // g, return_inverse=True)
+    single_gamma = np.bincount(which, weights=gamma_cells)
+    single_dirs = np.stack(np.divmod(keys, EXACT_MAX + 1), axis=1).astype(float)
+    single_dirs /= np.hypot(single_dirs[:, 0], single_dirs[:, 1])[:, None]
+
+    # Mass-weighted mean direction d_b of each bin, stored as the unit vector
+    # d_b / |d_b| with weight gamma_b |d_b|^alpha: the same stable variable.
     used = bin_gamma > 0
-    bin_dirs = bin_dir[used] / bin_gamma[used, None]
+    bin_dirs = bin_dir[:, used].T / bin_gamma[used, None]
+    bin_norms = np.hypot(bin_dirs[:, 0], bin_dirs[:, 1])
+    bin_dirs /= bin_norms[:, None]
 
     tail_gamma = scale_nu * (1.0 + q * q) ** (alpha / 2.0) * ys_abs_moment(
         alpha, rho, t2, kmin=ENUM_MAX
     )
     tail_dir = np.asarray([q, 1.0]) / np.hypot(q, 1.0)
 
-    directions = np.vstack([np.asarray(dirs), bin_dirs, tail_dir[None, :]])
-    gamma = np.concatenate([np.asarray(weights), bin_gamma[used], [tail_gamma]])
+    directions = np.vstack([single_dirs, bin_dirs, tail_dir[None, :]])
+    gamma = np.concatenate([single_gamma, bin_gamma[used] * bin_norms**alpha, [tail_gamma]])
     return StableMarkMixture(alpha, times, directions, gamma)
+
+
+def _mark_cells(rho: float, t1: float, t2: float, q: float):
+    """Exact cells (j, k, P(v)) of the mark vectors v = (j, k), k <= ``ENUM_MAX``.
+
+    j is the mark value at t1 and k >= max(j, 1) the one at t2.  Cells come in
+    row order (j ascending, then k): row j = 0 first, then chunks of whole
+    rows of about ``TABLE_CHUNK`` cells.  The chunk size never changes a
+    cell's value.
+    """
+    log_q, log_1mq = np.log(q), np.log1p(-q)
+    lgamma = gammaln(np.arange(ENUM_MAX + 2, dtype=float))  # lgamma[n] = log Gamma(n)
+    pmf = np.zeros(ENUM_MAX + 1)  # pmf[j] = P(Y(1) = j)
+    pmf[1:] = ys_pmf(np.arange(1, ENUM_MAX + 1), rho)
+    k = np.arange(1, ENUM_MAX + 1)
+    yield np.zeros_like(k), k, t2 * pmf[k] * (1.0 - betainc(rho + 1.0, k.astype(float), q))
+    rows = np.arange(1, ENUM_MAX + 1)
+    lengths = ENUM_MAX + 1 - rows
+    ends = np.cumsum(lengths)
+    cuts = np.searchsorted(ends, np.arange(TABLE_CHUNK, ends[-1], TABLE_CHUNK)) + 1
+    bounds = np.unique(np.concatenate([[0], cuts, [rows.size]]))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        n = lengths[a:b]
+        first = ends[a:b] - n  # index of each row's first cell, k = j
+        j = np.repeat(rows[a:b], n)
+        k = j + np.arange(first[0], ends[b - 1]) - np.repeat(first, n)
+        nb = k - j
+        log_nb = lgamma[k] - lgamma[j] - lgamma[nb + 1] + j * log_q + nb * log_1mq
+        yield j, k, t1 * pmf[j] * np.exp(log_nb)
 
 
 def mixture_covers(triplet: LevyTriplet, grid) -> bool:

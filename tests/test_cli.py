@@ -377,6 +377,52 @@ class TestRejections:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        SUPERCRITICAL_SMALL.replace("{extra}", ""),
+        PROP8_SMALL,
+        "[experiment]\nname = simulate-ys\nrho = 2.0\nreplicas = 100\n[output]\ndir = {out}\n",
+        "[experiment]\nname = moments\nrho = 4.0\nreplicas = 100\n[output]\ndir = {out}\n",
+        "[experiment]\nname = simulate-walk\np = 0.3\nn = 10\nwalk = elephant\n"
+        "[output]\ndir = {out}\n",
+    ], ids=["supercritical", "prop8", "simulate-ys", "moments", "simulate-walk-elephant"])
+    def test_unread_triplet_rejected(self, tmp_path, capsys, monkeypatch, config):
+        # These experiments build no triplet: a [triplet] section would be
+        # dropped, and the run would not be the one the config describes.
+        calls = []
+        for name in EXPERIMENTS:
+            monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: calls.append(cfg) or ({}, None, {}))
+        triplet = "[triplet]\ndim = 1\ngaussian = 1.0\njumps = stable\nalpha = 1.9\nscale = 3.0\n"
+        cfg = write(tmp_path, "c.ini", config.format(out=tmp_path / "o") + triplet)
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[triplet]" in err
+        assert len(err.strip().splitlines()) == 1
+        assert calls == []
+        assert not (tmp_path / "o").exists()
+
+    def test_supercritical_triplet_error_names_its_walk(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", SUPERCRITICAL_SMALL.format(extra="", out=tmp_path / "o")
+                    + "[triplet]\ndim = 1\ngaussian = 1.0\n")
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert "unit-scale stable" in err and "alpha" in err
+
+    @pytest.mark.parametrize("exc", [
+        TypeError("unsupported operand type(s) for +: 'int' and 'NoneType'"),
+        MemoryError("Unable to allocate 64.0 GiB for an array with shape (8589934592,)"),
+        MemoryError(),
+    ], ids=["type-error", "memory-error", "bare-memory-error"])
+    def test_runner_type_and_memory_errors_are_one_line(self, tmp_path, capsys, monkeypatch, exc):
+        def runner(cfg):
+            raise exc
+        monkeypatch.setitem(cli._RUNNERS, "moments", runner)
+        out = tmp_path / "o"
+        cfg = write(tmp_path, "m.ini", f"[experiment]\nname = moments\nrho = 4.0\n[output]\ndir = {out}\n")
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {str(exc) or type(exc).__name__}\n"
+        assert not out.exists()
+
     def test_runtime_library_error_is_one_line(self, tmp_path, capsys):
         # Validation passes; the closed-form cf then has no formula for
         # two-time stable-1.5 queries.

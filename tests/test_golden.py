@@ -199,8 +199,8 @@ GOLDEN = {
         'report.json': 'f18144b8a29962a095441ce7302377077830a6553b1ea482187575ebb3d740ee',
     }),
     'cf-compare-spectral-auto': (0, {
-        'cfdata.csv': '02f85df6a00fbd8f64685522ff11be919b91e9d5d9b5ed77c1df7af38f4cf6fb',
-        'report.json': '4d18cf2d1dd1afe5e2144d27bc6fe707309d4303e9151742c3480394c452b1ed',
+        'cfdata.csv': 'cc5e392250c2f939d85dd1196b250a2209018d87adbe656716bfb87f0f26abbb',
+        'report.json': 'e7779b8f01328649a62adbbd434a43d638d26fe120b133c662cb38bc38554fea',
     }),
     'moments': (0, {
         'report.json': 'dd639bcae81a7c83a11e5f24fee9f47cfa53ddffc8508750b98c7f722346aacc',
@@ -214,7 +214,7 @@ GOLDEN = {
         'report.json': 'fb746b2306afe14bd976d88c44cf9f984acbcc1d0cb7b7c42a74cb52fda64366',
     }),
     'simulate-nrlp-spectral': (0, {
-        'paths.csv': 'd2f2f6154c9589803fbfce4332077837211ce01aa1ebd99ce24ba8d22a481f8a',
+        'paths.csv': '5b5bf1970df48d7baf28fbf76d7666a09bfec41fbdf49782b11895f5bfd68fd7',
         'report.json': '9d5873b59cfea9e84f25acaf907f1d3f40fd612aaff89608e090de86a3549a6e',
     }),
     'simulate-walk-elephant': (0, {

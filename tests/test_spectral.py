@@ -17,7 +17,9 @@ from nrlevy.errors import UnsupportedFamilyError
 from nrlevy.levy_model import LevyTriplet
 from nrlevy.noise_reinforced import NrlpConfig, nrlp_marginals, reinforced_cf_exact, CfQuery
 from nrlevy.rng import RngStream
-from nrlevy.spectral import build_stable_mixture, stable_mixture_for, stable_nrlp_marginals
+from nrlevy.spectral import (
+    DIR_BINS, EXACT_MAX, build_stable_mixture, stable_mixture_for, stable_nrlp_marginals,
+)
 from nrlevy.yule_simon import MemoryParameter, ys_joint_values
 
 
@@ -59,6 +61,53 @@ class TestMixtureTable:
         assert np.all(cauchy_mixture.weights > 0)
         norms = np.linalg.norm(cauchy_mixture.directions, axis=1)
         assert np.all(norms <= 1.0 + 1e-12)
+
+
+# Exponent of the table before collinear singleton cells were merged (817
+# bins), at 1.3 * (cos a, sin a) for a = i * pi / 24, i = 0..23.
+UNMERGED_EXPONENT = [
+    1.80733876850733, 2.3299470759098813, 2.849283882414614, 3.334277883127836,
+    3.760818309866474, 4.108976164329082, 4.362997720068795, 4.5115865047013655,
+    4.548176669661394, 4.471106584010837, 4.283657004953186, 3.9939432019757004,
+    3.6146678028705974, 3.162758607532974, 2.658939949141986, 2.1273322539435098,
+    1.5952919253785762, 1.0941274062781625, 0.6648283283646208, 0.39316166258468194,
+    0.3763825144935171, 0.5803258602210182, 0.9159096179316237, 1.3352881001751975,
+]
+
+
+class TestMixtureBins:
+    """One bin per direction among the exact cells, unit directions, and the
+    same exponent as the table that kept every exact cell apart."""
+
+    @pytest.fixture(scope="class")
+    def mix(self):
+        return build_stable_mixture(1.5, 0.5, 2.0, [0.5, 1.0])
+
+    def test_bin_count(self, mix):
+        # Reduced pairs (j, k) with 0 <= j <= k <= EXACT_MAX, k >= 1.
+        singletons = {(j // math.gcd(j, k), k // math.gcd(j, k))
+                      for k in range(1, EXACT_MAX + 1) for j in range(k + 1)}
+        assert len(singletons) == 325
+        assert mix.weights.size == 582 == len(singletons) + DIR_BINS + 1
+        assert mix.directions.shape == (582, 2)
+        assert np.all(mix.weights > 0)
+
+    def test_unit_directions(self, mix):
+        norms = np.linalg.norm(mix.directions, axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-14)
+
+    def test_singleton_directions_not_collinear(self, mix):
+        # The singleton bins come first.  Two unit vectors along distinct
+        # reduced pairs with entries <= 32 have |cross product| >= 1/(2 * 32^2).
+        u = mix.directions[:325]
+        cross = np.abs(np.outer(u[:, 0], u[:, 1]) - np.outer(u[:, 1], u[:, 0]))
+        np.fill_diagonal(cross, 1.0)
+        assert cross.min() > 1e-4
+
+    def test_exponent_matches_unmerged_table(self, mix):
+        a = np.arange(24) * math.pi / 24
+        thetas = 1.3 * np.stack([np.cos(a), np.sin(a)], axis=1)
+        np.testing.assert_allclose(mix.exponent(thetas), UNMERGED_EXPONENT, rtol=1e-12, atol=0)
 
 
 class TestMixtureSampling:
