@@ -11,12 +11,10 @@ from .errors import (
 )
 from .rng import RngStream
 from .yule_simon import (
-    CountingPath,
     MemoryParameter,
     ys_cross_moment,
     ys_mean,
     ys_pmf,
-    ys_process_sample,
     ys_sample,
 )
 from .levy_model import (
@@ -35,18 +33,14 @@ from .step_reinforced import (
     ReinforcedWalk,
     ReinforcementRecord,
     elephant_walk,
-    empirical_functional,
     reinforce,
     skeleton_reinforced_walk,
 )
 from .noise_reinforced import (
     CfQuery,
     NrlpConfig,
-    PathSample,
     check_additivity,
     check_stability,
-    nrbm_sample,
-    nrlp_sample,
     reinforced_cf,
     reinforced_cf_exact,
     truncation_budget,
@@ -66,7 +60,6 @@ __all__ = [
     "CfQuery",
     "ConfigError",
     "ConvergenceReport",
-    "CountingPath",
     "DomainError",
     "EcfEstimate",
     "FiniteAtomic",
@@ -78,7 +71,6 @@ __all__ = [
     "NrlpConfig",
     "NumericalError",
     "PathFunctional",
-    "PathSample",
     "RadialDensity",
     "ReinforcedWalk",
     "ReinforcementRecord",
@@ -91,12 +83,9 @@ __all__ = [
     "check_stability",
     "elephant_walk",
     "empirical_cf",
-    "empirical_functional",
     "increment_sample",
     "is_admissible",
     "ks_distance",
-    "nrbm_sample",
-    "nrlp_sample",
     "prop8_experiment",
     "reinforce",
     "reinforced_cf",
@@ -109,7 +98,6 @@ __all__ = [
     "ys_cross_moment",
     "ys_mean",
     "ys_pmf",
-    "ys_process_sample",
     "ys_sample",
 ]
 

@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -305,7 +306,10 @@ def validate(cfg: ExperimentConfig) -> None:
         )
     if cfg.experiment in ("theorem1", "simulate-nrlp", "cf-compare"):
         mp = cfg.memory()
-        if not is_admissible(mp, cfg.triplet):
+        with warnings.catch_warnings():  # the critical case p * beta = 1 errors below in one line
+            warnings.simplefilter("ignore")
+            admissible = is_admissible(mp, cfg.triplet)
+        if not admissible:
             raise ConfigError(
                 f"inadmissible memory parameter: p * beta = "
                 f"{mp.p * bg_index(cfg.triplet):.4g} >= 1 (need p * beta < 1)"

@@ -21,7 +21,7 @@ from scipy.special import jv
 
 from .errors import DomainError, NumericalError, UnsupportedFamilyError
 from .rng import RngStream, as_generator
-from .yule_simon import MemoryParameter
+from .yule_simon import MemoryParameter, as_memory
 
 # ---------------------------------------------------------------------------
 # Jump-measure families
@@ -205,10 +205,6 @@ class LevyTriplet:
     def has_gaussian(self) -> bool:
         return self.gaussian_factor is not None
 
-    def exponent(self, theta) -> complex | np.ndarray:
-        """Characteristic exponent evaluator bound to this triplet."""
-        return characteristic_exponent(self, theta)
-
 
 # ---------------------------------------------------------------------------
 # Characteristic exponent
@@ -330,9 +326,7 @@ def bg_index(triplet: LevyTriplet) -> float:
 
 def is_admissible(p: MemoryParameter | float, triplet: LevyTriplet) -> bool:
     """Whether p * beta < 1.  Equality is reported as inadmissible with a warning."""
-    pv = p.p if isinstance(p, MemoryParameter) else float(p)
-    beta = bg_index(triplet)
-    prod = pv * beta
+    prod = as_memory(p).p * bg_index(triplet)
     if prod == 1.0:
         warnings.warn(
             "p * beta == 1 is the critical case, outside the admissible/supercritical "
@@ -346,10 +340,7 @@ def is_admissible(p: MemoryParameter | float, triplet: LevyTriplet) -> bool:
 
 def thin(triplet: LevyTriplet, p: MemoryParameter | float) -> JumpMeasure:
     """Jump measure scaled by (1 - p): the intensity surviving reinforcement."""
-    pv = p.p if isinstance(p, MemoryParameter) else float(p)
-    if not 0.0 <= pv < 1.0:
-        raise DomainError("thinning requires p in [0, 1)")
-    keep = 1.0 - pv
+    keep = 1.0 - as_memory(p).p
     jm = triplet.jump_measure
     if isinstance(jm, ZeroJumps):
         return jm

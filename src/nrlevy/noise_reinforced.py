@@ -52,22 +52,6 @@ from .yule_simon import (
 
 
 @dataclass(frozen=True)
-class PathSample:
-    """A d-dimensional path evaluated on a time grid in [0, 1]."""
-
-    times: np.ndarray
-    values: np.ndarray  # (len(times), d)
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if values.shape[0] != times.size:
-            raise DomainError("one value row per grid time required")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class CfQuery:
     """A finite-dimensional cf query: angles theta_j attached to times t_j.
 
@@ -222,17 +206,6 @@ def nrbm_sample_many(
     return out
 
 
-def nrbm_sample(
-    p: MemoryParameter | float,
-    grid,
-    d: int,
-    rng: RngStream | np.random.Generator,
-) -> PathSample:
-    """One reinforced-Brownian path on the grid."""
-    values = nrbm_sample_many(p, grid, d, rng, 1)[0]
-    return PathSample(np.asarray(grid, dtype=float), values)
-
-
 # ---------------------------------------------------------------------------
 # Jump-measure tail helpers (on the thinned measure)
 # ---------------------------------------------------------------------------
@@ -328,16 +301,6 @@ at most this many atoms draws in one chunk.
 """
 
 
-def nrlp_sample(config: NrlpConfig, rng: RngStream | np.random.Generator) -> PathSample:
-    """One path of the noise-reinforced process on the configured grid.
-
-    Value at t: M B-hat(t) + t a + sum over atoms of Y_j(t) x_j, with the
-    compensation drift subtracted for the band eps <= |x| < 1.  This is one
-    replica of the block sampler behind :func:`nrlp_marginals`.
-    """
-    return PathSample(config.grid, _nrlp_block(config, as_generator(rng), 1)[0])
-
-
 def nrlp_marginals(
     config: NrlpConfig, rng: RngStream, replicas: int, threads: int = 1
 ) -> np.ndarray:
@@ -395,7 +358,7 @@ def _series_jumps(config: NrlpConfig, gen: np.random.Generator, values: np.ndarr
 
 
 def _nrlp_block(
-    config: NrlpConfig, gen: np.random.Generator, replicas: int, jumps: Callable = _series_jumps
+    config: NrlpConfig, gen: np.random.Generator, replicas: int, jumps: Callable
 ) -> np.ndarray:
     """One block of replicas: drift, reinforced-Brownian part and compensation,
     then ``jumps`` at the positive grid times, all drawn from ``gen``."""

@@ -17,14 +17,14 @@ value), so counters remain correct when step values collide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .levy_model import LevyTriplet, increment_sample
 from .rng import RngStream, as_generator
-from .yule_simon import ZERO_PATH, CountingPath, MemoryParameter, as_memory
+from .yule_simon import MemoryParameter, as_memory
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,6 @@ class ReinforcementRecord:
         bounds = np.flatnonzero(np.diff(sorted_origins)) + 1
         groups = np.split(order + 1, bounds)
         return {int(g_orig[0]): np.sort(g) for g, g_orig in zip(groups, np.split(sorted_origins, bounds))}
-
-    def counter_path(self, j: int) -> CountingPath:
-        """N_j rescaled to [0, 1]: events at k/n."""
-        return CountingPath(self.counter_events(j) / self.n)
 
     def terminal_counts(self) -> np.ndarray:
         """N_j(n) for j = 1..n."""
@@ -104,25 +100,6 @@ def reinforce(
     choices = np.where(eps, sources[:, 0] + 1, 0)
     origins = follow_sources(sources.copy(), sources)[:, 0] + 1
     return ReinforcedWalk(ReinforcementRecord(n, eps, choices, origins), base)
-
-
-def empirical_functional(
-    record: ReinforcementRecord,
-    functional: Callable[[CountingPath], complex],
-) -> complex:
-    """Average of the functional over the time-rescaled counting processes.
-
-    Returns (1/n) sum_j F(N_j(floor(. n))); base indices that were never used
-    contribute F(zero path), which must vanish.
-    """
-    f_zero = complex(functional(ZERO_PATH))
-    if f_zero != 0:
-        raise DomainError("functional must vanish on the zero path")
-    used = np.unique(record.origins)
-    total = 0j
-    for j in used:
-        total += complex(functional(record.counter_path(int(j))))
-    return total / record.n
 
 
 def elephant_walk(

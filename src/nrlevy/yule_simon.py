@@ -3,15 +3,17 @@
 The distribution is the heavy-tailed law ``rho * B(k, rho + 1)`` on
 {1, 2, ...}; the process is a time-inhomogeneous pure-birth counting process
 whose value at time t is 0 with probability 1 - t and, conditionally on being
-positive, Yule-Simon distributed.  Samplers are exact and event-based: a path
-is represented by its jump times, so its value is known at every t in [0, 1].
+positive, Yule-Simon distributed.  Both process samplers are exact and read
+many independent paths at a grid of times: :func:`ys_process_values` follows
+each path's jump times, :func:`ys_joint_values` bridges between grid times,
+and each is the other's cross-check.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaln
@@ -40,37 +42,6 @@ class MemoryParameter:
 def as_memory(p: MemoryParameter | float) -> MemoryParameter:
     """``p`` as a validated MemoryParameter."""
     return p if isinstance(p, MemoryParameter) else MemoryParameter(float(p))
-
-
-@dataclass(frozen=True)
-class CountingPath:
-    """Nondecreasing integer-valued path on [0, 1], stored as its jump times.
-
-    Jumps all have unit height; ``value(t)`` counts jump times <= t, so the
-    path is right-continuous and starts at 0.
-    """
-
-    jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.jump_times, dtype=float)
-        if times.ndim != 1:
-            raise DomainError("jump_times must be one-dimensional")
-        if times.size and (np.any(np.diff(times) <= 0) or times[0] <= 0 or times[-1] > 1):
-            raise DomainError("jump_times must be strictly increasing within (0, 1]")
-        object.__setattr__(self, "jump_times", times)
-
-    def value(self, t):
-        """Number of jumps up to and including time t (vectorized in t)."""
-        v = np.searchsorted(self.jump_times, np.asarray(t, dtype=float), side="right")
-        return v if np.ndim(t) else int(v)
-
-    @property
-    def terminal(self) -> int:
-        return self.jump_times.size
-
-
-ZERO_PATH = CountingPath(np.empty(0))
 
 
 def _check_rho(rho: float, minimum: float = 1.0) -> float:
@@ -162,30 +133,8 @@ def _abs_moment_sum(q: float, rho: float, kmin: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Event-based process samplers
+# Process samplers
 # ---------------------------------------------------------------------------
-
-
-def ys_process_sample(rho: float, rng: RngStream | np.random.Generator) -> CountingPath:
-    """Sample one Yule-Simon path exactly, as the list of its jump times.
-
-    A uniform U places the first jump; thereafter a standard Yule process run
-    in logarithmic time yields the m-th jump at U * exp(rho * tau_{m-1}) with
-    tau_m = sum_{i<=m} E_i / i.  Jump times beyond 1 are discarded, and the
-    time at exactly 1 is kept (the path lives on the closed interval).
-    """
-    rho = _check_rho(rho)
-    gen = as_generator(rng)
-    t = gen.uniform()
-    jumps = []
-    m = 1
-    while t <= 1.0:
-        jumps.append(t)
-        if m > MAX_JUMPS_PER_PATH:
-            raise NumericalError("jump-count safety cap exceeded; suspect a bad RNG state")
-        t *= math.exp(rho * gen.exponential() / m)
-        m += 1
-    return CountingPath(np.asarray(jumps))
 
 
 def ys_process_values(
@@ -196,9 +145,13 @@ def ys_process_values(
 ) -> np.ndarray:
     """Values of ``replicas`` independent event-based paths at sorted grid times.
 
-    Runs the same jump-time recursion as :func:`ys_process_sample`, vectorized
-    across paths: iteration m advances every path that still has its m-th jump
-    inside [0, 1].  Returns an int64 array of shape (replicas, len(times)).
+    Jump times follow one recursion: the first, T_1, is uniform on (0, 1),
+    and a standard Yule process run in logarithmic time gives
+    T_{m+1} = T_m * exp(rho * E_m / m) with E_m standard exponential.  A path
+    stops at its first jump time beyond 1; a jump at exactly 1 counts.
+    Iteration m advances every path that still has T_m inside [0, 1]; past
+    ``MAX_JUMPS_PER_PATH`` iterations it raises NumericalError.  Returns an
+    int64 array of shape (replicas, len(times)).
     """
     rho = _check_rho(rho)
     times = _check_times(times)

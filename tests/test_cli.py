@@ -3,6 +3,7 @@
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,19 @@ class TestRejections:
         )
         assert run(cfg) == 1
         assert_one_line_error(capsys)
+
+    def test_critical_case_is_one_line(self, tmp_path, capsys):
+        # p * beta = 1 (p = 1/2, Brownian part): the library warns, and the
+        # CLI must not print that warning before its one error line.  Warnings
+        # become errors here, because pytest would otherwise capture them.
+        cfg = write(tmp_path, "c.ini", THM1.replace("p = 0.3", "p = 0.5").format(out=tmp_path / "o"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "p * beta = 1" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"

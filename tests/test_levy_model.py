@@ -44,10 +44,6 @@ class TestExponent:
     def test_standard_brownian(self):
         assert characteristic_exponent(LevyTriplet.brownian(), 3.0) == pytest.approx(4.5)
 
-    def test_bound_evaluator(self):
-        trip = LevyTriplet.cauchy()
-        assert trip.exponent(2.0) == characteristic_exponent(trip, 2.0)
-
     def test_hermitian_symmetry_and_positivity(self):
         gen = RngStream(201).generator()
         triplets = [
@@ -123,6 +119,14 @@ class TestIndicesAndThinning:
     def test_critical_case_warns_and_rejects(self):
         with pytest.warns(UserWarning):
             assert not is_admissible(0.5, LevyTriplet.brownian())
+
+    def test_memory_parameter_outside_unit_interval_rejected(self):
+        with pytest.raises(DomainError):
+            is_admissible(-0.5, LevyTriplet.brownian())
+        with pytest.raises(DomainError):
+            is_admissible(2.0, LevyTriplet.compound_poisson([1.0], [1.0]))
+        with pytest.raises(DomainError):
+            thin(LevyTriplet.stable(1.5), 0.0)
 
     def test_thin(self):
         atomic = LevyTriplet.compound_poisson([[1.0]], [2.0])

@@ -23,10 +23,8 @@ from nrlevy.noise_reinforced import (
     check_stability,
     default_truncation,
     nrbm_covariance,
-    nrbm_sample,
     nrbm_sample_many,
     nrlp_marginals,
-    nrlp_sample,
     reinforced_cf,
     reinforced_cf_exact,
     reinforced_cf_values,
@@ -68,12 +66,12 @@ class TestNrbm:
         np.testing.assert_allclose(theo, np.array([[0.4, 0.4], [0.4, 1.0]]), rtol=1e-6)
 
     def test_leading_zero_time(self):
-        path = nrbm_sample(0.25, [0.0, 0.5, 1.0], 2, RngStream(404).generator())
-        np.testing.assert_array_equal(path.values[0], 0.0)
+        vals = nrbm_sample_many(0.25, [0.0, 0.5, 1.0], 2, RngStream(404).generator(), 1)
+        np.testing.assert_array_equal(vals[:, 0], 0.0)
 
     def test_rejects_large_p(self):
         with pytest.raises(InadmissibleError):
-            nrbm_sample(0.5, [1.0], 1, RngStream(1).generator())
+            nrbm_sample_many(0.5, [1.0], 1, RngStream(1).generator(), 1)
 
     def test_coordinates_independent(self):
         vals = nrbm_sample_many(0.25, [1.0], 2, RngStream(405).generator(), 100_000)
@@ -159,8 +157,8 @@ class TestNrlpSampling:
     def test_pure_drift_path(self):
         cfg = NrlpConfig(LevyTriplet.pure_drift([2.0]), MemoryParameter(0.5),
                          grid=np.array([0.0, 0.5, 1.0]))
-        path = nrlp_sample(cfg, RngStream(410).generator())
-        np.testing.assert_allclose(path.values[:, 0], [0.0, 1.0, 2.0])
+        vals = nrlp_marginals(cfg, RngStream(410), 1)
+        np.testing.assert_allclose(vals[:, :, 0], [[0.0, 1.0, 2.0]])
 
     def test_zero_time_value(self):
         cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), 1e-2,
@@ -274,13 +272,15 @@ class TestChunkedBlock:
     def test_chunks_replay_the_documented_order(self, monkeypatch):
         # Chunks of 7 atoms split many replicas' atoms across two chunks.
         monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", 7)
-        got = noise_reinforced._nrlp_block(self.CFG, np.random.default_rng(440), 40)
+        got = noise_reinforced._nrlp_block(self.CFG, np.random.default_rng(440), 40,
+                                            noise_reinforced._series_jumps)
         want, ids = _replay_block(self.CFG, 440, 40, 7)
         assert np.sum(ids[6:-1:7] == ids[7::7]) >= 10  # replicas cut by a chunk edge
         np.testing.assert_array_equal(got, want)
 
     def test_one_chunk_block_equals_one_shot_series(self):
-        got = noise_reinforced._nrlp_block(self.CFG, np.random.default_rng(441), 300)
+        got = noise_reinforced._nrlp_block(self.CFG, np.random.default_rng(441), 300,
+                                            noise_reinforced._series_jumps)
         want, ids = _replay_block(self.CFG, 441, 300, None)
         assert ids.size <= noise_reinforced.ATOM_CHUNK
         np.testing.assert_array_equal(got, want)

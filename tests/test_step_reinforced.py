@@ -17,7 +17,6 @@ from nrlevy.step_reinforced import (
     SOURCE_CHUNK,
     elephant_endpoints,
     elephant_walk,
-    empirical_functional,
     reinforce,
     reinforced_prefix_sums,
     repeat_sources,
@@ -109,33 +108,15 @@ class TestReinforce:
 
 
 class TestEmpiricalFunctional:
-    def test_zero_functional(self):
-        gen = RngStream(306).generator()
-        walk = reinforce(gen.standard_normal(100), 0.5, gen)
-        assert empirical_functional(walk.record, lambda path: 0.0) == 0
-
-    def test_counting_functional_is_one(self):
-        gen = RngStream(307).generator()
-        walk = reinforce(gen.standard_normal(500), 0.3, gen)
-        est = empirical_functional(walk.record, lambda path: float(path.terminal))
-        assert est.real == pytest.approx(1.0, rel=1e-12)
-
     def test_indicator_matches_thinned_pmf(self):
+        # (1/n) sum_j 1{N_j(n) = k} tends to (1 - p) P(Y(1) = k), Y(1) ~ YS(1/p).
         gen = RngStream(308).generator()
         walk = reinforce(gen.standard_normal(40_000), 0.5, gen)
         for k in (1, 2, 3):
-            est = empirical_functional(
-                walk.record, lambda path, k=k: 1.0 if path.terminal == k else 0.0
-            ).real
+            est = (walk.record.terminal_counts() == k).mean()
             target = 0.5 * ys_pmf(k, 2.0)
             se = math.sqrt(target * (1 - target) / 40_000)
             assert abs(est - target) < 4 * se
-
-    def test_requires_vanishing_at_zero(self):
-        gen = RngStream(309).generator()
-        walk = reinforce(gen.standard_normal(10), 0.5, gen)
-        with pytest.raises(DomainError):
-            empirical_functional(walk.record, lambda path: 1.0)
 
 
 class TestElephant:

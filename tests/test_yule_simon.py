@@ -11,7 +11,6 @@ from scipy.special import beta as beta_fn
 from nrlevy.errors import DomainError
 from nrlevy.rng import RngStream
 from nrlevy.yule_simon import (
-    CountingPath,
     MemoryParameter,
     as_memory,
     ys_abs_moment,
@@ -19,7 +18,6 @@ from nrlevy.yule_simon import (
     ys_joint_values,
     ys_mean,
     ys_pmf,
-    ys_process_sample,
     ys_process_values,
     ys_sample,
 )
@@ -104,37 +102,20 @@ class TestSampler:
 
 
 class TestCountingPath:
-    def test_value_counts_jumps(self):
-        path = CountingPath(np.array([0.2, 0.5, 0.9]))
-        assert path.value(0.1) == 0
-        assert path.value(0.2) == 1
-        assert path.value(1.0) == 3
-        assert path.value(0.0) == 0
-
-    def test_rejects_bad_jump_times(self):
-        with pytest.raises(DomainError):
-            CountingPath(np.array([0.5, 0.5]))
-        with pytest.raises(DomainError):
-            CountingPath(np.array([0.0, 0.5]))
-        with pytest.raises(DomainError):
-            CountingPath(np.array([0.5, 1.5]))
-
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_monotone_on_sampled_paths(self, seed):
-        path = ys_process_sample(2.0, RngStream(seed).generator())
-        grid = np.linspace(0.0, 1.0, 23)
-        vals = path.value(grid)
-        assert np.all(np.diff(vals) >= 0)
-        assert vals[0] == 0
+        vals = ys_process_values(2.0, np.linspace(0.0, 1.0, 23)[1:], RngStream(seed).generator(), 1)
+        assert np.all(np.diff(vals, axis=1) >= 0)
+        assert np.all(vals >= 0)
 
 
 class TestProcess:
     def test_single_path_structure(self):
-        path = ys_process_sample(3.0, RngStream(104).generator())
-        times = path.jump_times
-        assert np.all(times > 0) and np.all(times <= 1.0)
-        assert np.all(np.diff(times) > 0)
+        vals = ys_process_values(3.0, np.linspace(0.0, 1.0, 101)[1:], RngStream(104).generator(), 1)
+        assert np.all(np.diff(vals, axis=1) >= 0)
+        assert np.all(vals >= 0)
+        assert np.all(vals[:, -1] >= 1)  # the first jump time is uniform on (0, 1)
 
     def test_positivity_probability(self):
         vals = ys_process_values(2.0, [0.3], RngStream(105).generator(), 100_000)
