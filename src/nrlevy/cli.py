@@ -30,7 +30,6 @@ import numpy as np
 from . import diagnostics as dg
 from .errors import ConfigError, NrlevyError
 from .levy_model import (
-    ZERO_JUMPS,
     FiniteAtomic,
     IsotropicStable,
     LevyTriplet,
@@ -213,7 +212,7 @@ def build_triplet(section: dict) -> LevyTriplet:
         raise ConfigError("drift must have dim entries")
     family = values.get("jumps", "none")
     if family == "none":
-        jumps = ZERO_JUMPS
+        jumps = ZeroJumps()
     elif family in ("stable", "cauchy"):
         alpha = 1.0 if family == "cauchy" else values.get("alpha", 1.5)
         jumps = IsotropicStable(alpha, values.get("scale", 1.0))

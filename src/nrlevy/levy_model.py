@@ -5,10 +5,16 @@ M B, with covariance M M^T), a drift vector, and a jump measure from a small
 set of structured families.  The families are chosen so that the
 characteristic exponent is available in closed form (or by one-dimensional
 quadrature) and skeleton increments can be drawn exactly.
+
+Each family is one subclass of :class:`JumpMeasure`, whose defaults are the
+zero measure's.  It states its index, finiteness, thinning (``scaled``),
+exponent, exact increment, tail mass and tail law above a cutoff, small-ball
+moment and compensated band drift (``band_mean``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
-from .errors import DomainError, NumericalError, UnsupportedFamilyError
+from .errors import ConfigError, DomainError, NumericalError, UnsupportedFamilyError
 from .rng import RngStream, as_generator
 from .yule_simon import MemoryParameter, as_memory
 
@@ -28,23 +34,68 @@ from .yule_simon import MemoryParameter, as_memory
 # ---------------------------------------------------------------------------
 
 
+class JumpMeasure:
+    """A jump measure nu on R^d minus the origin; the defaults are the zero measure's."""
+
+    index = 0.0
+    """Blumenthal-Getoor index of nu."""
+
+    finite = True
+    """Whether nu is a finite family, so that the series needs no cutoff."""
+
+    def scaled(self, c: float) -> JumpMeasure:
+        """The measure c * nu."""
+        return self
+
+    def exponent(self, theta: np.ndarray) -> np.ndarray:
+        """Jump part of Psi for a batch theta of shape (..., d), compensated on |x| < 1."""
+        return np.zeros(theta.shape[:-1], dtype=complex)
+
+    def add_increment(self, out: np.ndarray, dt: float, gen: np.random.Generator) -> None:
+        """Add exact uncompensated jump sums over time dt to the rows of out, shape (n, d)."""
+
+    def tail_mass(self, eps: float, d: int) -> float:
+        """nu({|x| >= eps})."""
+        return 0.0
+
+    def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
+        """Draws of shape (size, d) from the normalized restriction of nu to {|x| >= eps}."""
+        raise DomainError("a measure with no mass above the cutoff has no tail law")
+
+    def small_ball_moment(self, q: float, eps: float, d: int) -> float:
+        """Integral of |x|^q over {|x| < eps} against nu."""
+        return 0.0
+
+    def band_mean(self, eps: float, d: int) -> np.ndarray:
+        """Integral of x over {eps <= |x| < 1} against nu: the compensated band's drift."""
+        return np.zeros(d)
+
+
+def _uniform_sphere(gen: np.random.Generator, size: int, d: int) -> np.ndarray:
+    if d == 1:
+        return np.where(gen.random(size) < 0.5, -1.0, 1.0)[:, None]
+    z = gen.standard_normal((size, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 @dataclass(frozen=True)
-class ZeroJumps:
+class ZeroJumps(JumpMeasure):
     """No jump part."""
 
 
 @dataclass(frozen=True)
-class IsotropicStable:
+class IsotropicStable(JumpMeasure):
     """Isotropic alpha-stable jump measure, parameterized by its exponent.
 
     The measure is the rotation-invariant one whose pure-jump exponent equals
     ``scale * |theta|**alpha``; its radial intensity is
     ``scale * stable_radial_constant(alpha, d) * r**(-1-alpha) dr`` with
-    uniform directions.
+    uniform directions.  By symmetry its band mean vanishes.
     """
 
     alpha: float
     scale: float = 1.0
+    finite = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 2.0):
@@ -52,9 +103,44 @@ class IsotropicStable:
         if not self.scale > 0.0:
             raise DomainError(f"scale must be positive, got {self.scale}")
 
+    @property
+    def index(self) -> float:
+        return self.alpha
+
+    def scaled(self, c: float) -> IsotropicStable:
+        return IsotropicStable(self.alpha, c * self.scale)
+
+    def exponent(self, theta: np.ndarray) -> np.ndarray:
+        return (self.scale * np.linalg.norm(theta, axis=-1) ** self.alpha).astype(complex)
+
+    def add_increment(self, out: np.ndarray, dt: float, gen: np.random.Generator) -> None:
+        n, d = out.shape
+        alpha, scale = self.alpha, dt * self.scale
+        if d == 1:
+            out += (scale ** (1.0 / alpha) * symmetric_stable_std(alpha, gen, n))[:, None]
+            return
+        # Subordination: sqrt(2 scale^(2/alpha) S) Z with S one-sided (alpha/2)-stable
+        # gives E exp(i theta . X) = E exp(-S scale^(2/alpha) |theta|^2) = exp(-scale |theta|^alpha).
+        s = positive_stable_std(alpha / 2.0, gen, n)
+        z = gen.standard_normal((n, d))
+        out += np.sqrt(2.0 * scale ** (2.0 / alpha) * s)[:, None] * z
+
+    def tail_mass(self, eps: float, d: int) -> float:
+        return self.scale * stable_radial_constant(self.alpha, d) * eps**-self.alpha / self.alpha
+
+    def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
+        radii = eps * gen.random(size) ** (-1.0 / self.alpha)
+        return radii[:, None] * _uniform_sphere(gen, size, d)
+
+    def small_ball_moment(self, q: float, eps: float, d: int) -> float:
+        if q <= self.alpha:
+            return math.inf
+        c = self.scale * stable_radial_constant(self.alpha, d)
+        return c * eps ** (q - self.alpha) / (q - self.alpha)
+
 
 @dataclass(frozen=True)
-class FiniteAtomic:
+class FiniteAtomic(JumpMeasure):
     """Finite jump measure: atoms (x_i, mass_i), i.e. a compound-Poisson part."""
 
     positions: np.ndarray  # (n_atoms, d)
@@ -74,20 +160,55 @@ class FiniteAtomic:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", masses)
 
+    def scaled(self, c: float) -> FiniteAtomic:
+        return FiniteAtomic(self.positions, c * self.masses)
+
+    def exponent(self, theta: np.ndarray) -> np.ndarray:
+        dots = theta @ self.positions.T  # (..., n_atoms)
+        inner = 1.0 - np.exp(1j * dots)
+        small = np.linalg.norm(self.positions, axis=1) < 1.0
+        inner = inner + 1j * dots * small
+        return inner @ self.masses.astype(complex)
+
+    def add_increment(self, out: np.ndarray, dt: float, gen: np.random.Generator) -> None:
+        counts = gen.poisson(dt * self.masses, size=(out.shape[0], self.masses.size))
+        out += counts @ self.positions
+
+    def tail_mass(self, eps: float, d: int) -> float:
+        keep = np.linalg.norm(self.positions, axis=1) >= eps
+        return float(self.masses[keep].sum())
+
+    def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
+        keep = np.linalg.norm(self.positions, axis=1) >= eps
+        pos, masses = self.positions[keep], self.masses[keep]
+        idx = gen.choice(masses.size, size=size, p=masses / masses.sum())
+        return pos[idx]
+
+    def small_ball_moment(self, q: float, eps: float, d: int) -> float:
+        norms = np.linalg.norm(self.positions, axis=1)
+        small = norms < eps
+        return float((self.masses[small] * norms[small] ** q).sum())
+
+    def band_mean(self, eps: float, d: int) -> np.ndarray:
+        norms = np.linalg.norm(self.positions, axis=1)
+        band = (norms >= eps) & (norms < 1.0)
+        return self.masses[band] @ self.positions[band]
+
 
 @dataclass(frozen=True)
-class RadialDensity:
+class RadialDensity(JumpMeasure):
     """User-supplied radial jump intensity with isotropic directions.
 
     ``density(r)`` is the one-dimensional intensity of jump radii on (0, inf);
     ``bg_hint`` declares the Blumenthal-Getoor index (it cannot in general be
     inferred numerically).  Exponent evaluation uses adaptive quadrature; no
-    exact increment sampler exists for this family.
+    exact increment sampler exists.  By symmetry its band mean vanishes.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
     bg_hint: float
     _scale: float = 1.0  # internal thinning multiplier
+    finite = False
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.bg_hint <= 2.0):
@@ -102,10 +223,53 @@ class RadialDensity:
     def _eval(self, r):
         return self._scale * np.asarray(self.density(r), dtype=float)
 
+    @property
+    def index(self) -> float:
+        return self.bg_hint
 
-JumpMeasure = ZeroJumps | IsotropicStable | FiniteAtomic | RadialDensity
+    def scaled(self, c: float) -> RadialDensity:
+        return RadialDensity(self.density, self.bg_hint, _scale=c * self._scale)
 
-ZERO_JUMPS = ZeroJumps()
+    def exponent(self, theta: np.ndarray) -> np.ndarray:
+        norms = np.linalg.norm(theta, axis=-1)
+        out = np.empty(norms.shape, dtype=complex)
+        for i, s in np.ndenumerate(norms):
+            out[i] = _radial_exponent(self, float(s), theta.shape[-1])
+        return out
+
+    def add_increment(self, out: np.ndarray, dt: float, gen: np.random.Generator) -> None:
+        raise UnsupportedFamilyError("no exact increment sampler for RadialDensity jump measures")
+
+    def tail_mass(self, eps: float, d: int) -> float:
+        val, err = quad(self._eval, eps, np.inf, limit=400)
+        if not np.isfinite(val):
+            raise ConfigError("radial tail mass is not finite")
+        return val
+
+    def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
+        radii = np.interp(gen.random(size), *_radial_tail_table(self, eps))
+        return radii[:, None] * _uniform_sphere(gen, size, d)
+
+    def small_ball_moment(self, q: float, eps: float, d: int) -> float:
+        val, _ = quad(lambda r: r**q * self._eval(r), 0.0, eps, limit=400)
+        return val
+
+
+@functools.lru_cache(maxsize=16)
+def _radial_tail_table(jm: RadialDensity, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, radius) table of the tail on [eps, inf), built once per measure
+    and cutoff rather than once per chunk of atoms."""
+    hi = max(10.0 * eps, 1.0)
+    total = jm.tail_mass(eps, 1)
+    while quad(jm._eval, hi, np.inf, limit=200)[0] > 1e-10 * total:
+        hi *= 10.0
+        if hi > 1e18:
+            raise NumericalError("radial density tail decays too slowly to invert")
+    grid = np.geomspace(eps, hi, 4096)
+    dens = np.asarray([jm._eval(r) for r in grid], dtype=float)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    cdf /= cdf[-1]
+    return cdf, grid
 
 
 def stable_radial_constant(alpha: float, d: int) -> float:
@@ -154,7 +318,7 @@ class LevyTriplet:
     dim: int
     gaussian_factor: np.ndarray | None = None
     drift: np.ndarray | None = None
-    jump_measure: JumpMeasure = ZERO_JUMPS
+    jump_measure: JumpMeasure = ZeroJumps()
 
     def __post_init__(self) -> None:
         d = int(self.dim)
@@ -174,6 +338,8 @@ class LevyTriplet:
             raise DomainError("drift must be finite")
         object.__setattr__(self, "drift", a)
         jm = self.jump_measure
+        if not isinstance(jm, JumpMeasure):
+            raise DomainError(f"jump measure must be a JumpMeasure family, got {type(jm).__name__}")
         if isinstance(jm, FiniteAtomic) and jm.positions.shape[1] != d:
             raise DomainError("atom positions must match the triplet dimension")
 
@@ -225,7 +391,7 @@ def characteristic_exponent(triplet: LevyTriplet, theta) -> complex | np.ndarray
         mt_theta = theta @ triplet.gaussian_factor  # rows theta^T M = (M^T theta)^T
         psi += 0.5 * np.sum(mt_theta * mt_theta, axis=-1)
     psi -= 1j * (theta @ triplet.drift)
-    psi += _jump_exponent(triplet.jump_measure, theta)
+    psi += triplet.jump_measure.exponent(theta)
     return complex(psi[()]) if squeeze else psi
 
 
@@ -238,27 +404,6 @@ def _as_theta_batch(theta, d: int):
     if arr.shape[-1] != d:
         raise DomainError(f"theta trailing axis must have length {d}")
     return arr, arr.ndim == 1
-
-
-def _jump_exponent(jm: JumpMeasure, theta: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(theta, axis=-1)
-    if isinstance(jm, ZeroJumps):
-        return np.zeros(norms.shape, dtype=complex)
-    if isinstance(jm, IsotropicStable):
-        return (jm.scale * norms**jm.alpha).astype(complex)
-    if isinstance(jm, FiniteAtomic):
-        dots = theta @ jm.positions.T  # (..., n_atoms)
-        inner = 1.0 - np.exp(1j * dots)
-        small = np.linalg.norm(jm.positions, axis=1) < 1.0
-        inner = inner + 1j * dots * small
-        return inner @ jm.masses.astype(complex)
-    if isinstance(jm, RadialDensity):
-        d = theta.shape[-1]
-        out = np.empty(norms.shape, dtype=complex)
-        for i, s in np.ndenumerate(norms):
-            out[i] = _radial_exponent(jm, float(s), d)
-        return out
-    raise UnsupportedFamilyError(f"unknown jump measure {type(jm).__name__}")
 
 
 def _radial_exponent(jm: RadialDensity, theta_norm: float, d: int) -> float:
@@ -312,16 +457,7 @@ def _radial_exponent(jm: RadialDensity, theta_norm: float, d: int) -> float:
 
 def bg_index(triplet: LevyTriplet) -> float:
     """Upper Blumenthal-Getoor index: 2 with a Gaussian part, else jump-driven."""
-    if triplet.has_gaussian:
-        return 2.0
-    jm = triplet.jump_measure
-    if isinstance(jm, IsotropicStable):
-        return jm.alpha
-    if isinstance(jm, (ZeroJumps, FiniteAtomic)):
-        return 0.0
-    if isinstance(jm, RadialDensity):
-        return jm.bg_hint
-    raise UnsupportedFamilyError(f"unknown jump measure {type(jm).__name__}")
+    return 2.0 if triplet.has_gaussian else triplet.jump_measure.index
 
 
 def is_admissible(p: MemoryParameter | float, triplet: LevyTriplet) -> bool:
@@ -340,17 +476,7 @@ def is_admissible(p: MemoryParameter | float, triplet: LevyTriplet) -> bool:
 
 def thin(triplet: LevyTriplet, p: MemoryParameter | float) -> JumpMeasure:
     """Jump measure scaled by (1 - p): the intensity surviving reinforcement."""
-    keep = 1.0 - as_memory(p).p
-    jm = triplet.jump_measure
-    if isinstance(jm, ZeroJumps):
-        return jm
-    if isinstance(jm, IsotropicStable):
-        return IsotropicStable(jm.alpha, keep * jm.scale)
-    if isinstance(jm, FiniteAtomic):
-        return FiniteAtomic(jm.positions, keep * jm.masses)
-    if isinstance(jm, RadialDensity):
-        return RadialDensity(jm.density, jm.bg_hint, _scale=keep * jm._scale)
-    raise UnsupportedFamilyError(f"unknown jump measure {type(jm).__name__}")
+    return triplet.jump_measure.scaled(1.0 - as_memory(p).p)
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +554,6 @@ def positive_stable_std(sigma: float, gen: np.random.Generator, size=None) -> np
     )
 
 
-def isotropic_stable_sample(
-    alpha: float, scale: float, d: int, gen: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draws with cf exp(-scale |theta|^alpha) in R^d, shape (size, d)."""
-    if d == 1:
-        return (scale ** (1.0 / alpha) * symmetric_stable_std(alpha, gen, size))[:, None]
-    # Subordination: sqrt(2 scale^(2/alpha) S) Z with S one-sided (alpha/2)-stable
-    # gives E exp(i theta . X) = E exp(-S scale^(2/alpha) |theta|^2) = exp(-scale |theta|^alpha).
-    s = positive_stable_std(alpha / 2.0, gen, size)
-    z = gen.standard_normal((size, d))
-    return np.sqrt(2.0 * scale ** (2.0 / alpha) * s)[:, None] * z
-
-
 # ---------------------------------------------------------------------------
 # Increment sampling
 # ---------------------------------------------------------------------------
@@ -455,8 +568,9 @@ def increment_sample(
     """Exact draws of xi(dt) for the samplable families.
 
     Supports any combination of Gaussian part, drift, finite-atomic jumps and
-    isotropic stable jumps; raises for RadialDensity.  Returns shape (d,) for
-    a single draw or (size, d) for a batch.
+    isotropic stable jumps; raises for RadialDensity.  The jump sum is
+    compensated by ``dt * band_mean(0, d)``.  Returns shape (d,) for a single
+    draw or (size, d) for a batch.
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
@@ -467,18 +581,8 @@ def increment_sample(
     if triplet.has_gaussian:
         z = gen.standard_normal((n, d))
         out += math.sqrt(dt) * z @ triplet.gaussian_factor.T
-    jm = triplet.jump_measure
-    if isinstance(jm, FiniteAtomic):
-        counts = gen.poisson(dt * jm.masses, size=(n, jm.masses.size))
-        out += counts @ jm.positions
-        small = np.linalg.norm(jm.positions, axis=1) < 1.0
-        out -= dt * (jm.masses[small] @ jm.positions[small])
-    elif isinstance(jm, IsotropicStable):
-        out += isotropic_stable_sample(jm.alpha, dt * jm.scale, d, gen, n)
-    elif not isinstance(jm, ZeroJumps):
-        raise UnsupportedFamilyError(
-            f"no exact increment sampler for {type(jm).__name__} jump measures"
-        )
+    triplet.jump_measure.add_increment(out, dt, gen)
+    out -= dt * triplet.jump_measure.band_mean(0.0, d)
     return out[0] if size is None else out
 
 

@@ -12,22 +12,18 @@ multidimensional characteristic function by Monte Carlo over mark paths.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, DomainError, InadmissibleError, NumericalError, UnsupportedFamilyError
 from .levy_model import (
-    FiniteAtomic,
     IsotropicStable,
     JumpMeasure,
     LevyTriplet,
-    RadialDensity,
     ZeroJumps,
     add_triplets,
     bg_index,
@@ -124,7 +120,7 @@ class NrlpConfig:
                 f"p * beta = {p.p * bg_index(self.triplet):.4g} >= 1: "
                 "no noise-reinforced process exists for these characteristics"
             )
-        finite = isinstance(self.triplet.jump_measure, (ZeroJumps, FiniteAtomic))
+        finite = self.triplet.jump_measure.finite
         if not (0.0 < self.truncation_eps < 1.0 or (finite and self.truncation_eps == 0.0)):
             raise ConfigError(
                 "truncation_eps must lie in (0, 1); 0 (no cutoff) is allowed for "
@@ -207,87 +203,6 @@ def nrbm_sample_many(
 
 
 # ---------------------------------------------------------------------------
-# Jump-measure tail helpers (on the thinned measure)
-# ---------------------------------------------------------------------------
-
-
-def _tail_mass(jm: JumpMeasure, eps: float, d: int) -> float:
-    """nu({|x| >= eps}) for the structured families."""
-    if isinstance(jm, ZeroJumps):
-        return 0.0
-    if isinstance(jm, IsotropicStable):
-        return jm.scale * stable_radial_constant(jm.alpha, d) * eps**-jm.alpha / jm.alpha
-    if isinstance(jm, FiniteAtomic):
-        keep = np.linalg.norm(jm.positions, axis=1) >= eps
-        return float(jm.masses[keep].sum())
-    if isinstance(jm, RadialDensity):
-        val, err = quad(jm._eval, eps, np.inf, limit=400)
-        if not np.isfinite(val):
-            raise ConfigError("radial tail mass is not finite")
-        return val
-    raise ConfigError(f"unknown jump measure {type(jm).__name__}")
-
-
-def _uniform_sphere(gen: np.random.Generator, size: int, d: int) -> np.ndarray:
-    if d == 1:
-        return np.where(gen.random(size) < 0.5, -1.0, 1.0)[:, None]
-    z = gen.standard_normal((size, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def _sample_tail_jumps(
-    jm: JumpMeasure, eps: float, d: int, gen: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draws from the normalized restriction of nu to {|x| >= eps}."""
-    if isinstance(jm, IsotropicStable):
-        radii = eps * gen.random(size) ** (-1.0 / jm.alpha)
-        return radii[:, None] * _uniform_sphere(gen, size, d)
-    if isinstance(jm, FiniteAtomic):
-        keep = np.linalg.norm(jm.positions, axis=1) >= eps
-        pos, masses = jm.positions[keep], jm.masses[keep]
-        idx = gen.choice(masses.size, size=size, p=masses / masses.sum())
-        return pos[idx]
-    if isinstance(jm, RadialDensity):
-        radii = _radial_inverse_cdf(jm, eps, gen.random(size))
-        return radii[:, None] * _uniform_sphere(gen, size, d)
-    raise ConfigError(f"cannot sample jumps from {type(jm).__name__}")
-
-
-def _radial_inverse_cdf(jm: RadialDensity, eps: float, u: np.ndarray) -> np.ndarray:
-    """Numerical inverse of the normalized radial tail cdf on [eps, inf)."""
-    return np.interp(u, *_radial_tail_table(jm, eps))
-
-
-@functools.lru_cache(maxsize=16)
-def _radial_tail_table(jm: RadialDensity, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cdf, radius) table of the tail on [eps, inf), built once per measure
-    and cutoff rather than once per chunk of atoms."""
-    hi = max(10.0 * eps, 1.0)
-    total = _tail_mass(jm, eps, 1)
-    while quad(jm._eval, hi, np.inf, limit=200)[0] > 1e-10 * total:
-        hi *= 10.0
-        if hi > 1e18:
-            raise NumericalError("radial density tail decays too slowly to invert")
-    grid = np.geomspace(eps, hi, 4096)
-    dens = np.asarray([jm._eval(r) for r in grid], dtype=float)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    cdf /= cdf[-1]
-    return cdf, grid
-
-
-def _compensation_coefficient(triplet: LevyTriplet, eps: float) -> np.ndarray:
-    """Drift coefficient of the compensated band: integral of x over
-    {eps <= |x| < 1} against the unthinned measure (the 1/(1-p) mean of the
-    mark cancels the thinning factor exactly)."""
-    jm = triplet.jump_measure
-    if isinstance(jm, (ZeroJumps, IsotropicStable, RadialDensity)):
-        return np.zeros(triplet.dim)  # symmetric families: the band mean vanishes
-    norms = np.linalg.norm(jm.positions, axis=1)
-    band = (norms >= eps) & (norms < 1.0)
-    return jm.masses[band] @ jm.positions[band]
-
-
-# ---------------------------------------------------------------------------
 # Sampling the marked Poisson measure and the process
 # ---------------------------------------------------------------------------
 
@@ -336,18 +251,16 @@ def map_nrlp_blocks(
 
 def _series_jumps(config: NrlpConfig, gen: np.random.Generator, values: np.ndarray) -> None:
     """The Poisson series of marked jumps above the cutoff, chunk by chunk."""
-    if isinstance(config.triplet.jump_measure, ZeroJumps):
-        return
     replicas, _, d = values.shape
     nu = config.thinned
-    lam = _tail_mass(nu, config.truncation_eps, d)
+    lam = nu.tail_mass(config.truncation_eps, d)
     ends = np.cumsum(gen.poisson(lam, size=replicas))
     pos_times = config.grid[config.grid > 0]
     total = int(ends[-1])
     for a in range(0, total, ATOM_CHUNK):
         n = min(ATOM_CHUNK, total - a)
         rep_ids = np.searchsorted(ends, np.arange(a, a + n), side="right")
-        jumps = _sample_tail_jumps(nu, config.truncation_eps, d, gen, n)
+        jumps = nu.sample_tail(config.truncation_eps, d, gen, n)
         marks = ys_joint_values(config.rho, pos_times, gen, n)  # (n, m_pos)
         for g in range(pos_times.size):
             weights = marks[:, g].astype(float)
@@ -369,7 +282,9 @@ def _nrlp_block(
     if triplet.has_gaussian:
         bhat = nrbm_sample_many(config.p, grid, triplet.dim, gen, replicas)
         values += np.einsum("rgd,ed->rge", bhat, triplet.gaussian_factor)
-    comp = _compensation_coefficient(triplet, config.truncation_eps)
+    # The 1/(1-p) mean of the mark cancels the thinning of the compensated
+    # band, so its drift is read off the unthinned measure.
+    comp = triplet.jump_measure.band_mean(config.truncation_eps, triplet.dim)
     values -= np.outer(grid, comp)[None, :, :]
     first = int(grid[0] == 0.0)  # the grid increases from t >= 0
     if first < grid.size:
@@ -382,32 +297,13 @@ def _nrlp_block(
 # ---------------------------------------------------------------------------
 
 
-def _small_ball_moment(jm: JumpMeasure, q: float, eps: float, d: int) -> float:
-    """Integral of |x|^q over {|x| < eps} against the (thinned) measure."""
-    if isinstance(jm, ZeroJumps):
-        return 0.0
-    if isinstance(jm, IsotropicStable):
-        if q <= jm.alpha:
-            return math.inf
-        c = jm.scale * stable_radial_constant(jm.alpha, d)
-        return c * eps ** (q - jm.alpha) / (q - jm.alpha)
-    if isinstance(jm, FiniteAtomic):
-        norms = np.linalg.norm(jm.positions, axis=1)
-        small = norms < eps
-        return float((jm.masses[small] * norms[small] ** q).sum())
-    if isinstance(jm, RadialDensity):
-        val, _ = quad(lambda r: r**q * jm._eval(r), 0.0, eps, limit=400)
-        return val
-    raise ConfigError(f"unknown jump measure {type(jm).__name__}")
-
-
 def _moment_orders(triplet: LevyTriplet, rho: float) -> tuple[float, np.ndarray]:
     """(lo, orders): lo = max(beta, 1) and 12 moment orders inside (lo, rho).
 
     ``truncation_budget`` and ``default_truncation`` both optimize over these
     orders, so the Yule-Simon moment sums one computes serve the other.
     """
-    lo = max(bg_index(LevyTriplet(triplet.dim, None, None, triplet.jump_measure)), 1.0)
+    lo = max(triplet.jump_measure.index, 1.0)
     if lo + 1e-9 >= rho:
         raise DomainError("no admissible moment order: beta >= rho")
     return lo, np.linspace(lo + 0.02 * (rho - lo), rho - 0.02 * (rho - lo), 12)
@@ -426,8 +322,8 @@ def truncation_budget(config: NrlpConfig, q: float | None = None) -> float:
     for qq in orders if q is None else [q]:
         if not lo < qq < rho:
             raise DomainError(f"budget order must lie in ({lo}, {rho}), got {qq}")
-        val = ys_abs_moment(qq, rho) * _small_ball_moment(
-            config.thinned, qq, config.truncation_eps, config.triplet.dim
+        val = ys_abs_moment(qq, rho) * config.thinned.small_ball_moment(
+            qq, config.truncation_eps, config.triplet.dim
         )
         best = min(best, val)
     return best
@@ -449,7 +345,7 @@ def default_truncation(
     """
     pv = as_memory(p)
     jm = thin(triplet, pv)
-    if isinstance(jm, (ZeroJumps, FiniteAtomic)):
+    if jm.finite:
         return 0.0
     rho = pv.rho
     best = 0.0
@@ -459,7 +355,7 @@ def default_truncation(
             c = jm.scale * stable_radial_constant(jm.alpha, triplet.dim)
             eps = (budget * (qq - jm.alpha) / (moment * c)) ** (1.0 / (qq - jm.alpha))
         else:  # RadialDensity: bisect on the numerical small-ball moment
-            eps = _bisect_eps(lambda e: moment * _small_ball_moment(jm, qq, e, triplet.dim), budget)
+            eps = _bisect_eps(lambda e: moment * jm.small_ball_moment(qq, e, triplet.dim), budget)
         best = max(best, eps)
     if best < floor:
         warnings.warn(

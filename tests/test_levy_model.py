@@ -13,17 +13,18 @@ from nrlevy.levy_model import (
     LevyTriplet,
     RadialDensity,
     STABLE_CHUNK,
+    ZeroJumps,
     add_triplets,
     bg_index,
     characteristic_exponent,
     increment_sample,
     is_admissible,
-    isotropic_stable_sample,
     positive_stable_std,
     stable_radial_constant,
     symmetric_stable_std,
     thin,
 )
+from nrlevy.noise_reinforced import NrlpConfig
 from nrlevy.rng import RngStream
 from nrlevy.yule_simon import MemoryParameter
 
@@ -138,6 +139,25 @@ class TestIndicesAndThinning:
         unchanged = thin(LevyTriplet.stable(1.5, 2.0), 1e-12)
         assert unchanged.scale == pytest.approx(2.0, rel=1e-9)
 
+    def test_thin_scales_every_family(self):
+        # Thinning by p leaves (1 - p) nu: exponent, tail mass and small-ball
+        # moment all scale by 1 - p, and the index stays.
+        families = [
+            ZeroJumps(),
+            IsotropicStable(1.5, 2.0),
+            FiniteAtomic(np.array([[0.5], [-0.25], [2.0]]), np.array([0.7, 1.1, 0.4])),
+            RadialDensity(lambda r: np.exp(-np.asarray(r)) * np.asarray(r) ** -1.5, bg_hint=0.5),
+        ]
+        thetas = np.array([[0.3], [-1.7], [2.2]])
+        for jm in families:
+            thinned = thin(LevyTriplet(1, None, None, jm), 0.3)
+            assert type(thinned) is type(jm) and thinned.index == jm.index
+            np.testing.assert_allclose(thinned.exponent(thetas), 0.7 * jm.exponent(thetas),
+                                       rtol=1e-9, atol=0)
+            assert thinned.tail_mass(0.4, 1) == pytest.approx(0.7 * jm.tail_mass(0.4, 1), rel=1e-9)
+            assert thinned.small_ball_moment(1.8, 0.4, 1) == pytest.approx(
+                0.7 * jm.small_ball_moment(1.8, 0.4, 1), rel=1e-9)
+
 
 class TestStableVariates:
     def test_symmetric_stable_ecf(self):
@@ -194,7 +214,8 @@ class TestStableVariates:
 
     def test_isotropic_multidim(self):
         gen = RngStream(205).generator()
-        x = isotropic_stable_sample(1.5, 0.7, 3, gen, 300_000)
+        x = np.zeros((300_000, 3))
+        IsotropicStable(1.5, 0.7).add_increment(x, 1.0, gen)
         theta = np.array([0.3, -0.4, 0.5])
         expected = math.exp(-0.7 * np.linalg.norm(theta) ** 1.5)
         assert abs(ecf(x, theta)) == pytest.approx(expected, abs=4 / math.sqrt(300_000))
@@ -254,6 +275,12 @@ class TestValidation:
         for bad in (0.0, 2.0, 2.4):
             with pytest.raises(DomainError):
                 IsotropicStable(bad)
+
+    def test_jump_measure_must_be_a_family(self):
+        with pytest.raises(DomainError):
+            LevyTriplet(1, None, None, "stable")
+        with pytest.raises(DomainError):
+            NrlpConfig(LevyTriplet(1, [[1.0]], None, None), 0.3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

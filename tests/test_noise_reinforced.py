@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import cauchy as cauchy_dist
 from scipy.stats import ks_2samp, spearmanr
 
-from nrlevy import noise_reinforced
+from nrlevy import levy_model, noise_reinforced
 from nrlevy.diagnostics import empirical_cf, ks_distance
 from nrlevy.errors import ConfigError, InadmissibleError, NrlevyError, UnsupportedFamilyError
 from nrlevy.levy_model import FiniteAtomic, IsotropicStable, LevyTriplet, RadialDensity
@@ -17,8 +17,6 @@ from nrlevy.noise_reinforced import (
     CfQuery,
     NrlpConfig,
     _running_mean_diverges,
-    _sample_tail_jumps,
-    _tail_mass,
     check_additivity,
     check_stability,
     default_truncation,
@@ -125,7 +123,7 @@ class TestAtoms:
         trip = LevyTriplet.compound_poisson([[1.5]], [2.0])
         cfg = NrlpConfig(trip, MemoryParameter(0.5), 0.5, np.array([1.0]))
         # thinned mass is (1 - p) * 2 = 1
-        assert _tail_mass(cfg.thinned, cfg.truncation_eps, 1) == 1.0
+        assert cfg.thinned.tail_mass(cfg.truncation_eps, 1) == 1.0
         share, se = zero_fraction_se(cfg, RngStream(406), 3_000)
         assert share == pytest.approx(math.exp(-1.0), abs=3 * se)
 
@@ -133,7 +131,7 @@ class TestAtoms:
         trip = LevyTriplet.compound_poisson([[1.5]], [2.0])
         for i, (p, mass) in enumerate(((0.2, 1.6), (0.8, 0.4))):
             cfg = NrlpConfig(trip, MemoryParameter(p), 0.5, np.array([1.0]))
-            assert _tail_mass(cfg.thinned, cfg.truncation_eps, 1) == pytest.approx(mass, rel=1e-12)
+            assert cfg.thinned.tail_mass(cfg.truncation_eps, 1) == pytest.approx(mass, rel=1e-12)
             share, se = zero_fraction_se(cfg, RngStream(407, i), 2_000)
             assert share == pytest.approx(math.exp(-mass), abs=3 * se)
 
@@ -142,14 +140,14 @@ class TestAtoms:
         # generator; the two must come out independent.
         cfg = NrlpConfig(LevyTriplet.stable(1.5), MemoryParameter(0.5), 0.05, np.array([1.0]))
         gen = RngStream(408).generator()
-        sizes = np.abs(_sample_tail_jumps(cfg.thinned, cfg.truncation_eps, 1, gen, 100_000)[:, 0])
+        sizes = np.abs(cfg.thinned.sample_tail(cfg.truncation_eps, 1, gen, 100_000)[:, 0])
         terminals = ys_joint_values(cfg.rho, cfg.grid, gen, 100_000)[:, 0]
         # Rank-based to tame the heavy tail of |x|.
         assert abs(spearmanr(sizes, terminals).statistic) < 0.01
 
     def test_atom_jumps_above_cutoff(self):
         cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), 0.3, np.array([1.0]))
-        jumps = _sample_tail_jumps(cfg.thinned, 0.3, 1, RngStream(409).generator(), 10_000)
+        jumps = cfg.thinned.sample_tail(0.3, 1, RngStream(409).generator(), 10_000)
         assert np.all(np.abs(jumps[:, 0]) >= 0.3)
 
 
@@ -209,9 +207,9 @@ class TestNrlpSampling:
         cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), 1e-2,
                          np.array([1.0]))
         gen = RngStream(430).generator()
-        counts = gen.poisson(_tail_mass(cfg.thinned, cfg.truncation_eps, 1), size=3_000)
+        counts = gen.poisson(cfg.thinned.tail_mass(cfg.truncation_eps, 1), size=3_000)
         total = int(counts.sum())
-        jumps = _sample_tail_jumps(cfg.thinned, cfg.truncation_eps, 1, gen, total)[:, 0]
+        jumps = cfg.thinned.sample_tail(cfg.truncation_eps, 1, gen, total)[:, 0]
         marks = ys_process_values(cfg.rho, cfg.grid, gen, total)[:, 0]
         series = np.bincount(np.repeat(np.arange(3_000), counts), weights=marks * jumps,
                              minlength=3_000)
@@ -249,12 +247,12 @@ def _replay_block(cfg: NrlpConfig, seed: int, replicas: int, chunk: int | None):
     values = np.zeros((replicas, grid.size, d)) + np.outer(grid, trip.drift)[None]
     bhat = nrbm_sample_many(cfg.p, grid, d, gen, replicas)
     values += np.einsum("rgd,ed->rge", bhat, trip.gaussian_factor)
-    counts = gen.poisson(_tail_mass(cfg.thinned, cfg.truncation_eps, d), size=replicas)
+    counts = gen.poisson(cfg.thinned.tail_mass(cfg.truncation_eps, d), size=replicas)
     ids = np.repeat(np.arange(replicas), counts)
     chunk = chunk or ids.size
     for a in range(0, ids.size, chunk):
         n = min(chunk, ids.size - a)
-        jumps = _sample_tail_jumps(cfg.thinned, cfg.truncation_eps, d, gen, n)
+        jumps = cfg.thinned.sample_tail(cfg.truncation_eps, d, gen, n)
         marks = ys_joint_values(cfg.rho, grid[grid > 0], gen, n).astype(float)
         for g in range(1, grid.size):
             for e in range(d):
@@ -304,9 +302,9 @@ class TestChunkedBlock:
                                bg_hint=0.5)
         cfg = NrlpConfig(LevyTriplet(1, None, None, radial), MemoryParameter(0.5), 0.05,
                          np.array([1.0]))
-        noise_reinforced._radial_tail_table.cache_clear()
+        levy_model._radial_tail_table.cache_clear()
         nrlp_marginals(cfg, RngStream(443), 200)
-        info = noise_reinforced._radial_tail_table.cache_info()
+        info = levy_model._radial_tail_table.cache_info()
         assert info.misses == 1 and info.hits >= 10
 
 
