@@ -71,11 +71,12 @@ class JumpMeasure:
         return np.zeros(d)
 
 
-def _uniform_sphere(gen: np.random.Generator, size: int, d: int) -> np.ndarray:
-    if d == 1:
-        return np.where(gen.random(size) < 0.5, -1.0, 1.0)[:, None]
-    z = gen.standard_normal((size, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+def _on_sphere(radii: np.ndarray, gen: np.random.Generator, d: int) -> np.ndarray:
+    """Jumps of shape (radii.size, d): the given radii on uniform directions."""
+    if d == 1:  # the sign of U - 1/2, with U = 1/2 read as +
+        return np.copysign(radii, gen.random(radii.size) - 0.5)[:, None]
+    z = gen.standard_normal((radii.size, d))
+    return radii[:, None] * (z / np.linalg.norm(z, axis=1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ class IsotropicStable(JumpMeasure):
 
     def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
         radii = eps * gen.random(size) ** (-1.0 / self.alpha)
-        return radii[:, None] * _uniform_sphere(gen, size, d)
+        return _on_sphere(radii, gen, d)
 
     def small_ball_moment(self, q: float, eps: float, d: int) -> float:
         if q <= self.alpha:
@@ -248,7 +249,7 @@ class RadialDensity(JumpMeasure):
 
     def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
         radii = np.interp(gen.random(size), *_radial_tail_table(self, eps))
-        return radii[:, None] * _uniform_sphere(gen, size, d)
+        return _on_sphere(radii, gen, d)
 
     def small_ball_moment(self, q: float, eps: float, d: int) -> float:
         val, _ = quad(lambda r: r**q * self._eval(r), 0.0, eps, limit=400)

@@ -259,7 +259,10 @@ def _series_jumps(config: NrlpConfig, gen: np.random.Generator, values: np.ndarr
     total = int(ends[-1])
     for a in range(0, total, ATOM_CHUNK):
         n = min(ATOM_CHUNK, total - a)
-        rep_ids = np.searchsorted(ends, np.arange(a, a + n), side="right")
+        # Replicas first..last hold atoms a..a+n-1; those between may hold none.
+        first, last = np.searchsorted(ends, [a, a + n - 1], side="right")
+        in_chunk = np.diff(np.minimum(ends[first : last + 1], a + n), prepend=a)
+        rep_ids = np.repeat(np.arange(first, last + 1), in_chunk)
         jumps = nu.sample_tail(config.truncation_eps, d, gen, n)
         marks = ys_joint_values(config.rho, pos_times, gen, n)  # (n, m_pos)
         for g in range(pos_times.size):

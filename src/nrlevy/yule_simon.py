@@ -185,27 +185,41 @@ def ys_joint_values(
     branches, giving a negative-binomial increment.  This is the fast inner
     loop for Monte Carlo over marks; the event-based sampler above is its
     independent cross-check.
+
+    Only the paths that have started are kept, as an ascending index array
+    and a contiguous array of their values, so the negative binomial runs on
+    the state without a gather.  The draws are the uniforms U, then per grid
+    time the geometric values of the paths that start there and the
+    negative-binomial increments of the earlier ones, each in path order.
+    The int64 result of shape (replicas, len(times)) is the transpose of a
+    C-ordered (len(times), replicas) array, so each time's column is
+    contiguous.
     """
     rho = _check_rho(rho)
     times = _check_times(times)
     gen = as_generator(rng)
     u = gen.uniform(size=replicas)
-    out = np.zeros((replicas, times.size), dtype=np.int64)
-    state = np.zeros(replicas, dtype=np.int64)
-    started = np.zeros(replicas, dtype=bool)
+    out = np.zeros((times.size, replicas), dtype=np.int64)
+    below = np.zeros(replicas, dtype=bool)  # U <= the previous grid time
+    idx = np.empty(0, dtype=np.intp)  # started paths, ascending
+    state = np.empty(0, dtype=np.int64)  # their values
     t_prev = None
     for g, t in enumerate(times):
-        fresh = ~started & (u <= t)
-        if np.any(fresh):
-            state[fresh] = gen.geometric((u[fresh] / t) ** (1.0 / rho))
-        cont = started
-        if t_prev is not None and np.any(cont):
-            q = (t_prev / t) ** (1.0 / rho)
-            state[cont] += gen.negative_binomial(state[cont], q)
-        started |= fresh
-        out[:, g] = np.where(started, state, 0)
+        prev, below = below, u <= t
+        new = np.flatnonzero(below ^ prev)
+        del prev
+        row = out[g]
+        if new.size:
+            row[new] = gen.geometric((u[new] / t) ** (1.0 / rho))
+        if idx.size:
+            state += gen.negative_binomial(state, (t_prev / t) ** (1.0 / rho))
+            row[idx] = state
+        if new.size and g + 1 < times.size:
+            idx = np.flatnonzero(below)
+            state = row[idx]
+        del new
         t_prev = t
-    return out
+    return out.T
 
 
 def _check_times(times) -> np.ndarray:

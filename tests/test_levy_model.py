@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nrlevy import levy_model
 from nrlevy.errors import DomainError, UnsupportedFamilyError
 from nrlevy.levy_model import (
     FiniteAtomic,
@@ -219,6 +220,39 @@ class TestStableVariates:
         theta = np.array([0.3, -0.4, 0.5])
         expected = math.exp(-0.7 * np.linalg.norm(theta) ** 1.5)
         assert abs(ecf(x, theta)) == pytest.approx(expected, abs=4 / math.sqrt(300_000))
+
+
+def _sign_or_normal_directions(gen: np.random.Generator, size: int, d: int) -> np.ndarray:
+    """Unit directions as first written: a sign from one uniform when d = 1,
+    a normalized normal vector otherwise."""
+    if d == 1:
+        return np.where(gen.random(size) < 0.5, -1.0, 1.0)[:, None]
+    z = gen.standard_normal((size, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+class TestTailDraws:
+    RADIAL = RadialDensity(lambda r: np.exp(-np.asarray(r)) * np.asarray(r) ** -1.5, bg_hint=0.5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_directions_match_sign_and_normal_draws(self, d):
+        eps, size = 0.05, 2000
+        table = levy_model._radial_tail_table(self.RADIAL, eps)
+        for nu, radii in ((IsotropicStable(1.5, 0.7), lambda g: eps * g.random(size) ** (-1.0 / 1.5)),
+                          (self.RADIAL, lambda g: np.interp(g.random(size), *table))):
+            gen, ref = np.random.default_rng(206), np.random.default_rng(206)
+            got = nu.sample_tail(eps, d, gen, size)
+            want = radii(ref)[:, None] * _sign_or_normal_directions(ref, size, d)
+            np.testing.assert_array_equal(got, want)
+            assert gen.random() == ref.random()
+
+    def test_half_uniform_reads_as_positive(self):
+        class Fixed:
+            def random(self, size):
+                return np.array([0.5, 0.25, 0.75, 0.0])[:size]
+
+        got = levy_model._on_sphere(np.array([1.0, 2.0, 3.0, 4.0]), Fixed(), 1)
+        np.testing.assert_array_equal(got, [[1.0], [-2.0], [3.0], [-4.0]])
 
 
 class TestIncrements:

@@ -283,6 +283,21 @@ class TestChunkedBlock:
         assert ids.size <= noise_reinforced.ATOM_CHUNK
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_edges_inside_empty_replicas(self, monkeypatch, chunk):
+        # About 0.14 atoms per replica: most replicas draw none, so chunk
+        # edges fall between replicas with runs of empty ones between them.
+        cfg = NrlpConfig(LevyTriplet(2, np.eye(2), np.array([0.3, -0.2]), IsotropicStable(1.5, 0.1)),
+                         MemoryParameter(0.3), 0.5, np.array([0.0, 0.5, 1.0]))
+        monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", chunk)
+        got = noise_reinforced._nrlp_block(cfg, np.random.default_rng(444), 600,
+                                            noise_reinforced._series_jumps)
+        want, ids = _replay_block(cfg, 444, 600, chunk)
+        assert np.unique(ids).size < 120  # most of the 600 replicas hold no atom
+        assert ids[0] > 0 and ids[-1] < 599  # empty replicas before the first chunk and after the last
+        assert np.sum(np.diff(ids)[chunk - 1 :: chunk] > 1) >= 5  # empty replicas across chunk edges
+        np.testing.assert_array_equal(got, want)
+
     def test_threads_do_not_change_marginals(self, monkeypatch):
         # 2500 replicas: blocks of 1024, 1024 and a partial 452, each drawn
         # in several chunks.

@@ -174,6 +174,47 @@ class TestProcess:
         assert tv_distance(vals[:, 1], 2.0) < 0.01
 
 
+def _masked_bridge(rho: float, times, gen: np.random.Generator, replicas: int) -> np.ndarray:
+    """The bridge's draws written with boolean masks over all paths: an
+    independent statement of the draw order of ``ys_joint_values``."""
+    times = np.asarray(times, dtype=float)
+    u = gen.uniform(size=replicas)
+    out = np.zeros((replicas, times.size), dtype=np.int64)
+    state = np.zeros(replicas, dtype=np.int64)
+    started = np.zeros(replicas, dtype=bool)
+    t_prev = None
+    for g, t in enumerate(times):
+        fresh = ~started & (u <= t)
+        if np.any(fresh):
+            state[fresh] = gen.geometric((u[fresh] / t) ** (1.0 / rho))
+        cont = started
+        if t_prev is not None and np.any(cont):
+            q = (t_prev / t) ** (1.0 / rho)
+            state[cont] += gen.negative_binomial(state[cont], q)
+        started |= fresh
+        out[:, g] = np.where(started, state, 0)
+        t_prev = t
+    return out
+
+
+class TestBridgeBytes:
+    GRIDS = ([1.0], [0.3], [0.999, 1.0], [1e-9, 1.0], [0.2, 0.5, 0.9],
+             [0.1, 0.25, 0.5, 0.75], [0.05, 0.2, 0.4, 0.8, 1.0])
+
+    @pytest.mark.parametrize("replicas", [0, 1, 2, 17, 5000])
+    @pytest.mark.parametrize("rho", [1.01, 2.0, 50.0])
+    def test_matches_masked_loop(self, rho, replicas):
+        for seed in range(3):
+            for times in self.GRIDS:
+                gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = ys_joint_values(rho, times, gen, replicas)
+                want = _masked_bridge(rho, times, ref, replicas)
+                assert got.shape == (replicas, len(times))
+                assert got.dtype == want.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+                assert gen.random() == ref.random()  # the same number of bits consumed
+
+
 class TestMoments:
     def test_mean_values(self):
         assert ys_mean(0.0, 7.0) == 0.0
