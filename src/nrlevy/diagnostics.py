@@ -175,8 +175,8 @@ def _mesh_ecf(
 
     Returns the complex estimates, shape (len(mesh), len(queries)), and their
     stderr per mesh point.  d = 1 and the mesh are checked before any draw.
-    Streams: mesh point i uses ``rng.substream(i)`` with one generator per
-    replica block.
+    Streams: mesh point i splits ``rng.substream(i)`` into replica blocks
+    with :func:`nrlevy.rng.iter_blocks`.
     """
     if triplet.dim != 1:
         raise UnsupportedFamilyError("skeleton experiments are implemented for d = 1")
@@ -185,17 +185,16 @@ def _mesh_ecf(
     estimates = np.empty((len(mesh), len(queries)), dtype=complex)
     stderr = np.empty(len(mesh))
     for i, n in enumerate(mesh):
-        stream = rng.substream(i)
         ks = np.floor(n * grid_times + 1e-9).astype(np.int64)
 
-        def block(b: int, start: int, count: int) -> np.ndarray:
-            gen = stream.generator(b)
+        def block(gen: np.random.Generator, start: int, count: int) -> np.ndarray:
             fresh, sources = repeat_sources(n, count, p, gen)
             steps = np.zeros((n, count))
             steps[fresh] = increment_sample(triplet, 1.0 / n, gen, size=int(fresh.sum()))[:, 0]
             return reinforced_prefix_sums(steps, sources, ks)
 
-        sums = np.concatenate(_map_blocks(block, list(iter_blocks(replicas)), threads))
+        blocks = list(iter_blocks(rng.substream(i), replicas))
+        sums = np.concatenate(_map_blocks(block, blocks, threads))
         ecf = empirical_cf(sums, grid_times, queries)
         estimates[i] = ecf.estimates
         stderr[i] = ecf.stderr
@@ -366,12 +365,10 @@ def prop8_experiment(
     stderr = np.empty_like(estimates)
     for i, n in enumerate(schedule):
         per_real = np.empty((replicas, len(functionals)))
-        row = 0
-        for b, start, count in iter_blocks(replicas, PROP8_BLOCK_SIZE):
-            counts = simon_terminal_counts(n, pv, rng.substream(i).generator(b), count)
+        for gen, start, count in iter_blocks(rng.substream(i), replicas, PROP8_BLOCK_SIZE):
+            counts = simon_terminal_counts(n, pv, gen, count)
             for fi, f in enumerate(functionals):
-                per_real[row : row + count, fi] = f.terminal(counts).mean(axis=1)
-            row += count
+                per_real[start : start + count, fi] = f.terminal(counts).mean(axis=1)
         estimates[i] = per_real.mean(axis=0)
         stderr[i] = per_real.std(axis=0, ddof=1) / math.sqrt(replicas)
     # Reference: (1 - p) E[F(Y)] over event-based mark paths.

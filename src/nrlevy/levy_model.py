@@ -26,7 +26,6 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
 from .errors import ConfigError, DomainError, NumericalError, UnsupportedFamilyError
-from .rng import RngStream, as_generator
 from .yule_simon import MemoryParameter, as_memory
 
 # ---------------------------------------------------------------------------
@@ -563,10 +562,10 @@ def positive_stable_std(sigma: float, gen: np.random.Generator, size=None) -> np
 def increment_sample(
     triplet: LevyTriplet,
     dt: float,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
-    """Exact draws of xi(dt) for the samplable families.
+    """Exact draws of xi(dt) for the samplable families, advancing ``gen``.
 
     Supports any combination of Gaussian part, drift, finite-atomic jumps and
     isotropic stable jumps; raises for RadialDensity.  The jump sum is
@@ -575,7 +574,6 @@ def increment_sample(
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
-    gen = as_generator(rng)
     n = 1 if size is None else int(size)
     d = triplet.dim
     out = np.tile(dt * triplet.drift, (n, 1))

@@ -29,10 +29,9 @@ from .levy_model import (
     bg_index,
     characteristic_exponent,
     is_admissible,
-    stable_radial_constant,
     thin,
 )
-from .rng import RngStream, as_generator, iter_blocks, map_blocks
+from .rng import RngStream, iter_blocks, map_blocks
 from .yule_simon import (
     MemoryParameter,
     as_memory,
@@ -181,18 +180,18 @@ def nrbm_sample_many(
     p: MemoryParameter | float,
     grid,
     d: int,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
     replicas: int,
 ) -> np.ndarray:
     """Exact draws of reinforced Brownian motion, shape (replicas, len(grid), d).
 
     Coordinates are independent; each is Gaussian on the grid with the
     reinforced covariance, sampled through a Cholesky factor of the grid
-    covariance matrix.  A leading grid time 0 yields value 0.
+    covariance matrix from normals drawn from ``gen``.  A leading grid time 0
+    yields value 0.
     """
     pv = _check_nrbm_p(p)
     grid = np.asarray(grid, dtype=float)
-    gen = as_generator(rng)
     pos = grid > 0
     out = np.zeros((replicas, grid.size, d))
     if np.any(pos):
@@ -234,18 +233,18 @@ def map_nrlp_blocks(
 ) -> np.ndarray:
     """The block plan of both samplers of the process, shape (replicas, m, d).
 
-    Block b of ``rng.BLOCK_SIZE`` replicas draws from ``rng.generator(b)``
-    and fills only its own rows through :func:`_nrlp_block`, whose
+    Each block of :func:`nrlevy.rng.iter_blocks` draws from its own
+    generator and fills only its own rows through :func:`_nrlp_block`, whose
     ``jumps(config, gen, values)`` adds the jump part in place to the block's
     positive-time columns.  Blocks run on ``threads`` threads; no draw depends
     on ``threads``, so neither does the result.
     """
     out = np.empty((replicas, config.grid.size, config.triplet.dim))
 
-    def block(b: int, start: int, count: int) -> None:
-        out[start : start + count] = _nrlp_block(config, rng.generator(b), count, jumps)
+    def block(gen: np.random.Generator, start: int, count: int) -> None:
+        out[start : start + count] = _nrlp_block(config, gen, count, jumps)
 
-    map_blocks(block, list(iter_blocks(replicas)), threads)
+    map_blocks(block, list(iter_blocks(rng, replicas)), threads)
     return out
 
 
@@ -354,11 +353,7 @@ def default_truncation(
     best = 0.0
     for qq in _moment_orders(triplet, rho)[1]:
         moment = ys_abs_moment(qq, rho)
-        if isinstance(jm, IsotropicStable):
-            c = jm.scale * stable_radial_constant(jm.alpha, triplet.dim)
-            eps = (budget * (qq - jm.alpha) / (moment * c)) ** (1.0 / (qq - jm.alpha))
-        else:  # RadialDensity: bisect on the numerical small-ball moment
-            eps = _bisect_eps(lambda e: moment * jm.small_ball_moment(qq, e, triplet.dim), budget)
+        eps = _bisect_eps(lambda e: moment * jm.small_ball_moment(qq, e, triplet.dim), budget)
         best = max(best, eps)
     if best < floor:
         warnings.warn(
@@ -406,16 +401,16 @@ def reinforced_cf(
     p: MemoryParameter | float,
     query: CfQuery,
     mc_replicas: int,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> CfEstimate:
     """exp(-(1-p) E[Psi(sum_j Y(t_j) theta_j)]) by Monte Carlo over mark paths.
 
     The inner expectation is estimated from ``mc_replicas`` exact joint draws
-    of the mark at the query times; a running-mean heuristic over doubling
-    sample sizes flags divergence (the expected signal when p * beta'' > 1).
+    of the mark at the query times, drawn from ``gen``; a running-mean
+    heuristic over doubling sample sizes flags divergence (the expected
+    signal when p * beta'' > 1).
     """
     pv = as_memory(p)
-    gen = as_generator(rng)
     if query.dim != triplet.dim:
         raise DomainError("query dimension does not match the triplet")
     grid = query_grid_times([query])

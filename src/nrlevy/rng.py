@@ -1,9 +1,12 @@
-"""Reproducible random-number streams.
+"""Reproducible random-number streams and the replica-block layout.
 
-Every sampler in this package takes an :class:`RngStream`.  A stream is
-identified by a 64-bit master seed plus a stream id (typically a replica-block
-index); identical identifiers always reproduce identical draws, and distinct
-ids yield statistically independent generators via ``SeedSequence`` spawn keys.
+An :class:`RngStream` is identified by a 64-bit master seed plus a stream id;
+identical identifiers always reproduce identical draws, and distinct ids or
+subkeys yield statistically independent generators via ``SeedSequence``
+spawn keys.  Block plans and experiments take a stream (argument ``rng``) and
+split it into per-block generators with :func:`iter_blocks`, the only place
+that does so; single-stream samplers take the ``np.random.Generator`` they
+advance (argument ``gen``).
 """
 
 from __future__ import annotations
@@ -49,30 +52,24 @@ class RngStream:
         return RngStream(seed=int(seq.generate_state(1, dtype=np.uint64)[0]), stream_id=0)
 
 
-def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    """The Generator behind ``rng``: a fresh ``rng.generator()`` for a stream."""
-    return rng.generator() if isinstance(rng, RngStream) else rng
-
-
 BLOCK_SIZE = 1024
 """Replicas per vectorized block.
 
 Fixed independently of the worker count so that experiment outputs are
 bitwise identical for any degree of parallelism.  Block ``b`` of an
-experiment draws from ``stream.generator(b)`` and results are reduced
-in block order.
+experiment draws from the generator that :func:`iter_blocks` pairs with it,
+``stream.generator(b)``, and results are reduced in block order.
 """
 
 
-def iter_blocks(total: int, block_size: int = BLOCK_SIZE):
-    """Yield ``(block_index, start, count)`` covering ``range(total)``."""
-    b = 0
-    start = 0
-    while start < total:
-        count = min(block_size, total - start)
-        yield b, start, count
-        b += 1
-        start += count
+def iter_blocks(stream: RngStream, total: int, block_size: int = BLOCK_SIZE):
+    """Yield ``(gen, start, count)`` covering ``range(total)`` in order.
+
+    The b-th block's ``gen`` is ``stream.generator(b)``, made when the block
+    is reached.
+    """
+    for b, start in enumerate(range(0, total, block_size)):
+        yield stream.generator(b), start, min(block_size, total - start)
 
 
 def map_blocks(fn, blocks, threads: int) -> list:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError
 from .levy_model import LevyTriplet, increment_sample
-from .rng import RngStream, as_generator
 from .yule_simon import MemoryParameter, as_memory
 
 
@@ -81,21 +80,21 @@ class ReinforcedWalk:
 def reinforce(
     steps,
     p: MemoryParameter | float,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> ReinforcedWalk:
     """Apply Simon's dynamics to a base step sequence.
 
     The first step is always kept; afterwards step i repeats a uniformly
     chosen earlier reinforced step with probability p.  The genealogy is one
-    replica of :func:`repeat_sources`; each repeat is recorded against the
-    slot it copies and, resolved by :func:`follow_sources`, against the
-    originating base index.
+    replica of :func:`repeat_sources`, drawn from ``gen``; each repeat is
+    recorded against the slot it copies and, resolved by
+    :func:`follow_sources`, against the originating base index.
     """
     base = np.asarray(steps, dtype=float)
     if base.shape[0] == 0:
         raise DomainError("steps must be nonempty")
     n = base.shape[0]
-    fresh, sources = repeat_sources(n, 1, p, as_generator(rng))
+    fresh, sources = repeat_sources(n, 1, p, gen)
     eps = ~fresh[:, 0]
     choices = np.where(eps, sources[:, 0] + 1, 0)
     origins = follow_sources(sources.copy(), sources)[:, 0] + 1
@@ -105,17 +104,17 @@ def reinforce(
 def elephant_walk(
     n: int,
     p: MemoryParameter | float,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> ReinforcedWalk:
     """One-dimensional reinforced walk with symmetric +-1 base steps.
 
     Equivalent to the Markov chain whose increment is +1 with conditional
     probability 1/2 + p S(k) / (2k): repeating a uniformly chosen past step
     picks +1 with probability 1/2 + S(k) / (2k), a fresh step with 1/2.
+    The base steps, then the genealogy, are drawn from ``gen``.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    gen = as_generator(rng)
     steps = np.where(gen.random(n) < 0.5, 1.0, -1.0)
     return reinforce(steps, p, gen)
 
@@ -123,10 +122,10 @@ def elephant_walk(
 def elephant_endpoints(
     n: int,
     p: MemoryParameter | float,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
     replicas: int,
 ) -> np.ndarray:
-    """Terminal values S-hat(n) of many elephant walks.
+    """Terminal values S-hat(n) of many elephant walks, drawn from ``gen``.
 
     Uses the Markov-chain form of the dynamics (increment +1 with probability
     1/2 + p S(k) / (2k)) so memory stays O(replicas) regardless of n.
@@ -134,7 +133,6 @@ def elephant_endpoints(
     if n < 1:
         raise DomainError("n must be >= 1")
     pv = as_memory(p).p
-    gen = as_generator(rng)
     s = np.where(gen.random(replicas) < 0.5, 1.0, -1.0)
     for k in range(1, n):
         prob_up = 0.5 + pv * s / (2.0 * k)
@@ -146,12 +144,14 @@ def skeleton_reinforced_walk(
     triplet: LevyTriplet,
     n: int,
     p: MemoryParameter | float,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> ReinforcedWalk:
-    """Reinforce the discrete skeleton of a Levy process with mesh 1/n."""
+    """Reinforce the discrete skeleton of a Levy process with mesh 1/n.
+
+    The n increments, then the genealogy, are drawn from ``gen``.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
-    gen = as_generator(rng)
     steps = increment_sample(triplet, 1.0 / n, gen, size=n)
     return reinforce(steps, p, gen)
 
@@ -189,7 +189,7 @@ def repeat_sources(
     dtype = np.int32 if n * replicas < 2**31 else np.intp
     fresh = np.empty((n, replicas), dtype=bool)
     sources = np.empty((n, replicas), dtype=dtype)
-    chunk_rows = min(n, max(1, SOURCE_CHUNK // replicas))
+    chunk_rows = min(n, max(1, SOURCE_CHUNK // max(replicas, 1)))
     buf = np.empty((chunk_rows, replicas))
     cols = np.arange(replicas, dtype=dtype)
     for start in range(0, n, chunk_rows):

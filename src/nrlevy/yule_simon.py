@@ -19,7 +19,6 @@ import numpy as np
 from scipy.special import betaln
 
 from .errors import DomainError, NumericalError
-from .rng import RngStream, as_generator
 
 MAX_JUMPS_PER_PATH = 10**7
 
@@ -68,14 +67,14 @@ def ys_pmf(k, rho: float):
     return out if k_arr.ndim else float(out)
 
 
-def ys_sample(rho: float, rng: RngStream | np.random.Generator, size=None):
+def ys_sample(rho: float, gen: np.random.Generator, size=None):
     """Draw from the Yule-Simon law via its geometric-mixture representation.
 
     An exponential variable E with rate rho mixes a geometric variable with
     success probability exp(-E); the marginal is exactly the Yule-Simon law.
+    Both are drawn from ``gen``, which advances.
     """
     rho = _check_rho(rho)
-    gen = as_generator(rng)
     e = gen.exponential(scale=1.0 / rho, size=size)
     draws = gen.geometric(np.exp(-e))
     return draws if size is not None else int(draws)
@@ -140,7 +139,7 @@ def _abs_moment_sum(q: float, rho: float, kmin: int) -> float:
 def ys_process_values(
     rho: float,
     times,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
     replicas: int,
 ) -> np.ndarray:
     """Values of ``replicas`` independent event-based paths at sorted grid times.
@@ -150,12 +149,11 @@ def ys_process_values(
     T_{m+1} = T_m * exp(rho * E_m / m) with E_m standard exponential.  A path
     stops at its first jump time beyond 1; a jump at exactly 1 counts.
     Iteration m advances every path that still has T_m inside [0, 1]; past
-    ``MAX_JUMPS_PER_PATH`` iterations it raises NumericalError.  Returns an
-    int64 array of shape (replicas, len(times)).
+    ``MAX_JUMPS_PER_PATH`` iterations it raises NumericalError.  Draws from
+    ``gen``; returns an int64 array of shape (replicas, len(times)).
     """
     rho = _check_rho(rho)
     times = _check_times(times)
-    gen = as_generator(rng)
     counts = np.zeros((replicas, times.size), dtype=np.int64)
     t = gen.uniform(size=replicas)
     idx = np.arange(replicas)
@@ -174,7 +172,7 @@ def ys_process_values(
 def ys_joint_values(
     rho: float,
     times,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
     replicas: int,
 ) -> np.ndarray:
     """Joint law of (Y(t_1), ..., Y(t_m)) sampled by Markov bridging.
@@ -188,16 +186,15 @@ def ys_joint_values(
 
     Only the paths that have started are kept, as an ascending index array
     and a contiguous array of their values, so the negative binomial runs on
-    the state without a gather.  The draws are the uniforms U, then per grid
-    time the geometric values of the paths that start there and the
-    negative-binomial increments of the earlier ones, each in path order.
+    the state without a gather.  The draws from ``gen`` are the uniforms U,
+    then per grid time the geometric values of the paths that start there
+    and the negative-binomial increments of the earlier ones, in path order.
     The int64 result of shape (replicas, len(times)) is the transpose of a
     C-ordered (len(times), replicas) array, so each time's column is
     contiguous.
     """
     rho = _check_rho(rho)
     times = _check_times(times)
-    gen = as_generator(rng)
     u = gen.uniform(size=replicas)
     out = np.zeros((times.size, replicas), dtype=np.int64)
     below = np.zeros(replicas, dtype=bool)  # U <= the previous grid time

@@ -32,6 +32,7 @@ from nrlevy.rng import RngStream
 from nrlevy.yule_simon import (
     MemoryParameter,
     _abs_moment_sum,
+    ys_abs_moment,
     ys_joint_values,
     ys_process_values,
 )
@@ -498,6 +499,29 @@ class TestBudget:
             assert NrlpConfig(trip, MemoryParameter(0.3), 0.0).truncation_eps == 0.0
         with pytest.raises(ConfigError):
             NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.3), 0.0)
+
+    def test_stable_cutoff_matches_closed_form(self):
+        # For stable jumps the small-ball moment is c eps^(q - alpha) / (q - alpha),
+        # so each order's budget-meeting cutoff has a closed form; bisection
+        # must find it.
+        for alpha in (0.5, 1.0, 1.5, 1.9):
+            trip = LevyTriplet.stable(alpha)
+            for p in (0.1, 0.3, 0.5):
+                pv = MemoryParameter(p)
+                if not levy_model.is_admissible(pv, trip):
+                    continue
+                jm = levy_model.thin(trip, pv)
+                c = jm.scale * levy_model.stable_radial_constant(alpha, 1)
+                for budget in (1e-1, 1e-2, 1e-3, 1e-4):
+                    best = max(
+                        (budget * (q - alpha) / (ys_abs_moment(q, pv.rho) * c)) ** (1.0 / (q - alpha))
+                        for q in noise_reinforced._moment_orders(trip, pv.rho)[1]
+                    )
+                    expected = 1e-6 if best < 1e-6 else min(best, 0.5)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        eps = default_truncation(trip, pv, budget=budget)
+                    assert eps == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_budget_and_cutoff_share_one_moment_grid(self):
         trip = LevyTriplet.cauchy()

@@ -236,8 +236,8 @@ class TestBatchKernels:
         query = CfQuery(np.asarray([1.0]), np.asarray([1.0]))
         diagnostics._mesh_ecf(LevyTriplet.stable(1.5), p, [query], [n], replicas, rng, 1)
         expected = [
-            int(repeat_sources(n, count, p, rng.substream(0).generator(b))[0].sum())
-            for b, _, count in iter_blocks(replicas)
+            int(repeat_sources(n, count, p, gen)[0].sum())
+            for gen, _, count in iter_blocks(rng.substream(0), replicas)
         ]
         assert sizes == expected
         assert sum(sizes) < 0.25 * n * replicas
@@ -299,3 +299,15 @@ class TestBatchKernels:
         for m in (2, 3):
             corr = np.corrcoef((fresh[:, 0] >= m), (fresh[:, 1] >= m))[0, 1]
             assert abs(corr) < 0.02
+
+
+class TestZeroReplicas:
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_empty_genealogy_and_counts(self, n):
+        gen = RngStream(327).generator()
+        fresh, sources = repeat_sources(n, 0, 0.5, gen)
+        assert fresh.shape == sources.shape == (n, 0)
+        assert (fresh.dtype, sources.dtype) == (np.bool_, np.int32)
+        counts = simon_terminal_counts(n, 0.5, gen, 0)
+        assert counts.shape == (0, n) and counts.dtype == np.int32
+        assert gen.random() == RngStream(327).generator().random()

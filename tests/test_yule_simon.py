@@ -88,6 +88,11 @@ class TestSampler:
         with pytest.raises(DomainError):
             ys_sample(1.0, RngStream(1).generator())
 
+    def test_takes_a_generator_not_a_stream(self):
+        # A stream would restart at every call and repeat its draws.
+        with pytest.raises(AttributeError):
+            ys_sample(2.0, RngStream(1), 5)
+
     def test_moment_threshold(self):
         # Moments of order q < rho stabilize; q > rho keeps growing with the
         # sample size (infinite moment). Compare running means over prefixes.
