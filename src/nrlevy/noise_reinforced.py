@@ -13,7 +13,6 @@ multidimensional characteristic function by Monte Carlo over mark paths.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -299,27 +298,19 @@ def _nrlp_block(
 # ---------------------------------------------------------------------------
 
 
-def _moment_orders(triplet: LevyTriplet, rho: float) -> tuple[float, np.ndarray]:
-    """(lo, orders): lo = max(beta, 1) and 12 moment orders inside (lo, rho).
-
-    ``truncation_budget`` and ``default_truncation`` both optimize over these
-    orders, so the Yule-Simon moment sums one computes serve the other.
-    """
-    lo = max(triplet.jump_measure.index, 1.0)
-    if lo + 1e-9 >= rho:
-        raise DomainError("no admissible moment order: beta >= rho")
-    return lo, np.linspace(lo + 0.02 * (rho - lo), rho - 0.02 * (rho - lo), 12)
-
-
 def truncation_budget(config: NrlpConfig, q: float | None = None) -> float:
     """Certified q-th-moment bound on the dropped small-jump martingale tail.
 
     The bound is E[Y(1)^q] * integral of |x|^q over {|x| < eps} against the
     thinned measure, for q between the Blumenthal-Getoor index and rho.  When
-    q is omitted the bound is minimized over a grid of admissible q.
+    q is omitted the bound is minimized over 12 orders inside (lo, rho),
+    lo = max(beta, 1).
     """
     rho = config.rho
-    lo, orders = _moment_orders(config.triplet, rho)
+    lo = max(config.triplet.jump_measure.index, 1.0)
+    if lo + 1e-9 >= rho:
+        raise DomainError("no admissible moment order: beta >= rho")
+    orders = np.linspace(lo + 0.02 * (rho - lo), rho - 0.02 * (rho - lo), 12)
     best = math.inf
     for qq in orders if q is None else [q]:
         if not lo < qq < rho:
@@ -329,54 +320,6 @@ def truncation_budget(config: NrlpConfig, q: float | None = None) -> float:
         )
         best = min(best, val)
     return best
-
-
-def default_truncation(
-    triplet: LevyTriplet,
-    p: MemoryParameter | float,
-    budget: float = 1e-3,
-    floor: float = 1e-6,
-) -> float:
-    """Largest cutoff meeting the error budget, floored for tractability.
-
-    A finite jump measure needs no cutoff: the result is 0, which keeps every
-    atom and certifies a zero budget.  For heavy small-jump activity (beta
-    close to rho) the budget-satisfying cutoff can be astronomically small;
-    the returned value is then the floor and the achievable budget should be
-    read off ``truncation_budget``.
-    """
-    pv = as_memory(p)
-    jm = thin(triplet, pv)
-    if jm.finite:
-        return 0.0
-    rho = pv.rho
-    best = 0.0
-    for qq in _moment_orders(triplet, rho)[1]:
-        moment = ys_abs_moment(qq, rho)
-        eps = _bisect_eps(lambda e: moment * jm.small_ball_moment(qq, e, triplet.dim), budget)
-        best = max(best, eps)
-    if best < floor:
-        warnings.warn(
-            f"budget {budget} requires cutoff {best:.3g} below the tractability "
-            f"floor {floor}; using the floor",
-            UserWarning,
-            stacklevel=2,
-        )
-        return floor
-    return min(best, 0.5)
-
-
-def _bisect_eps(fn, budget: float) -> float:
-    lo, hi = 1e-12, 0.5
-    if fn(hi) <= budget:
-        return hi
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if fn(mid) > budget:
-            hi = mid
-        else:
-            lo = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------

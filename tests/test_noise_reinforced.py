@@ -19,7 +19,6 @@ from nrlevy.noise_reinforced import (
     _running_mean_diverges,
     check_additivity,
     check_stability,
-    default_truncation,
     nrbm_covariance,
     nrbm_sample_many,
     nrlp_marginals,
@@ -32,7 +31,6 @@ from nrlevy.rng import RngStream
 from nrlevy.yule_simon import (
     MemoryParameter,
     _abs_moment_sum,
-    ys_abs_moment,
     ys_joint_values,
     ys_process_values,
 )
@@ -469,23 +467,12 @@ class TestBudget:
         ]
         assert budgets[0] > budgets[1] > budgets[2] > 0
 
-    def test_default_truncation_meets_budget(self):
-        eps = default_truncation(LevyTriplet.cauchy(), 0.5, budget=1e-2)
-        cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), eps, np.array([1.0]))
-        assert truncation_budget(cfg) <= 1.05e-2
-
-    def test_default_truncation_floors_for_heavy_activity(self):
-        with pytest.warns(UserWarning):
-            eps = default_truncation(LevyTriplet.stable(1.9), 0.5, budget=1e-3, floor=1e-6)
-        assert eps == 1e-6
-
-    def test_default_truncation_keeps_every_atom_of_a_finite_measure(self):
+    def test_zero_cutoff_keeps_every_atom_of_a_finite_measure(self):
         # One atom at 0.3 below the old fixed cutoff 0.5: that cutoff dropped
         # it, so every sampled X(1) was 0 and the budget was about 0.44.
         trip = LevyTriplet.compound_poisson([[0.3]], [2.0])
-        eps = default_truncation(trip, 0.3, budget=1e-3)
-        cfg = NrlpConfig(trip, MemoryParameter(0.3), eps, np.array([1.0]))
-        assert truncation_budget(cfg) <= 1e-3
+        cfg = NrlpConfig(trip, MemoryParameter(0.3), 0.0, np.array([1.0]))
+        assert truncation_budget(cfg) == 0.0
         replicas = 20_000
         x = nrlp_marginals(cfg, RngStream(431), replicas)[:, :, 0]
         query = CfQuery(np.array([1.0]), np.array([1.0]))
@@ -500,33 +487,10 @@ class TestBudget:
         with pytest.raises(ConfigError):
             NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.3), 0.0)
 
-    def test_stable_cutoff_matches_closed_form(self):
-        # For stable jumps the small-ball moment is c eps^(q - alpha) / (q - alpha),
-        # so each order's budget-meeting cutoff has a closed form; bisection
-        # must find it.
-        for alpha in (0.5, 1.0, 1.5, 1.9):
-            trip = LevyTriplet.stable(alpha)
-            for p in (0.1, 0.3, 0.5):
-                pv = MemoryParameter(p)
-                if not levy_model.is_admissible(pv, trip):
-                    continue
-                jm = levy_model.thin(trip, pv)
-                c = jm.scale * levy_model.stable_radial_constant(alpha, 1)
-                for budget in (1e-1, 1e-2, 1e-3, 1e-4):
-                    best = max(
-                        (budget * (q - alpha) / (ys_abs_moment(q, pv.rho) * c)) ** (1.0 / (q - alpha))
-                        for q in noise_reinforced._moment_orders(trip, pv.rho)[1]
-                    )
-                    expected = 1e-6 if best < 1e-6 else min(best, 0.5)
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", UserWarning)
-                        eps = default_truncation(trip, pv, budget=budget)
-                    assert eps == pytest.approx(expected, rel=1e-12, abs=0)
-
     def test_budget_and_cutoff_share_one_moment_grid(self):
         trip = LevyTriplet.cauchy()
         _abs_moment_sum.cache_clear()
-        eps = default_truncation(trip, 0.5, budget=1e-2)
-        truncation_budget(NrlpConfig(trip, MemoryParameter(0.5), eps, np.array([1.0])))
+        for eps in (1e-2, 1e-3):
+            truncation_budget(NrlpConfig(trip, MemoryParameter(0.5), eps, np.array([1.0])))
         info = _abs_moment_sum.cache_info()
         assert (info.misses, info.hits) == (12, 12)
