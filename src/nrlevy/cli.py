@@ -515,8 +515,9 @@ def _run_simulate_nrlp(cfg: ExperimentConfig) -> Outputs:
         for gi, t in enumerate(nc.grid):
             rows.append([r, float(t)] + [float(v) for v in values[r, gi]])
     header = ["replica", "time"] + [f"value{i}" for i in range(values.shape[2])]
+    # Only the series sampler drops jumps below a cutoff.
     budget = None
-    if not isinstance(nc.triplet.jump_measure, ZeroJumps):
+    if sampler == "series" and not isinstance(nc.triplet.jump_measure, ZeroJumps):
         try:
             budget = float(truncation_budget(nc))
         except NrlevyError:

@@ -299,23 +299,28 @@ def _nrlp_block(
 
 
 def truncation_budget(config: NrlpConfig, q: float | None = None) -> float:
-    """Certified q-th-moment bound on the dropped small-jump martingale tail.
+    """Certified bound on E|R|^q, R the dropped small-jump martingale tail.
 
-    The bound is E[Y(1)^q] * integral of |x|^q over {|x| < eps} against the
-    thinned measure, for q between the Blumenthal-Getoor index and rho.  When
-    q is omitted the bound is minimized over 12 orders inside (lo, rho),
-    lo = max(beta, 1).
+    R is the compensated Poisson integral of x Y(1) over {|x| < eps} against
+    the thinned measure, each atom carrying its own mark Y.  For
+    1 <= q <= 2, von Bahr and Esseen's inequality E|sum_i X_i|^q <=
+    2 sum_i E|X_i|^q for independent centred X_i, applied to ever finer
+    pieces of that integral, bounds E|R|^q in each coordinate by
+    2 E[Y(1)^q] * integral of |x|^q over {|x| < eps} against the thinned
+    measure.  The order q must lie in (max(beta, 1), 2] and below rho, where
+    E[Y(1)^q] is finite.  When q is omitted the bound is minimized over 12
+    orders inside (max(beta, 1), min(rho, 2)).
     """
     rho = config.rho
-    lo = max(config.triplet.jump_measure.index, 1.0)
-    if lo + 1e-9 >= rho:
+    lo, hi = max(config.triplet.jump_measure.index, 1.0), min(rho, 2.0)
+    if lo + 1e-9 >= hi:
         raise DomainError("no admissible moment order: beta >= rho")
-    orders = np.linspace(lo + 0.02 * (rho - lo), rho - 0.02 * (rho - lo), 12)
+    orders = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 12)
     best = math.inf
     for qq in orders if q is None else [q]:
-        if not lo < qq < rho:
-            raise DomainError(f"budget order must lie in ({lo}, {rho}), got {qq}")
-        val = ys_abs_moment(qq, rho) * config.thinned.small_ball_moment(
+        if not (lo < qq <= 2.0 and qq < rho):
+            raise DomainError(f"budget order must lie in ({lo}, 2] and below rho = {rho}, got {qq}")
+        val = 2.0 * ys_abs_moment(qq, rho) * config.thinned.small_ball_moment(
             qq, config.truncation_eps, config.triplet.dim
         )
         best = min(best, val)
@@ -332,8 +337,6 @@ class CfEstimate:
     """Monte Carlo estimate of the reinforced cf at one query."""
 
     value: complex
-    inner_mean: complex  # E[Psi(sum_j Y(t_j) theta_j)]
-    inner_se: float
     value_se: float
     replicas: int
     diverged: bool
@@ -358,7 +361,7 @@ def reinforced_cf(
         raise DomainError("query dimension does not match the triplet")
     grid = query_grid_times([query])
     if grid.size == 0:
-        return CfEstimate(1.0 + 0j, 0j, 0.0, 0.0, mc_replicas, False)
+        return CfEstimate(1.0 + 0j, 0.0, mc_replicas, False)
     thetas = query.on_grid(grid)  # (m, d)
     marks = ys_joint_values(pv.rho, grid, gen, mc_replicas)  # (R, m)
     w = marks.astype(float) @ thetas  # (R, d)
@@ -370,8 +373,6 @@ def reinforced_cf(
     diverged = _running_mean_diverges(psi.real)
     return CfEstimate(
         value=complex(value),
-        inner_mean=mean,
-        inner_se=se,
         value_se=abs(value) * keep * se,
         replicas=mc_replicas,
         diverged=diverged,

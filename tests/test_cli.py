@@ -620,3 +620,20 @@ class TestOutputs:
         with open(out / "counters.csv") as fh:
             events = list(csv.DictReader(fh))
         assert len(events) == 100  # one word per step
+
+    def test_budget_only_for_the_series_sampler(self, tmp_path):
+        # The spectral sampler drops no jump, so it reports no truncation budget.
+        budgets = {}
+        for sampler in ("spectral", "series"):
+            out = tmp_path / sampler
+            cfg = write(
+                tmp_path, f"{sampler}.ini",
+                f"[experiment]\nname = simulate-nrlp\np = 0.3\nseed = 23\nreplicas = 4\n"
+                f"grid = 0.0,0.5,1.0\nsampler = {sampler}\n"
+                f"[triplet]\ndim = 1\ngaussian = 0.7\ndrift = -0.2\njumps = stable\nalpha = 1.5\n"
+                f"[output]\ndir = {out}\n",
+            )
+            assert run(cfg) == 0
+            budgets[sampler] = json.loads((out / "report.json").read_text())["truncation_budget"]
+        assert budgets["spectral"] is None
+        assert budgets["series"] > 0

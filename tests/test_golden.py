@@ -215,7 +215,7 @@ GOLDEN = {
     }),
     'simulate-nrlp-spectral': (0, {
         'paths.csv': '5b5bf1970df48d7baf28fbf76d7666a09bfec41fbdf49782b11895f5bfd68fd7',
-        'report.json': '9d5873b59cfea9e84f25acaf907f1d3f40fd612aaff89608e090de86a3549a6e',
+        'report.json': 'c6d0e48c81b3089192618faf84d6e178c75b1146fe1ff9d2b03a2f049e8dbc74',
     }),
     'simulate-walk-elephant': (0, {
         'counters.csv': '57aac03f59634ea692e1ef5aaa5cb28af704ed71adf1b4fbcfbb62e75fbb1559',

@@ -11,7 +11,7 @@ from scipy.stats import ks_2samp, spearmanr
 
 from nrlevy import levy_model, noise_reinforced
 from nrlevy.diagnostics import empirical_cf, ks_distance
-from nrlevy.errors import ConfigError, InadmissibleError, NrlevyError, UnsupportedFamilyError
+from nrlevy.errors import ConfigError, DomainError, InadmissibleError, NrlevyError, UnsupportedFamilyError
 from nrlevy.levy_model import FiniteAtomic, IsotropicStable, LevyTriplet, RadialDensity
 from nrlevy.noise_reinforced import (
     CfQuery,
@@ -33,6 +33,7 @@ from nrlevy.yule_simon import (
     _abs_moment_sum,
     ys_joint_values,
     ys_process_values,
+    ys_sample,
 )
 
 
@@ -466,6 +467,29 @@ class TestBudget:
             for eps in (1e-2, 1e-3, 1e-4)
         ]
         assert budgets[0] > budgets[1] > budgets[2] > 0
+
+    def test_budget_bounds_the_dropped_part(self):
+        # One atom at delta below the cutoff, thinned mass 0.01: the dropped
+        # part is R = delta * (sum of N marks Y_i - m), N ~ Poisson(0.01),
+        # drawn exactly.  Near q = 1 the compensator -delta * m dominates
+        # E|R|^q, which a bound without von Bahr-Esseen's factor 2 misses.
+        delta, p, mass, replicas = 1e-3, 0.25, 0.01, 2_000_000
+        trip = LevyTriplet.compound_poisson([[delta]], [mass / (1.0 - p)])
+        cfg = NrlpConfig(trip, MemoryParameter(p), 1e-2, np.array([1.0]))
+        gen = RngStream(450).generator()
+        counts = gen.poisson(mass, size=replicas)
+        marks = ys_sample(cfg.rho, gen, int(counts.sum()))
+        sums = np.bincount(np.repeat(np.arange(replicas), counts), weights=marks, minlength=replicas)
+        r = delta * (sums - mass * cfg.rho / (cfg.rho - 1.0))
+        for q in (1.02, 1.2, 1.5, 2.0):
+            assert np.mean(np.abs(r) ** q) <= truncation_budget(cfg, q)
+
+    def test_budget_order_is_capped_at_two(self):
+        # rho = 4 gives E[Y^2.5] < inf, but von Bahr-Esseen holds only up to q = 2.
+        cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.25), 1e-4, np.array([1.0]))
+        assert truncation_budget(cfg, 2.0) > 0
+        with pytest.raises(DomainError):
+            truncation_budget(cfg, 2.5)
 
     def test_zero_cutoff_keeps_every_atom_of_a_finite_measure(self):
         # One atom at 0.3 below the old fixed cutoff 0.5: that cutoff dropped
