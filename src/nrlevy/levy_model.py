@@ -484,8 +484,53 @@ def thin(triplet: LevyTriplet, p: MemoryParameter | float) -> JumpMeasure:
 # ---------------------------------------------------------------------------
 
 
-STABLE_CHUNK = 1 << 16
-"""Elements per in-place pass of :func:`symmetric_stable_std`'s transform."""
+STABLE_CHUNK = 1 << 15
+"""Elements per in-place pass of the stable samplers' transform."""
+
+
+def _half_angle(x: np.ndarray, q: np.ndarray, sine: bool) -> None:
+    """Overwrite x = theta/2 with sin theta if ``sine``, else cos theta; q is scratch."""
+    np.tan(x, out=x)
+    np.multiply(x, x, out=q)
+    q += 1.0
+    np.divide(2.0, q, out=q)
+    if sine:
+        x *= q
+    else:
+        np.subtract(q, 1.0, out=x)
+
+
+def _cms(alpha: float, gen: np.random.Generator, size, shift: float, buffers=None) -> np.ndarray:
+    """(S/D) (C/(W D))^((1-alpha)/alpha) with S = sin A, C = cos(V - A), D = cos V
+    and A = alpha (V + shift); see :func:`symmetric_stable_std`.  One power, and
+    W = 0 gives the formula's limit where S (W/C) (C/(W D))^(1/alpha) would give
+    0 * inf = nan."""
+    shape = () if size is None else size
+    n = int(np.prod(shape))
+    if buffers is None:
+        buffers = (np.empty(n), np.empty(n))
+    v, w = buffers[0][:n], buffers[1][:n]
+    gen.random(out=v)
+    v *= math.pi
+    v += -math.pi / 2.0
+    gen.standard_exponential(out=w)
+    scratch = np.empty((3, min(n, STABLE_CHUNK)))
+    for start in range(0, n, STABLE_CHUNK):
+        vc, wc = v[start : start + STABLE_CHUNK], w[start : start + STABLE_CHUNK]
+        a, c, q = scratch[:, : vc.size]
+        # V + shift first: exact near V = -pi/2, so A >= 0 and V - A >= -pi/2.
+        np.multiply(np.add(vc, shift, out=a) if shift else vc, alpha / 2.0, out=a)
+        vc *= 0.5
+        np.subtract(vc, a, out=c)
+        _half_angle(a, q, True)
+        _half_angle(c, q, False)
+        _half_angle(vc, q, False)
+        np.divide(a, vc, out=a)
+        vc *= wc
+        np.divide(c, vc, out=vc)
+        vc **= (1.0 - alpha) / alpha
+        vc *= a
+    return v[0] if size is None else v.reshape(shape)
 
 
 def symmetric_stable_std(
@@ -497,61 +542,39 @@ def symmetric_stable_std(
     """Standard symmetric alpha-stable draws, cf exp(-|theta|^alpha).
 
     Chambers-Mallows-Stuck: with V uniform on (-pi/2, pi/2) and W standard
-    exponential,  sin(aV) / cos(V)^(1/a) * (cos((1-a)V) / W)^((1-a)/a).
+    exponential,  sin(aV) / cos(V)^(1/a) * (cos((1-a)V) / W)^((1-a)/a),
+    evaluated as (S/D) (C/(W D))^((1-a)/a) with S = sin aV, C = cos (1-a)V
+    and D = cos V.  Each comes from t = tan(x/2) by the half-angle identities
+    sin x = 2t/(1+t^2) and cos x = (1-t)(1+t)/(1+t^2) = 2/(1+t^2) - 1, so the
+    ufuncs called are tan (vectorized, unlike sin and cos), multiply, add,
+    subtract, divide and one power.  The values differ from the sin/cos
+    evaluation by rounding, relatively by a few units of 2^-52 / (a cos V).
 
-    V is drawn into the first buffer and W into the second, then the
-    transform runs in place over chunks of ``STABLE_CHUNK`` elements, so the
-    only allocations are the two buffers and two chunk-sized temporaries.
-    ``buffers`` lets a caller that draws repeatedly reuse two flat float64
-    arrays of at least the draw count; the result is then a view of the
-    first.  Values and generator state are bitwise those of
-    ``gen.uniform(-pi/2, pi/2, size)``, ``gen.exponential(size=size)`` and
-    the formula above evaluated on whole arrays.
+    V is drawn with ``gen.random`` into the first buffer and W with
+    ``gen.standard_exponential`` into the second (the draws and generator
+    state of ``gen.uniform(-pi/2, pi/2, size)``, ``gen.exponential(size=size)``),
+    then the transform runs in place over chunks of ``STABLE_CHUNK``
+    elements, so the only allocations are the two buffers and three
+    chunk-sized temporaries.  ``buffers`` lets a caller that draws
+    repeatedly reuse two flat float64 arrays of at least the draw count; the
+    result is then a view of the first.
     """
-    shape = () if size is None else size
-    n = int(np.prod(shape))
-    if buffers is None:
-        buffers = (np.empty(n), np.empty(n))
-    v, w = buffers[0][:n], buffers[1][:n]
-    gen.random(out=v)
-    v *= math.pi
-    v += -math.pi / 2.0
-    gen.standard_exponential(out=w)
-    num = np.empty(min(n, STABLE_CHUNK))
-    den = np.empty_like(num)
-    for start in range(0, n, STABLE_CHUNK):
-        vc = v[start : start + STABLE_CHUNK]
-        x, y = num[: vc.size], den[: vc.size]
-        np.multiply(alpha, vc, out=x)
-        np.sin(x, out=x)
-        np.cos(vc, out=y)
-        y **= 1.0 / alpha
-        x /= y
-        np.multiply(1.0 - alpha, vc, out=y)
-        np.cos(y, out=y)
-        y /= w[start : start + STABLE_CHUNK]
-        y **= (1.0 - alpha) / alpha
-        np.multiply(x, y, out=vc)
-    return v[0] if size is None else v.reshape(shape)
+    return _cms(alpha, gen, size, 0.0, buffers)
 
 
 def positive_stable_std(sigma: float, gen: np.random.Generator, size=None) -> np.ndarray:
     """One-sided sigma-stable draws (0 < sigma < 1), Laplace exp(-lambda^sigma).
 
-    Totally skewed Chambers-Mallows-Stuck variate; in this normalization the
-    Laplace exponent is exactly lambda^sigma (checked in the test suite
-    against the closed form and, for sigma = 1/2, against 1 / (2 N^2)).
+    Totally skewed Chambers-Mallows-Stuck variate, sin(A) / cos(V)^(1/s) *
+    (cos(V - A) / W)^((1-s)/s) with A = s (V + pi/2), on the draws and the
+    half-angle transform of :func:`symmetric_stable_std`.  In this
+    normalization the Laplace exponent is exactly lambda^sigma (checked in
+    the test suite against the closed form and, for sigma = 1/2, against
+    1 / (2 N^2)).
     """
     if not 0.0 < sigma < 1.0:
         raise DomainError("one-sided stable exponent must lie in (0, 1)")
-    v = gen.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    w = gen.exponential(size=size)
-    shifted = sigma * (v + math.pi / 2.0)
-    return (
-        np.sin(shifted)
-        / np.cos(v) ** (1.0 / sigma)
-        * (np.cos(v - shifted) / w) ** ((1.0 - sigma) / sigma)
-    )
+    return _cms(sigma, gen, size, math.pi / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -172,17 +172,23 @@ class TestStableVariates:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
     def test_symmetric_stable_matches_closed_form_bitwise(self, alpha):
-        def closed_form(gen, size):
-            v = gen.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-            w = gen.exponential(size=size)
-            return (
-                np.sin(alpha * v)
-                / np.cos(v) ** (1.0 / alpha)
-                * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-            )
+        def half_angle(x, sine):
+            t = np.tan(x / 2.0)
+            q = 2.0 / (1.0 + t * t)
+            return t * q if sine else q - 1.0
 
-        # (300, 437) is not a multiple of the chunk and spans two chunks.
-        assert (300 * 437) % STABLE_CHUNK and 300 * 437 > STABLE_CHUNK
+        def closed_form(gen, size):
+            n = int(np.prod(() if size is None else size))
+            v = gen.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
+            w = gen.exponential(size=n)
+            s = half_angle(alpha * v, True)
+            c = half_angle(v - alpha * v, False)
+            d = half_angle(v, False)
+            x = s / d * (c / (w * d)) ** ((1.0 - alpha) / alpha)
+            return x[0] if size is None else x.reshape(size)
+
+        # (300, 437) is not a multiple of the chunk and spans several chunks.
+        assert (300 * 437) % STABLE_CHUNK and 300 * 437 > 2 * STABLE_CHUNK
         spare = (np.empty(300 * 437 + 5), np.empty(300 * 437 + 5))
         for size in (None, 1000, (300, 437)):
             for buffers in (None, spare):
@@ -193,6 +199,53 @@ class TestStableVariates:
                 assert type(got) is type(expected)
                 assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
                 assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_symmetric_stable_rounds_like_the_sin_cos_form(self, alpha):
+        # cos V = 2/(1+t^2) - 1 carries an absolute error of a few units of
+        # 2^-53, i.e. relative ~2^-53 / cos V, which the power scales by
+        # 1/alpha; the other steps add a few ulps.  Over 10^7 draws the worst
+        # ratio to 2^-52 / (alpha cos V) was 8.2 (alpha = 1.99); allow 16.
+        ref_gen, gen = RngStream(209).generator(), RngStream(209).generator()
+        v = ref_gen.uniform(-math.pi / 2.0, math.pi / 2.0, size=200_000)
+        w = ref_gen.exponential(size=200_000)
+        sin_cos = (
+            np.sin(alpha * v)
+            / np.cos(v) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+        )
+        got = symmetric_stable_std(alpha, gen, 200_000)
+        bound = 16.0 * 2.0**-52 / (alpha * np.cos(v))
+        assert np.all(np.abs(got - sin_cos) <= bound * np.abs(sin_cos))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_stable_draws_at_the_ends_of_the_uniform(self, alpha):
+        class Ends:
+            """u = 0 (V = -pi/2 rounded) and the largest u below 1, with W = 1."""
+
+            def random(self, out):
+                out[:] = [0.0, 1.0 - 2.0**-53]
+
+            def standard_exponential(self, out):
+                out[:] = 1.0
+
+        x = symmetric_stable_std(alpha, Ends(), 2)
+        assert np.all(np.isfinite(x)) and x[0] < 0.0 < x[1]
+        s = positive_stable_std(alpha / 2.0, Ends(), 2)
+        assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
+
+    def test_zero_exponential_gives_the_limit(self):
+        class ZeroW:
+            def random(self, out):
+                out[:] = 0.75
+
+            def standard_exponential(self, out):
+                out[:] = 0.0
+
+        # X ~ W^((a-1)/a) as W -> 0: 0 for a > 1, tan V for a = 1, inf for a < 1.
+        with np.errstate(divide="ignore"):
+            got = [symmetric_stable_std(a, ZeroW(), 1)[0] for a in (1.5, 1.0, 0.5)]
+        assert got[0] == 0.0 and got[1] == pytest.approx(1.0) and got[2] == math.inf
 
     def test_positive_stable_laplace(self):
         gen = RngStream(203).generator()
