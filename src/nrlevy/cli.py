@@ -315,10 +315,10 @@ def validate(cfg: ExperimentConfig) -> None:
             )
     if cfg.experiment in ("cf-compare", "theorem1") and cfg.triplet.dim != 1:
         raise ConfigError(f"{cfg.experiment} is one-dimensional: set dim = 1")
-    if cfg.experiment == "cf-compare" and not any(t > 0 for t in cfg.grid):
-        raise ConfigError(f"cf-compare needs a positive grid time, got grid = {cfg.grid}")
+    if cfg.experiment in ("simulate-nrlp", "cf-compare") and not _sampled_grid(cfg):
+        raise ConfigError(f"{cfg.experiment} needs a positive grid time, got grid = {cfg.grid}")
     if (cfg.experiment in ("simulate-nrlp", "cf-compare") and cfg.sampler == "spectral"
-            and not mixture_covers(cfg.triplet, cfg.grid)):
+            and not mixture_covers(cfg.triplet, _sampled_grid(cfg))):
         raise ConfigError(
             "sampler = spectral covers one-dimensional stable jumps on one or two "
             "positive grid times"
@@ -486,8 +486,13 @@ def _run_simulate_walk(cfg: ExperimentConfig) -> Outputs:
     }
 
 
+def _sampled_grid(cfg: ExperimentConfig) -> tuple[float, ...]:
+    """The grid without a leading 0.0: every process starts at 0, so t = 0 takes no draw."""
+    return cfg.grid[1:] if cfg.grid[:1] == (0.0,) else cfg.grid
+
+
 def _nrlp_config(cfg: ExperimentConfig) -> NrlpConfig:
-    return NrlpConfig(cfg.triplet, cfg.memory(), cfg.truncation_eps, cfg.grid)
+    return NrlpConfig(cfg.triplet, cfg.memory(), cfg.truncation_eps, _sampled_grid(cfg))
 
 
 def _choose_sampler(cfg: ExperimentConfig, nc: NrlpConfig) -> str:
@@ -510,9 +515,11 @@ def _sample_marginals(cfg: ExperimentConfig, nc: NrlpConfig, replicas: int) -> t
 def _run_simulate_nrlp(cfg: ExperimentConfig) -> Outputs:
     nc = _nrlp_config(cfg)
     values, sampler = _sample_marginals(cfg, nc, cfg.replicas)
+    # A leading t = 0 in the user's grid gets rows of 0: every process starts there.
+    values = np.pad(values, ((0, 0), (len(cfg.grid) - nc.grid.size, 0), (0, 0)))
     rows = []
     for r in range(values.shape[0]):
-        for gi, t in enumerate(nc.grid):
+        for gi, t in enumerate(cfg.grid):
             rows.append([r, float(t)] + [float(v) for v in values[r, gi]])
     header = ["replica", "time"] + [f"value{i}" for i in range(values.shape[2])]
     # Only the series sampler drops jumps below a cutoff.
@@ -529,7 +536,7 @@ def _run_simulate_nrlp(cfg: ExperimentConfig) -> Outputs:
             "sampler": sampler,
         },
         "schedule": [],
-        "grid": [float(t) for t in nc.grid],
+        "grid": [float(t) for t in cfg.grid],
         "truncation_budget": budget,
         "verdict": None,
     }
@@ -538,10 +545,7 @@ def _run_simulate_nrlp(cfg: ExperimentConfig) -> Outputs:
 
 def _run_cf_compare(cfg: ExperimentConfig) -> Outputs:
     nc = _nrlp_config(cfg)
-    pos_times = nc.grid[nc.grid > 0]
-    queries = [
-        CfQuery(np.asarray([th]), np.asarray([t])) for t in pos_times for th in cfg.thetas
-    ]
+    queries = [CfQuery(np.asarray([th]), np.asarray([t])) for t in nc.grid for th in cfg.thetas]
     # Theory first: its transients are freed before the sampler's blocks run.
     theory = reinforced_cf_values(
         nc.triplet, nc.p, queries, cfg.theory, cfg.mc_replicas, cfg.stream()
@@ -579,7 +583,7 @@ def _run_cf_compare(cfg: ExperimentConfig) -> Outputs:
 
 def _run_moments(cfg: ExperimentConfig) -> Outputs:
     rho = cfg.mark_rho()
-    grid = np.asarray([t for t in cfg.grid if t > 0])
+    grid = np.asarray(_sampled_grid(cfg))
     vals = ys_process_values(rho, grid, cfg.stream().generator(0), cfg.replicas)
     checks = []
 

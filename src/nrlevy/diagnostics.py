@@ -46,9 +46,7 @@ acceptance suite.
 class EcfEstimate:
     """ECF values for a batch of queries sharing one sampling grid."""
 
-    queries: tuple[CfQuery, ...]
     estimates: np.ndarray  # complex, one per query
-    replicas: int
     stderr: float
 
     def __post_init__(self) -> None:
@@ -77,7 +75,7 @@ def empirical_cf(
         thetas = query.on_grid(grid_times)  # (m, d)
         phase = np.einsum("rgd,gd->r", values, thetas)
         estimates[qi] = np.exp(1j * phase).mean()
-    return EcfEstimate(tuple(queries), estimates, values.shape[0], 1.0 / math.sqrt(values.shape[0]))
+    return EcfEstimate(estimates, 1.0 / math.sqrt(values.shape[0]))
 
 
 def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -334,7 +332,6 @@ class Prop8Report:
     stderr: np.ndarray
     references: np.ndarray  # (n_functionals,)  (1 - p) E[F(Y)]
     reference_se: np.ndarray
-    params: dict = field(default_factory=dict)
 
     @property
     def z_scores(self) -> np.ndarray:
@@ -388,5 +385,4 @@ def prop8_experiment(
         stderr=stderr,
         references=refs,
         reference_se=ref_se,
-        params={"p": pv.p, "replicas": replicas, "mc_replicas": mc_replicas},
     )

@@ -34,6 +34,7 @@ from .rng import RngStream, iter_blocks, map_blocks
 from .yule_simon import (
     MemoryParameter,
     as_memory,
+    check_times,
     ys_abs_moment,
     ys_cross_moment,
     ys_joint_values,
@@ -49,8 +50,8 @@ from .yule_simon import (
 class CfQuery:
     """A finite-dimensional cf query: angles theta_j attached to times t_j.
 
-    ``thetas`` has shape (k,) in dimension 1 or (k, d); repeated times are
-    allowed and are merged additively on the internal grid.
+    ``thetas`` has shape (k,) in dimension 1 or (k, d); the times lie in
+    (0, 1], and repeated times are merged additively on the internal grid.
     """
 
     thetas: np.ndarray
@@ -63,8 +64,8 @@ class CfQuery:
             thetas = thetas[:, None]
         if times.ndim != 1 or times.size != thetas.shape[0]:
             raise DomainError("one time per theta required")
-        if not np.all((times >= 0) & (times <= 1)):
-            raise DomainError("query times must lie in [0, 1]")
+        if not np.all((times > 0) & (times <= 1)):
+            raise DomainError("query times must lie in (0, 1]")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "times", times)
 
@@ -73,16 +74,10 @@ class CfQuery:
         return self.thetas.shape[1]
 
     def on_grid(self, grid_times: np.ndarray) -> np.ndarray:
-        """Thetas aligned to a sorted time grid, summing duplicates.
-
-        Times with zero attached weight contribute nothing; t = 0 entries are
-        dropped (the process vanishes there).
-        """
+        """Thetas aligned to a sorted time grid, summing duplicates."""
         grid_times = np.asarray(grid_times, dtype=float)
         out = np.zeros((grid_times.size, self.dim))
         for theta, t in zip(self.thetas, self.times):
-            if t == 0.0:
-                continue
             idx = np.searchsorted(grid_times, t)
             if idx == grid_times.size or grid_times[idx] != t:
                 raise DomainError(f"query time {t} missing from the sampling grid")
@@ -91,9 +86,8 @@ class CfQuery:
 
 
 def query_grid_times(queries: Sequence[CfQuery]) -> np.ndarray:
-    """Sorted union of positive query times."""
-    times = np.unique(np.concatenate([q.times for q in queries]))
-    return times[times > 0]
+    """Sorted union of query times."""
+    return np.unique(np.concatenate([q.times for q in queries]))
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,8 @@ class NrlpConfig:
     """A noise-reinforced Levy process ready for sampling.
 
     Admissibility (p * beta < 1) is enforced at construction; ``grid`` is the
-    output time grid and ``truncation_eps`` the small-jump cutoff of the
-    Poisson series (0 keeps every atom of a finite jump measure).
+    output time grid within (0, 1] and ``truncation_eps`` the small-jump
+    cutoff of the Poisson series (0 keeps every atom of a finite jump measure).
     """
 
     triplet: LevyTriplet
@@ -124,12 +118,7 @@ class NrlpConfig:
                 "truncation_eps must lie in (0, 1); 0 (no cutoff) is allowed for "
                 "finite jump measures"
             )
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
-            raise ConfigError("grid must be nonempty and strictly increasing")
-        if not 0 <= grid[0] <= grid[-1] <= 1:
-            raise ConfigError("grid must lie within [0, 1]")
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", check_times(self.grid))
 
     @property
     def rho(self) -> float:
@@ -168,13 +157,6 @@ def _nrbm_factor(p: float, times: np.ndarray) -> np.ndarray:
             ) from exc
 
 
-def _check_nrbm_p(p: MemoryParameter | float) -> float:
-    pv = as_memory(p).p
-    if not pv < 0.5:
-        raise InadmissibleError(f"reinforced Brownian motion requires p < 1/2, got {pv}")
-    return pv
-
-
 def nrbm_sample_many(
     p: MemoryParameter | float,
     grid,
@@ -186,18 +168,14 @@ def nrbm_sample_many(
 
     Coordinates are independent; each is Gaussian on the grid with the
     reinforced covariance, sampled through a Cholesky factor of the grid
-    covariance matrix from normals drawn from ``gen``.  A leading grid time 0
-    yields value 0.
+    covariance matrix from normals drawn from ``gen``.
     """
-    pv = _check_nrbm_p(p)
-    grid = np.asarray(grid, dtype=float)
-    pos = grid > 0
-    out = np.zeros((replicas, grid.size, d))
-    if np.any(pos):
-        factor = _nrbm_factor(pv, grid[pos])
-        z = gen.standard_normal((replicas, int(pos.sum()), d))
-        out[:, pos, :] = np.einsum("gh,rhd->rgd", factor, z)
-    return out
+    pv = as_memory(p).p
+    if not pv < 0.5:
+        raise InadmissibleError(f"reinforced Brownian motion requires p < 1/2, got {pv}")
+    factor = _nrbm_factor(pv, check_times(grid))
+    z = gen.standard_normal((replicas, factor.shape[0], d))
+    return np.einsum("gh,rhd->rgd", factor, z)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +213,8 @@ def map_nrlp_blocks(
     Each block of :func:`nrlevy.rng.iter_blocks` draws from its own
     generator and fills only its own rows through :func:`_nrlp_block`, whose
     ``jumps(config, gen, values)`` adds the jump part in place to the block's
-    positive-time columns.  Blocks run on ``threads`` threads; no draw depends
-    on ``threads``, so neither does the result.
+    values.  Blocks run on ``threads`` threads; no draw depends on
+    ``threads``, so neither does the result.
     """
     out = np.empty((replicas, config.grid.size, config.triplet.dim))
 
@@ -253,7 +231,6 @@ def _series_jumps(config: NrlpConfig, gen: np.random.Generator, values: np.ndarr
     nu = config.thinned
     lam = nu.tail_mass(config.truncation_eps, d)
     ends = np.cumsum(gen.poisson(lam, size=replicas))
-    pos_times = config.grid[config.grid > 0]
     total = int(ends[-1])
     for a in range(0, total, ATOM_CHUNK):
         n = min(ATOM_CHUNK, total - a)
@@ -262,8 +239,8 @@ def _series_jumps(config: NrlpConfig, gen: np.random.Generator, values: np.ndarr
         in_chunk = np.diff(np.minimum(ends[first : last + 1], a + n), prepend=a)
         rep_ids = np.repeat(np.arange(first, last + 1), in_chunk)
         jumps = nu.sample_tail(config.truncation_eps, d, gen, n)
-        marks = ys_joint_values(config.rho, pos_times, gen, n)  # (n, m_pos)
-        for g in range(pos_times.size):
+        marks = ys_joint_values(config.rho, config.grid, gen, n)  # (n, m)
+        for g in range(config.grid.size):
             weights = marks[:, g].astype(float)
             for e in range(d):
                 values[:, g, e] += np.bincount(
@@ -275,7 +252,7 @@ def _nrlp_block(
     config: NrlpConfig, gen: np.random.Generator, replicas: int, jumps: Callable
 ) -> np.ndarray:
     """One block of replicas: drift, reinforced-Brownian part and compensation,
-    then ``jumps`` at the positive grid times, all drawn from ``gen``."""
+    then ``jumps``, all drawn from ``gen``."""
     triplet = config.triplet
     grid = config.grid
     values = np.zeros((replicas, grid.size, triplet.dim))
@@ -287,9 +264,7 @@ def _nrlp_block(
     # band, so its drift is read off the unthinned measure.
     comp = triplet.jump_measure.band_mean(config.truncation_eps, triplet.dim)
     values -= np.outer(grid, comp)[None, :, :]
-    first = int(grid[0] == 0.0)  # the grid increases from t >= 0
-    if first < grid.size:
-        jumps(config, gen, values[:, first:])
+    jumps(config, gen, values)
     return values
 
 
@@ -338,7 +313,6 @@ class CfEstimate:
 
     value: complex
     value_se: float
-    replicas: int
     diverged: bool
 
 
@@ -360,8 +334,6 @@ def reinforced_cf(
     if query.dim != triplet.dim:
         raise DomainError("query dimension does not match the triplet")
     grid = query_grid_times([query])
-    if grid.size == 0:
-        return CfEstimate(1.0 + 0j, 0.0, mc_replicas, False)
     thetas = query.on_grid(grid)  # (m, d)
     marks = ys_joint_values(pv.rho, grid, gen, mc_replicas)  # (R, m)
     w = marks.astype(float) @ thetas  # (R, d)
@@ -374,7 +346,6 @@ def reinforced_cf(
     return CfEstimate(
         value=complex(value),
         value_se=abs(value) * keep * se,
-        replicas=mc_replicas,
         diverged=diverged,
     )
 
@@ -388,8 +359,8 @@ def reinforced_cf_exact(
 
     Covers Gaussian-plus-drift triplets in any dimension (the quadratic part
     reduces to first and second mark moments), and additionally isotropic
-    stable jumps in dimension 1 when the query involves a single positive
-    time, or same-signed angles with unit index.  Raises
+    stable jumps in dimension 1 when the query involves a single time, or
+    same-signed angles with unit index.  Raises
     UnsupportedFamilyError outside this domain; the Monte Carlo estimator
     :func:`reinforced_cf` has no such restriction.
     """
@@ -398,8 +369,6 @@ def reinforced_cf_exact(
     if query.dim != triplet.dim:
         raise DomainError("query dimension does not match the triplet")
     grid = query_grid_times([query])
-    if grid.size == 0:
-        return 1.0 + 0j
     thetas = query.on_grid(grid)  # (m, d)
     total = 0j
     if triplet.has_gaussian:

@@ -29,7 +29,7 @@ The mixture replaces only the jump part of the process: the block plan, the
 drift, the reinforced-Brownian part and the thread pool are those of the
 series sampler (:func:`nrlevy.noise_reinforced.map_nrlp_blocks`).
 :func:`mixture_covers` states its domain, one-dimensional isotropic stable
-jumps on one or two positive grid times; the series sampler covers the rest.
+jumps on one or two grid times; the series sampler covers the rest.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import DomainError, UnsupportedFamilyError
 from .levy_model import IsotropicStable, LevyTriplet, symmetric_stable_std
 from .noise_reinforced import NrlpConfig, map_nrlp_blocks
 from .rng import BLOCK_SIZE, RngStream
-from .yule_simon import ys_abs_moment, ys_pmf
+from .yule_simon import check_times, ys_abs_moment, ys_pmf
 
 EXACT_MAX = 32
 """Mark vectors with terminal value up to this become exact bins, one per direction."""
@@ -70,7 +70,6 @@ class StableMarkMixture:
     """
 
     alpha: float
-    times: np.ndarray
     directions: np.ndarray
     weights: np.ndarray
 
@@ -115,16 +114,12 @@ def build_stable_mixture(
     are the singleton directions (ordered by reduced pair), the direction
     bins and the tail: 582 bins on a two-point grid, one on a one-point grid.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0) or times[-1] > 1:
-        raise DomainError("grid times must be strictly increasing in (0, 1]")
+    times = check_times(times)
     if not 0.0 < alpha < rho:
         raise DomainError("stable mixture needs alpha < rho (admissibility)")
     if times.size == 1:
         gamma_total = scale_nu * ys_abs_moment(alpha, rho, float(times[0]))
-        return StableMarkMixture(
-            alpha, times, np.ones((1, 1)), np.asarray([gamma_total])
-        )
+        return StableMarkMixture(alpha, np.ones((1, 1)), np.asarray([gamma_total]))
     if times.size != 2:
         raise UnsupportedFamilyError(
             "stable mixture sampling is tabulated for grids of one or two times; "
@@ -170,7 +165,7 @@ def build_stable_mixture(
 
     directions = np.vstack([single_dirs, bin_dirs, tail_dir[None, :]])
     gamma = np.concatenate([single_gamma, bin_gamma[used] * bin_norms**alpha, [tail_gamma]])
-    return StableMarkMixture(alpha, times, directions, gamma)
+    return StableMarkMixture(alpha, directions, gamma)
 
 
 def _mark_cells(rho: float, t1: float, t2: float, q: float):
@@ -204,19 +199,18 @@ def _mark_cells(rho: float, t1: float, t2: float, q: float):
 
 def mixture_covers(triplet: LevyTriplet, grid) -> bool:
     """Whether the mark mixture can be the jump part of this triplet on this
-    grid: one-dimensional isotropic stable jumps on one or two positive times."""
-    positive = sum(t > 0 for t in grid)
+    grid: one-dimensional isotropic stable jumps on one or two grid times."""
     return (isinstance(triplet.jump_measure, IsotropicStable) and triplet.dim == 1
-            and 1 <= positive <= 2)
+            and 1 <= len(grid) <= 2)
 
 
 def stable_mixture_for(config: NrlpConfig) -> StableMarkMixture:
     """Mixture table for the jump part of a stable-jump configuration."""
     if not mixture_covers(config.triplet, config.grid):
         raise UnsupportedFamilyError("the mixture sampler covers one-dimensional "
-                                     "isotropic stable jumps on one or two positive times")
+                                     "isotropic stable jumps on one or two grid times")
     nu = config.thinned
-    return build_stable_mixture(nu.alpha, nu.scale, config.rho, config.grid[config.grid > 0])
+    return build_stable_mixture(nu.alpha, nu.scale, config.rho, config.grid)
 
 
 def stable_nrlp_marginals(

@@ -153,7 +153,7 @@ def ys_process_values(
     ``gen``; returns an int64 array of shape (replicas, len(times)).
     """
     rho = _check_rho(rho)
-    times = _check_times(times)
+    times = check_times(times)
     counts = np.zeros((replicas, times.size), dtype=np.int64)
     t = gen.uniform(size=replicas)
     idx = np.arange(replicas)
@@ -194,7 +194,7 @@ def ys_joint_values(
     contiguous.
     """
     rho = _check_rho(rho)
-    times = _check_times(times)
+    times = check_times(times)
     u = gen.uniform(size=replicas)
     out = np.zeros((times.size, replicas), dtype=np.int64)
     below = np.zeros(replicas, dtype=bool)  # U <= the previous grid time
@@ -219,7 +219,8 @@ def ys_joint_values(
     return out.T
 
 
-def _check_times(times) -> np.ndarray:
+def check_times(times) -> np.ndarray:
+    """``times`` as a float array, strictly increasing within (0, 1]: every process starts at 0."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a nonempty 1-d array")

@@ -216,6 +216,26 @@ class TestRejections:
         assert_one_line_error(capsys)
         assert not (tmp_path / "o").exists()
 
+    def test_simulate_nrlp_requires_positive_grid_time(self, tmp_path, capsys):
+        # A grid of t = 0 alone draws nothing, so no run and no truncation budget.
+        config = NRLP_SMALL.replace("{extra}", "grid = 0.0").replace("gaussian = 1.0", "jumps = cauchy")
+        cfg = write(tmp_path, "c.ini", config.format(out=tmp_path / "o"))
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_moments_rejects_negative_grid_time(self, tmp_path, capsys):
+        # Only a leading t = 0 leaves the grid; a negative time is an error,
+        # not a check silently dropped from the verdict.
+        cfg = write(
+            tmp_path, "m.ini",
+            f"[experiment]\nname = moments\np = 0.25\nreplicas = 500\ngrid = -0.5,1.0\n"
+            f"[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert run(cfg) == 1
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("mult", ["0", "-1"])
     def test_nonpositive_tolerance_mult_rejected(self, tmp_path, capsys, mult):
         out = tmp_path / "o"
@@ -637,3 +657,27 @@ class TestOutputs:
             budgets[sampler] = json.loads((out / "report.json").read_text())["truncation_budget"]
         assert budgets["spectral"] is None
         assert budgets["series"] > 0
+
+    def test_zero_time_rows_are_zero(self, tmp_path):
+        # A leading t = 0 adds rows of exactly 0 and moves no draw: every
+        # other row matches the run on the grid without it, for both samplers.
+        triplets = {
+            "series": "gaussian = 0.7\ndrift = -0.2\njumps = atoms\natoms = 1.0:2.0; -0.5:0.3\n",
+            "spectral": "gaussian = 0.7\ndrift = -0.2\njumps = stable\nalpha = 1.5\n",
+        }
+        for sampler, triplet in triplets.items():
+            rows = {}
+            for grid in ("0.0,0.5,1.0", "0.5,1.0"):
+                out = tmp_path / f"{sampler}-{grid}"
+                cfg = write(
+                    tmp_path, "nrlp.ini",
+                    f"[experiment]\nname = simulate-nrlp\np = 0.3\nseed = 29\nreplicas = 50\n"
+                    f"grid = {grid}\nsampler = {sampler}\n[triplet]\ndim = 1\n{triplet}"
+                    f"[output]\ndir = {out}\n",
+                )
+                assert run(cfg) == 0
+                rows[grid] = (out / "paths.csv").read_text().splitlines()
+            at_zero = [row for row in rows["0.0,0.5,1.0"][1:] if row.split(",")[1] == "0"]
+            assert len(at_zero) == 50
+            assert all(row.split(",")[2] == "0" for row in at_zero)
+            assert [row for row in rows["0.0,0.5,1.0"] if row not in at_zero] == rows["0.5,1.0"]

@@ -28,6 +28,7 @@ from nrlevy.noise_reinforced import (
     truncation_budget,
 )
 from nrlevy.rng import RngStream
+from nrlevy.spectral import build_stable_mixture
 from nrlevy.yule_simon import (
     MemoryParameter,
     _abs_moment_sum,
@@ -64,8 +65,8 @@ class TestNrbm:
         np.testing.assert_allclose(theo, np.array([[0.4, 0.4], [0.4, 1.0]]), rtol=1e-6)
 
     def test_leading_zero_time(self):
-        vals = nrbm_sample_many(0.25, [0.0, 0.5, 1.0], 2, RngStream(404).generator(), 1)
-        np.testing.assert_array_equal(vals[:, 0], 0.0)
+        with pytest.raises(DomainError):
+            nrbm_sample_many(0.25, [0.0, 0.5, 1.0], 2, RngStream(404).generator(), 1)
 
     def test_rejects_large_p(self):
         with pytest.raises(InadmissibleError):
@@ -86,10 +87,12 @@ class TestConfig:
         trip = LevyTriplet.cauchy()
         with pytest.raises(ConfigError):
             NrlpConfig(trip, MemoryParameter(0.5), truncation_eps=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             NrlpConfig(trip, MemoryParameter(0.5), grid=np.array([0.5, 0.5]))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             NrlpConfig(trip, MemoryParameter(0.5), grid=np.array([0.5, 1.5]))
+        with pytest.raises(DomainError):
+            NrlpConfig(trip, MemoryParameter(0.5), grid=np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("build", [
         lambda: NrlpConfig(LevyTriplet.cauchy(), 0.5, grid=np.array([0.5, np.nan])),
@@ -105,6 +108,20 @@ class TestConfig:
     def test_rejects_non_finite(self, build):
         # Range checks written as `x < lo or x > hi` let NaN through.
         with pytest.raises(NrlevyError):
+            build()
+
+
+class TestTimeContract:
+    # Every process starts at 0, so library grids and query times lie in
+    # (0, 1]; only the CLI writes t = 0 rows.
+    @pytest.mark.parametrize("build", [
+        lambda: NrlpConfig(LevyTriplet.cauchy(), 0.5, grid=np.array([0.0, 1.0])),
+        lambda: CfQuery(np.array([1.0]), np.array([0.0])),
+        lambda: nrbm_sample_many(0.25, [0.0, 1.0], 1, RngStream(1).generator(), 1),
+        lambda: build_stable_mixture(1.5, 0.5, 2.0, [0.0, 1.0]),
+    ], ids=["config-grid", "query-time", "nrbm-grid", "mixture-grid"])
+    def test_rejects_time_zero(self, build):
+        with pytest.raises(DomainError):
             build()
 
 
@@ -154,15 +171,9 @@ class TestAtoms:
 class TestNrlpSampling:
     def test_pure_drift_path(self):
         cfg = NrlpConfig(LevyTriplet.pure_drift([2.0]), MemoryParameter(0.5),
-                         grid=np.array([0.0, 0.5, 1.0]))
+                         grid=np.array([0.5, 1.0]))
         vals = nrlp_marginals(cfg, RngStream(410), 1)
-        np.testing.assert_allclose(vals[:, :, 0], [[0.0, 1.0, 2.0]])
-
-    def test_zero_time_value(self):
-        cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), 1e-2,
-                         np.array([0.0, 1.0]))
-        vals = nrlp_marginals(cfg, RngStream(411), 200)
-        np.testing.assert_array_equal(vals[:, 0, 0], 0.0)
+        np.testing.assert_allclose(vals[:, :, 0], [[1.0, 2.0]])
 
     def test_cauchy_fixed_point_moderate_scale(self):
         cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), 1e-3,
@@ -253,19 +264,19 @@ def _replay_block(cfg: NrlpConfig, seed: int, replicas: int, chunk: int | None):
     for a in range(0, ids.size, chunk):
         n = min(chunk, ids.size - a)
         jumps = cfg.thinned.sample_tail(cfg.truncation_eps, d, gen, n)
-        marks = ys_joint_values(cfg.rho, grid[grid > 0], gen, n).astype(float)
-        for g in range(1, grid.size):
+        marks = ys_joint_values(cfg.rho, grid, gen, n).astype(float)
+        for g in range(grid.size):
             for e in range(d):
-                values[:, g, e] += np.bincount(ids[a : a + n], weights=marks[:, g - 1] * jumps[:, e],
+                values[:, g, e] += np.bincount(ids[a : a + n], weights=marks[:, g] * jumps[:, e],
                                                minlength=replicas)
     return values, ids
 
 
 class TestChunkedBlock:
     # Gaussian, drift and symmetric stable jumps (no compensation drift) in
-    # d = 2, on a grid with a leading zero; about 5.6 atoms per replica.
+    # d = 2; about 5.6 atoms per replica.
     CFG = NrlpConfig(LevyTriplet(2, np.eye(2), np.array([0.3, -0.2]), IsotropicStable(1.5)),
-                     MemoryParameter(0.3), 0.2, np.array([0.0, 0.5, 1.0]))
+                     MemoryParameter(0.3), 0.2, np.array([0.5, 1.0]))
 
     def test_chunks_replay_the_documented_order(self, monkeypatch):
         # Chunks of 7 atoms split many replicas' atoms across two chunks.
@@ -288,7 +299,7 @@ class TestChunkedBlock:
         # About 0.14 atoms per replica: most replicas draw none, so chunk
         # edges fall between replicas with runs of empty ones between them.
         cfg = NrlpConfig(LevyTriplet(2, np.eye(2), np.array([0.3, -0.2]), IsotropicStable(1.5, 0.1)),
-                         MemoryParameter(0.3), 0.5, np.array([0.0, 0.5, 1.0]))
+                         MemoryParameter(0.3), 0.5, np.array([0.5, 1.0]))
         monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", chunk)
         got = noise_reinforced._nrlp_block(cfg, np.random.default_rng(444), 600,
                                             noise_reinforced._series_jumps)
