@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as dg
-from .errors import ConfigError, NrlevyError
+from .errors import ConfigError, DomainError, NrlevyError
 from .levy_model import (
     FiniteAtomic,
     IsotropicStable,
@@ -48,7 +48,15 @@ from .noise_reinforced import (
 from .rng import RngStream
 from .spectral import mixture_covers, stable_nrlp_marginals
 from .step_reinforced import elephant_walk, skeleton_reinforced_walk
-from .yule_simon import MemoryParameter, ys_cross_moment, ys_mean, ys_pmf, ys_process_values, ys_sample
+from .yule_simon import (
+    MemoryParameter,
+    check_times,
+    ys_cross_moment,
+    ys_mean,
+    ys_pmf,
+    ys_process_values,
+    ys_sample,
+)
 
 # experiment -> the [experiment] keys besides name that it reads; validate
 # rejects any other key that the config or a flag sets.
@@ -315,8 +323,14 @@ def validate(cfg: ExperimentConfig) -> None:
             )
     if cfg.experiment in ("cf-compare", "theorem1") and cfg.triplet.dim != 1:
         raise ConfigError(f"{cfg.experiment} is one-dimensional: set dim = 1")
-    if cfg.experiment in ("simulate-nrlp", "cf-compare") and not _sampled_grid(cfg):
-        raise ConfigError(f"{cfg.experiment} needs a positive grid time, got grid = {cfg.grid}")
+    if "grid" in _EXPERIMENT_READS[cfg.experiment]:
+        try:
+            check_times(_sampled_grid(cfg))
+        except DomainError:
+            raise ConfigError(
+                f"grid must be strictly increasing within (0, 1] after an optional "
+                f"leading 0.0, got grid = {cfg.grid}"
+            ) from None
     if (cfg.experiment in ("simulate-nrlp", "cf-compare") and cfg.sampler == "spectral"
             and not mixture_covers(cfg.triplet, _sampled_grid(cfg))):
         raise ConfigError(

@@ -23,7 +23,7 @@ from .levy_model import LevyTriplet, increment_sample
 from .noise_reinforced import CfQuery, query_grid_times, reinforced_cf_values
 from .rng import RngStream, iter_blocks
 from .rng import map_blocks as _map_blocks  # perfbench/tracing.py probes this name
-from .step_reinforced import reinforced_prefix_sums, repeat_sources, simon_terminal_counts
+from .step_reinforced import draw_genealogy, reinforced_prefix_sums, simon_terminal_counts
 from .yule_simon import MemoryParameter, as_memory, ys_process_values
 
 TOLERANCE_MULT = 4.0
@@ -186,10 +186,9 @@ def _mesh_ecf(
         ks = np.floor(n * grid_times + 1e-9).astype(np.int64)
 
         def block(gen: np.random.Generator, start: int, count: int) -> np.ndarray:
-            fresh, sources = repeat_sources(n, count, p, gen)
-            steps = np.zeros((n, count))
-            steps[fresh] = increment_sample(triplet, 1.0 / n, gen, size=int(fresh.sum()))[:, 0]
-            return reinforced_prefix_sums(steps, sources, ks)
+            genealogy = draw_genealogy(n, count, p, gen)
+            fresh_steps = increment_sample(triplet, 1.0 / n, gen, size=genealogy.fresh)[:, 0]
+            return reinforced_prefix_sums(np.empty((n, count)), genealogy, ks, fresh_steps)
 
         blocks = list(iter_blocks(rng.substream(i), replicas))
         sums = np.concatenate(_map_blocks(block, blocks, threads))

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
@@ -195,6 +194,17 @@ class FiniteAtomic(JumpMeasure):
         return self.masses[band] @ self.positions[band]
 
 
+def _quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported at the first call.
+
+    Only :class:`RadialDensity` integrates, and ``scipy.integrate`` loads
+    ``scipy.optimize`` and ``scipy.linalg`` with it, so other runs skip them.
+    """
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class RadialDensity(JumpMeasure):
     """User-supplied radial jump intensity with isotropic directions.
@@ -213,8 +223,8 @@ class RadialDensity(JumpMeasure):
     def __post_init__(self) -> None:
         if not (0.0 <= self.bg_hint <= 2.0):
             raise DomainError("bg_hint must lie in [0, 2]")
-        near, err1 = quad(lambda r: r * r * self._eval(r), 0.0, 1.0, limit=200)
-        far, err2 = quad(self._eval, 1.0, np.inf, limit=200)
+        near, err1 = _quad(lambda r: r * r * self._eval(r), 0.0, 1.0, limit=200)
+        far, err2 = _quad(self._eval, 1.0, np.inf, limit=200)
         if not np.isfinite(near + far):
             raise DomainError("radial density fails the (1 ^ r^2) integrability test")
         if err1 + err2 > 1e-6 * max(1.0, near + far):
@@ -241,7 +251,7 @@ class RadialDensity(JumpMeasure):
         raise UnsupportedFamilyError("no exact increment sampler for RadialDensity jump measures")
 
     def tail_mass(self, eps: float, d: int) -> float:
-        val, err = quad(self._eval, eps, np.inf, limit=400)
+        val, err = _quad(self._eval, eps, np.inf, limit=400)
         if not np.isfinite(val):
             raise ConfigError("radial tail mass is not finite")
         return val
@@ -251,7 +261,7 @@ class RadialDensity(JumpMeasure):
         return _on_sphere(radii, gen, d)
 
     def small_ball_moment(self, q: float, eps: float, d: int) -> float:
-        val, _ = quad(lambda r: r**q * self._eval(r), 0.0, eps, limit=400)
+        val, _ = _quad(lambda r: r**q * self._eval(r), 0.0, eps, limit=400)
         return val
 
 
@@ -261,7 +271,7 @@ def _radial_tail_table(jm: RadialDensity, eps: float) -> tuple[np.ndarray, np.nd
     and cutoff rather than once per chunk of atoms."""
     hi = max(10.0 * eps, 1.0)
     total = jm.tail_mass(eps, 1)
-    while quad(jm._eval, hi, np.inf, limit=200)[0] > 1e-10 * total:
+    while _quad(jm._eval, hi, np.inf, limit=200)[0] > 1e-10 * total:
         hi *= 10.0
         if hi > 1e18:
             raise NumericalError("radial density tail decays too slowly to invert")
@@ -423,21 +433,21 @@ def _radial_exponent(jm: RadialDensity, theta_norm: float, d: int) -> float:
             return (s * s / (2.0 * d)) * jm._eval(r)
         return (1.0 - float(sphere_coordinate_cf(np.asarray([s]), d)[0])) * jm._eval(r)
 
-    near, near_err = quad(one_minus_cf, 0.0, 1.0, limit=400)
-    tail_mass, tail_mass_err = quad(jm._eval, 1.0, np.inf, limit=400)
+    near, near_err = _quad(one_minus_cf, 0.0, 1.0, limit=400)
+    tail_mass, tail_mass_err = _quad(jm._eval, 1.0, np.inf, limit=400)
     if d == 1:
-        osc, osc_err = quad(jm._eval, 1.0, np.inf, weight="cos", wvar=theta_norm, limit=400)
+        osc, osc_err = _quad(jm._eval, 1.0, np.inf, weight="cos", wvar=theta_norm, limit=400)
     else:
         # |E cos(s U_1)| <= envelope(s) ~ s^-(d-1)/2; cut where the envelope is tiny.
         cut = max(2.0, 1e4 / theta_norm)
-        osc, osc_err = quad(
+        osc, osc_err = _quad(
             lambda r: float(sphere_coordinate_cf(np.asarray([r * theta_norm]), d)[0])
             * jm._eval(r),
             1.0,
             cut,
             limit=400,
         )
-        rest, rest_err = quad(jm._eval, cut, np.inf, limit=200)
+        rest, rest_err = _quad(jm._eval, cut, np.inf, limit=200)
         envelope = gamma_fn(d / 2.0) * (2.0 / (cut * theta_norm)) ** ((d - 1) / 2.0)
         osc_err += rest_err + abs(rest) * min(1.0, envelope)
     total = near + tail_mass - osc

@@ -2,20 +2,27 @@
 
 At each step k >= 2, with probability p the walker repeats one of its
 previous steps chosen uniformly at random, otherwise it makes a fresh step.
-One genealogy implements that rule for every caller: :func:`repeat_sources`
-draws it for R walks at once as an (n, R) array of contiguous rows (one
-uniform per slot, drawn and transformed one cache-sized chunk of rows at a
-time; int32 sources while n * R < 2**31), and :func:`follow_sources`
-resolves it row by row with one gather from the earlier rows.  A single
-walk is one replica of it; the skeleton block kernel gathers step values
-(drawn for the fresh slots only, about 1 + (n - 1)(1 - p) per walk, not n);
-the occupation counts gather slot indices and count the originating base
-steps.  Repeats are tracked by the originating base index (not the step
-value), so counters remain correct when step values collide.
+One genealogy rule serves every caller: one uniform per slot of R walks of
+length n, drawn and transformed one cache-sized chunk of rows at a time
+(:func:`_genealogy_chunks`).  :func:`repeat_sources` keeps it as (n, R)
+``fresh`` and ``sources`` arrays (int32 sources while n * R < 2**31), and
+:func:`follow_sources` resolves it row by row with one gather from the
+earlier rows; a single walk is one replica of it, and the occupation counts
+keep only the sources, gather slot indices and count the originating base
+steps.  The skeleton block kernel holds no genealogy array:
+:func:`draw_genealogy` draws the uniforms once to count the fresh slots,
+the fresh base steps are drawn next (about 1 + (n - 1)(1 - p) per walk, not
+n), and :func:`reinforced_prefix_sums` replays the same uniforms from a copy
+of the generator, chunk by chunk, gathering each chunk's rows and adding
+them onto a running prefix.  Its working set is the (n, R) float array of
+steps, 8 n R bytes, plus the fresh base steps and one chunk.  Repeats are
+tracked by the originating base index (not the step value), so counters
+remain correct when step values collide.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,11 +168,73 @@ def skeleton_reinforced_walk(
 # ---------------------------------------------------------------------------
 
 SOURCE_CHUNK = 1 << 16
-"""Slots per chunk of rows in :func:`repeat_sources` (at least one row).
+"""Slots per chunk of rows of a genealogy draw (at least one row).
 
 One chunk of uniforms and its whole transform stay in cache; the chunk size
 never changes which uniform a slot gets.
 """
+
+
+def _walk_memory(n: int, p: MemoryParameter | float) -> float:
+    pv = as_memory(p).p
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    return pv
+
+
+def _chunk_rows(n: int, replicas: int) -> int:
+    return min(n, max(1, SOURCE_CHUNK // max(replicas, 1)))
+
+
+def _source_dtype(n: int, replicas: int) -> type:
+    return np.int32 if n * replicas < 2**31 else np.intp
+
+
+def _genealogy_chunks(
+    n: int,
+    replicas: int,
+    pv: float,
+    gen: np.random.Generator,
+    fresh: np.ndarray | None = None,
+    sources: np.ndarray | None = None,
+    *,
+    with_sources: bool = True,
+):
+    """The genealogy rule of :func:`repeat_sources`, one chunk of rows at a time.
+
+    Draws the uniforms of about ``SOURCE_CHUNK`` slots (whole rows) into one
+    reused buffer, which reads the same stream as a single
+    ``gen.random((n, R))``, and yields ``(start, fresh rows, source rows)``.
+    The rows are views of ``fresh`` and ``sources`` where those (n, R) arrays
+    are given, else of chunk buffers that the next chunk overwrites.  Without
+    ``with_sources`` only the fresh rows are made (source rows are None).
+    """
+    rows_per = _chunk_rows(n, replicas)
+    dtype = _source_dtype(n, replicas) if sources is None else sources.dtype
+    buf = np.empty((rows_per, replicas))
+    fresh_buf = np.empty((rows_per, replicas), dtype=bool) if fresh is None else None
+    source_buf = np.empty((rows_per, replicas), dtype=dtype) if sources is None and with_sources else None
+    cols = np.arange(replicas, dtype=dtype)
+    for start in range(0, n, rows_per):
+        stop = min(start + rows_per, n)
+        u = buf[: stop - start]
+        fr = fresh_buf[: stop - start] if fresh is None else fresh[start:stop]
+        gen.random(out=u)
+        np.greater_equal(u, pv, out=fr)
+        if start == 0:
+            fr[0] = True  # step 0 draws a uniform but is always fresh
+        if not with_sources:
+            yield start, fr, None
+            continue
+        src = source_buf[: stop - start] if sources is None else sources[start:stop]
+        rows = np.arange(start, stop)[:, None]
+        u *= rows / pv
+        np.minimum(u, rows - 1, out=u)  # before the cast, which overflows for tiny p
+        np.copyto(src, u, casting="unsafe")
+        np.copyto(src, rows, where=fr)
+        src *= replicas
+        src += cols
+        yield start, fr, src
 
 
 def repeat_sources(
@@ -178,35 +247,53 @@ def repeat_sources(
     of a fresh slot itself, else slot * R + r of the earlier slot it repeats.
     One uniform u per slot decides both: u < p is a repeat, of slot
     floor((u / p) * i) clamped to i - 1.  The uniforms are drawn and
-    transformed in chunks of about ``SOURCE_CHUNK`` slots (whole rows) into
-    one reused buffer, which reads the same stream as a single
-    ``gen.random((n, R))``.  ``sources`` is int32 while n * R < 2**31, else
-    intp.
+    transformed chunk by chunk (see :func:`_genealogy_chunks`).  ``sources``
+    is int32 while n * R < 2**31, else intp.
     """
-    pv = as_memory(p).p
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    dtype = np.int32 if n * replicas < 2**31 else np.intp
+    pv = _walk_memory(n, p)
     fresh = np.empty((n, replicas), dtype=bool)
-    sources = np.empty((n, replicas), dtype=dtype)
-    chunk_rows = min(n, max(1, SOURCE_CHUNK // max(replicas, 1)))
-    buf = np.empty((chunk_rows, replicas))
-    cols = np.arange(replicas, dtype=dtype)
-    for start in range(0, n, chunk_rows):
-        stop = min(start + chunk_rows, n)
-        u, fr, src = buf[: stop - start], fresh[start:stop], sources[start:stop]
-        gen.random(out=u)
-        np.greater_equal(u, pv, out=fr)
-        rows = np.arange(start, stop)[:, None]
-        u *= rows / pv
-        np.minimum(u, rows - 1, out=u)  # before the cast, which overflows for tiny p
-        np.copyto(src, u, casting="unsafe")
-        np.copyto(src, rows, where=fr)
-        src *= replicas
-        src += cols
-    fresh[0] = True  # step 0 draws a uniform but is always fresh
-    sources[0] = cols
+    sources = np.empty((n, replicas), dtype=_source_dtype(n, replicas))
+    for _ in _genealogy_chunks(n, replicas, pv, gen, fresh, sources):
+        pass
     return fresh, sources
+
+
+@dataclass(frozen=True)
+class Genealogy:
+    """R genealogies of length n, kept as the point of the stream where they start.
+
+    Made by :func:`draw_genealogy`.  ``fresh`` counts the fresh slots, and
+    :meth:`chunks` replays the same uniforms, one chunk of rows at a time,
+    from a copy of the generator taken at that point; so the (n, R)
+    ``fresh`` and ``sources`` arrays of :func:`repeat_sources` are never held.
+    """
+
+    n: int
+    replicas: int
+    p: float
+    fresh: int
+    start_gen: np.random.Generator
+
+    def chunks(self):
+        """``(start, fresh rows, source rows)`` per chunk, as :func:`repeat_sources` draws them."""
+        return _genealogy_chunks(self.n, self.replicas, self.p, copy.deepcopy(self.start_gen))
+
+
+def draw_genealogy(
+    n: int, replicas: int, p: MemoryParameter | float, gen: np.random.Generator
+) -> Genealogy:
+    """Draw the genealogy of :func:`repeat_sources` from ``gen`` and keep only its replay point.
+
+    ``gen`` advances past the n * R uniforms exactly as :func:`repeat_sources`
+    advances it; only the fresh slots are counted on the way.
+    """
+    pv = _walk_memory(n, p)
+    start_gen = copy.deepcopy(gen)
+    fresh = sum(
+        int(np.count_nonzero(fr))
+        for _, fr, _ in _genealogy_chunks(n, replicas, pv, gen, with_sources=False)
+    )
+    return Genealogy(n, replicas, pv, fresh, start_gen)
 
 
 def follow_sources(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -225,24 +312,60 @@ def follow_sources(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
 
 
 def reinforced_prefix_sums(
-    steps: np.ndarray, sources: np.ndarray, prefix_ks: Sequence[int]
+    steps: np.ndarray,
+    sources: np.ndarray | Genealogy,
+    prefix_ks: Sequence[int],
+    fresh_steps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Reinforce each column of ``steps`` and return S-hat at the given prefixes.
 
-    ``steps`` has shape (n, replicas), one contiguous row per slot; only its
-    fresh slots (see :func:`repeat_sources`) need base steps.
-    :func:`follow_sources` fills the repeated slots, then the rows are summed
-    in place, so ``steps`` may be overwritten.  Returns shape
+    ``steps`` has shape (n, replicas), one contiguous row per slot, and may
+    be overwritten with the reinforced steps.  ``sources`` is either
+    - a :class:`Genealogy`, replayed chunk by chunk, whose fresh slots take
+      ``fresh_steps`` in row-major order (``steps`` may then be uninitialised),
+    - or the (n, R) ``sources`` of :func:`repeat_sources`, with base steps
+      already in the fresh slots of ``steps``.
+    Each chunk of rows is gathered with one ``take`` per row (repeats read
+    earlier rows), then summed onto the running row of prefix sums, so the
+    result is bitwise that of one ``cumsum`` over all rows while the working
+    set beyond ``steps`` stays one chunk.  Returns shape
     (replicas, len(prefix_ks)).
     """
     hat = np.ascontiguousarray(steps, dtype=float)
-    n = hat.shape[0]
     ks = np.asarray(prefix_ks, dtype=np.int64)
-    if n < 1 or sources.shape != hat.shape or np.any(ks < 0) or np.any(ks > n):
+    replay = isinstance(sources, Genealogy)
+    shape = (sources.n, sources.replicas) if replay else sources.shape
+    if hat.shape != shape or hat.shape[0] < 1 or np.any(ks < 0) or np.any(ks > hat.shape[0]):
         raise DomainError("need n >= 1, sources shaped like steps and prefixes in [0, n]")
-    follow_sources(hat, sources)
-    np.cumsum(hat, axis=0, out=hat)
-    return np.where(ks > 0, hat[ks - 1].T, 0.0)
+    if replay != (fresh_steps is not None) or (replay and len(fresh_steps) != sources.fresh):
+        raise DomainError("fresh_steps go with a Genealogy: one base step per fresh slot")
+    n, replicas = hat.shape
+    rows_per = _chunk_rows(n, replicas)
+    if replay:
+        chunks = sources.chunks()
+    else:
+        chunks = ((start, None, sources[start : start + rows_per]) for start in range(0, n, rows_per))
+    take = hat.reshape(-1).take
+    work = np.empty((rows_per, replicas))
+    total = np.zeros(replicas)
+    out = np.zeros((replicas, ks.size))
+    used = 0
+    for start, fresh, src in chunks:
+        block, acc = hat[start : start + len(src)], work[: len(src)]
+        if fresh is not None:
+            count = np.count_nonzero(fresh)
+            block[fresh] = fresh_steps[used : used + count]
+            used += count
+        for row_src, row in zip(src, block):
+            take(row_src, out=row)
+        np.copyto(acc, block)
+        if start:  # not at row 0, where cumsum keeps the sign of a zero
+            acc[0] += total
+        np.cumsum(acc, axis=0, out=acc)
+        total[:] = acc[-1]
+        hit = (ks > start) & (ks <= start + len(src))
+        out[:, hit] = acc[ks[hit] - start - 1].T
+    return out
 
 
 def simon_terminal_counts(
@@ -254,11 +377,14 @@ def simon_terminal_counts(
     """Terminal occupation counts N_j(n) for many independent realizations.
 
     Only the dynamics of word choices matter (step values are irrelevant):
-    the genealogy of :func:`repeat_sources` is chased to each slot's
-    originating row and counted.  Returns an int32 array of shape
-    (replicas, n) with row sums n.
+    the sources of :func:`repeat_sources` (its fresh mask is not kept) are
+    chased to each slot's originating row and counted.  Returns an int32
+    array of shape (replicas, n) with row sums n.
     """
-    origins = repeat_sources(n, replicas, p, gen)[1]
+    pv = _walk_memory(n, p)
+    origins = np.empty((n, replicas), dtype=_source_dtype(n, replicas))
+    for _ in _genealogy_chunks(n, replicas, pv, gen, sources=origins):
+        pass
     follow_sources(origins, origins)
     origins //= replicas
     origins += np.arange(replicas, dtype=origins.dtype) * n

@@ -81,15 +81,15 @@ def ys_sample(rho: float, gen: np.random.Generator, size=None):
 
 
 def ys_mean(t: float, rho: float) -> float:
-    """Expected process value at time t: rho * t / (rho - 1)."""
+    """Expected process value at time t in (0, 1]: rho * t / (rho - 1)."""
     rho = _check_rho(rho)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
+    if not 0.0 < t <= 1.0:
+        raise DomainError(f"t must lie in (0, 1], got {t}")
     return rho * t / (rho - 1.0)
 
 
 def ys_cross_moment(s: float, t: float, rho: float) -> float:
-    """E[Y(s) Y(t)] = rho^2 / ((rho-1)(rho-2)) * s * (t/s)^(1/rho) for s <= t.
+    """E[Y(s) Y(t)] = rho^2 / ((rho-1)(rho-2)) * s * (t/s)^(1/rho) for 0 < s <= t <= 1.
 
     Arguments given out of order are swapped (the product is symmetric).
     Requires rho > 2; below that the second moment is infinite.
@@ -97,10 +97,8 @@ def ys_cross_moment(s: float, t: float, rho: float) -> float:
     rho = _check_rho(rho, minimum=2.0)
     if s > t:
         s, t = t, s
-    if not (0.0 <= s and t <= 1.0):
-        raise DomainError("times must lie in [0, 1]")
-    if s == 0.0:
-        return 0.0
+    if not (0.0 < s and t <= 1.0):
+        raise DomainError(f"times must lie in (0, 1], got {s} and {t}")
     c = rho * rho / ((rho - 1.0) * (rho - 2.0))
     # s * (t/s)^(1/rho) written as s^(1-1/rho) * t^(1/rho); exponent 1-1/rho > 0.
     return c * s ** (1.0 - 1.0 / rho) * t ** (1.0 / rho)

@@ -1,5 +1,10 @@
 """The package's public surface: every exported name, and nothing more."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import nrlevy
 
 PUBLIC = [
@@ -21,3 +26,13 @@ def test_public_surface():
     assert sorted(nrlevy.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(nrlevy, name) is not None
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # Only RadialDensity integrates, and scipy.integrate loads scipy.optimize
+    # and scipy.linalg with it; a run without that family never imports them.
+    src = str(Path(nrlevy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, nrlevy.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

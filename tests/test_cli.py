@@ -157,6 +157,17 @@ dir = {out}
 """
 
 
+MOMENTS_GRID = """
+[experiment]
+name = moments
+p = 0.25
+replicas = 500
+grid = {grid}
+[output]
+dir = {out}
+"""
+
+
 PROP8_SMALL = """
 [experiment]
 name = prop8
@@ -234,6 +245,22 @@ class TestRejections:
         )
         assert run(cfg) == 1
         assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [
+        MOMENTS_GRID.replace("{grid}", "-0.5,1.0"),
+        MOMENTS_GRID.replace("{grid}", ""),
+        MOMENTS_GRID.replace("{grid}", "0.0"),
+        MOMENTS_GRID.replace("{grid}", "0.5,0.5"),
+        NRLP_SMALL.replace("{extra}", "grid = 0.5,1.5"),
+        CF_SMALL.replace("grid = 1.0", "grid = 0.7,0.2").replace("{extra}", ""),
+    ], ids=["moments-negative", "moments-empty", "moments-zero-only", "moments-repeated",
+            "simulate-nrlp-above-one", "cf-compare-decreasing"])
+    def test_grid_errors_name_the_key(self, tmp_path, capsys, config):
+        cfg = write(tmp_path, "c.ini", config.replace("{out}", str(tmp_path / "o")))
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("mult", ["0", "-1"])

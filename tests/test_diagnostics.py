@@ -201,6 +201,6 @@ class TestReportInvariants:
         def no_draws(*args, **kwargs):
             raise AssertionError("a skeleton block was drawn")
 
-        monkeypatch.setattr(diagnostics, "repeat_sources", no_draws)
+        monkeypatch.setattr(diagnostics, "draw_genealogy", no_draws)
         with pytest.raises(DomainError, match="mesh"):
             experiment()

@@ -1,6 +1,7 @@
 """Reinforcement-dynamics invariants and couplings."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,8 +16,10 @@ from nrlevy.noise_reinforced import CfQuery
 from nrlevy.rng import RngStream, iter_blocks
 from nrlevy.step_reinforced import (
     SOURCE_CHUNK,
+    draw_genealogy,
     elephant_endpoints,
     elephant_walk,
+    follow_sources,
     reinforce,
     reinforced_prefix_sums,
     repeat_sources,
@@ -299,6 +302,89 @@ class TestBatchKernels:
         for m in (2, 3):
             corr = np.corrcoef((fresh[:, 0] >= m), (fresh[:, 1] >= m))[0, 1]
             assert abs(corr) < 0.02
+
+
+def one_shot_block(triplet, n, replicas, p, gen, ks):
+    """The skeleton block with the whole genealogy held at once: repeat_sources,
+    a zero-filled (n, R) array, the fresh increments scattered into it,
+    follow_sources and one cumsum over all rows."""
+    fresh, sources = repeat_sources(n, replicas, p, gen)
+    steps = np.zeros((n, replicas))
+    steps[fresh] = increment_sample(triplet, 1.0 / n, gen, size=int(fresh.sum()))[:, 0]
+    follow_sources(steps, sources)
+    np.cumsum(steps, axis=0, out=steps)
+    ks = np.asarray(ks)
+    return np.where(ks > 0, steps[ks - 1].T, 0.0)
+
+
+def streamed_block(triplet, n, replicas, p, gen, ks):
+    """The block as ``diagnostics._mesh_ecf`` draws it: count, draw, replay."""
+    genealogy = draw_genealogy(n, replicas, p, gen)
+    fresh_steps = increment_sample(triplet, 1.0 / n, gen, size=genealogy.fresh)[:, 0]
+    return reinforced_prefix_sums(np.empty((n, replicas)), genealogy, ks, fresh_steps)
+
+
+class TestStreamedBlock:
+    # 300 replicas make chunks of 218 rows: 333 lies inside the second chunk,
+    # 436 on the edge of the second and third, and row 1000 ends a partial
+    # fifth chunk.
+    @pytest.mark.parametrize("n, replicas, p, ks", [
+        (1000, 300, 0.8, [0, 333, 436, 1000]),
+        (1000, 300, 1e-12, [0, 1, 333, 1000]),
+        (1000, 300, 0.99, [0, 218, 333, 1000]),
+        (300, 1, 0.5, [0, 1, 150, 300]),
+        (70_000, 1, 0.5, [0, 65_536, 65_537, 70_000]),
+        (6, SOURCE_CHUNK + 3, 0.5, [0, 1, 3, 6]),
+    ], ids=["chunk-middle-and-edge", "tiny-p", "p-near-one", "one-replica",
+            "one-replica-partial-last-chunk", "row-per-chunk"])
+    def test_matches_one_shot_block(self, n, replicas, p, ks):
+        # The same draws in the same order: equal bytes, and the generator
+        # left at the same point of its stream.
+        triplet = LevyTriplet.stable(1.5)
+        ref, gen = RngStream(331).generator(), RngStream(331).generator()
+        want = one_shot_block(triplet, n, replicas, p, ref, ks)
+        got = streamed_block(triplet, n, replicas, p, gen, ks)
+        assert got.shape == (replicas, len(ks))
+        assert got.tobytes() == want.tobytes()
+        assert gen.random() == ref.random()
+
+    def test_replay_repeats_the_drawn_genealogy(self):
+        n, replicas, p = 500, 700, 0.6
+        fresh, sources = repeat_sources(n, replicas, p, RngStream(333).generator())
+        gen = RngStream(333).generator()
+        genealogy = draw_genealogy(n, replicas, p, gen)
+        assert genealogy.fresh == fresh.sum()
+        assert gen.random() == RngStream(333).generator().random(n * replicas + 1)[-1]
+        for _ in range(2):  # a replay leaves the genealogy as it was
+            chunks = [(fr.copy(), src.copy()) for _, fr, src in genealogy.chunks()]
+            assert np.array_equal(np.concatenate([c[0] for c in chunks]), fresh)
+            assert np.array_equal(np.concatenate([c[1] for c in chunks]), sources)
+
+    def test_block_working_set(self):
+        # The block holds one (n, R) float array, the fresh increments and
+        # one chunk: no (n, R) bool or int genealogy array beside them.  At
+        # the workload's p = 0.8 the peak read 2.27 x 8 n R bytes while the
+        # whole genealogy was held.
+        n, replicas = 2_000, 1024
+        query = CfQuery(np.asarray([1.0]), np.asarray([1.0]))
+        tracemalloc.start()
+        try:
+            diagnostics._mesh_ecf(
+                LevyTriplet.stable(1.5), 0.8, [query], [n], replicas, RngStream(334), 1
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * replicas
+
+    def test_rejects_mismatched_fresh_steps(self):
+        genealogy = draw_genealogy(10, 4, 0.5, RngStream(335).generator())
+        with pytest.raises(DomainError):
+            reinforced_prefix_sums(np.empty((10, 4)), genealogy, [10])
+        with pytest.raises(DomainError):
+            reinforced_prefix_sums(np.empty((10, 4)), genealogy, [10], np.zeros(genealogy.fresh + 1))
+        with pytest.raises(DomainError):
+            reinforced_prefix_sums(np.empty((10, 5)), genealogy, [10], np.zeros(genealogy.fresh))
 
 
 class TestZeroReplicas:

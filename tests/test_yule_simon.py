@@ -222,15 +222,32 @@ class TestBridgeBytes:
 
 class TestMoments:
     def test_mean_values(self):
-        assert ys_mean(0.0, 7.0) == 0.0
         assert ys_mean(1.0, 4.0) == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert ys_mean(0.5, 2.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_cross_moment_values(self):
         assert ys_cross_moment(1.0, 1.0, 4.0) == pytest.approx(8.0 / 3.0, rel=1e-14)
-        assert ys_cross_moment(0.0, 0.7, 4.0) == 0.0
         # symmetric in its time arguments (swapped internally)
         assert ys_cross_moment(1.0, 0.5, 4.0) == ys_cross_moment(0.5, 1.0, 4.0)
+
+    def test_pinned_values_at_positive_times(self):
+        # Exact bytes of both helpers, down to a time near the underflow edge.
+        assert ys_mean(0.25, 4.0) == 0.3333333333333333
+        assert ys_mean(1e-300, 3.0) == 1.5e-300
+        assert ys_cross_moment(0.5, 1.0, 4.0) == 1.5856094866702946
+        assert ys_cross_moment(0.1, 0.7, 4.0) == 0.4337537497860762
+        assert ys_cross_moment(1e-300, 1.0, 3.0) == 4.4999999999997705e-200
+        assert ys_cross_moment(1.0, 1.0, 2.5) == 8.333333333333334
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, 1.5, math.nan])
+    def test_rejects_times_outside_the_contract(self, t):
+        # Times lie in (0, 1], as for check_times: every process starts at 0.
+        with pytest.raises(DomainError):
+            ys_mean(t, 4.0)
+        with pytest.raises(DomainError):
+            ys_cross_moment(t, 0.7, 4.0)
+        with pytest.raises(DomainError):
+            ys_cross_moment(0.7, t, 4.0)
 
     def test_cross_moment_monte_carlo(self):
         vals = ys_process_values(4.0, [0.5, 1.0], RngStream(111).generator(), 400_000)
