@@ -27,6 +27,26 @@ from scipy.special import jv
 from .errors import ConfigError, DomainError, NumericalError, UnsupportedFamilyError
 from .yule_simon import MemoryParameter, as_memory
 
+
+def _replica_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` without BLAS, for a replica-sized a of shape (..., k) and a
+    small b of shape (k,) or (k, m).
+
+    numpy hands ``@``, ``np.dot`` and ``np.matmul`` to BLAS, gemv included,
+    and after a call on replica-sized arrays the idle workers of a threaded
+    OpenBLAS spin for about 0.1 s of CPU.  Inside or just before the block
+    pool (:func:`nrlevy.rng.map_blocks`) that spin takes a core from the
+    pool's threads.  ``np.einsum`` without ``optimize`` (which would route
+    through ``tensordot``, so back to BLAS) runs numpy's own loops: each
+    output column is one einsum over the last axis of a.  A one-term
+    contraction (k = 1) is the plain product, bit for bit; longer ones may
+    round differently from BLAS.
+    """
+    if b.ndim == 1:
+        return np.einsum("...k,k->...", a, b)
+    return np.stack([np.einsum("...k,k->...", a, col) for col in b.T], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Jump-measure families
 # ---------------------------------------------------------------------------
@@ -163,15 +183,15 @@ class FiniteAtomic(JumpMeasure):
         return FiniteAtomic(self.positions, c * self.masses)
 
     def exponent(self, theta: np.ndarray) -> np.ndarray:
-        dots = theta @ self.positions.T  # (..., n_atoms)
+        dots = _replica_dot(theta, self.positions.T)  # (..., n_atoms)
         inner = 1.0 - np.exp(1j * dots)
         small = np.linalg.norm(self.positions, axis=1) < 1.0
         inner = inner + 1j * dots * small
-        return inner @ self.masses.astype(complex)
+        return _replica_dot(inner, self.masses)
 
     def add_increment(self, out: np.ndarray, dt: float, gen: np.random.Generator) -> None:
         counts = gen.poisson(dt * self.masses, size=(out.shape[0], self.masses.size))
-        out += counts @ self.positions
+        out += _replica_dot(counts, self.positions)
 
     def tail_mass(self, eps: float, d: int) -> float:
         keep = np.linalg.norm(self.positions, axis=1) >= eps
@@ -398,9 +418,9 @@ def characteristic_exponent(triplet: LevyTriplet, theta) -> complex | np.ndarray
         raise DomainError("theta must be finite")
     psi = np.zeros(theta.shape[:-1], dtype=complex)
     if triplet.has_gaussian:
-        mt_theta = theta @ triplet.gaussian_factor  # rows theta^T M = (M^T theta)^T
+        mt_theta = _replica_dot(theta, triplet.gaussian_factor)  # rows theta^T M = (M^T theta)^T
         psi += 0.5 * np.sum(mt_theta * mt_theta, axis=-1)
-    psi -= 1j * (theta @ triplet.drift)
+    psi -= 1j * _replica_dot(theta, triplet.drift)
     psi += triplet.jump_measure.exponent(theta)
     return complex(psi[()]) if squeeze else psi
 
@@ -612,7 +632,7 @@ def increment_sample(
     out = np.tile(dt * triplet.drift, (n, 1))
     if triplet.has_gaussian:
         z = gen.standard_normal((n, d))
-        out += math.sqrt(dt) * z @ triplet.gaussian_factor.T
+        out += _replica_dot(math.sqrt(dt) * z, triplet.gaussian_factor.T)
     triplet.jump_measure.add_increment(out, dt, gen)
     out -= dt * triplet.jump_measure.band_mean(0.0, d)
     return out[0] if size is None else out

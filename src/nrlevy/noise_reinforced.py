@@ -24,6 +24,7 @@ from .levy_model import (
     JumpMeasure,
     LevyTriplet,
     ZeroJumps,
+    _replica_dot,
     add_triplets,
     bg_index,
     characteristic_exponent,
@@ -336,7 +337,7 @@ def reinforced_cf(
     grid = query_grid_times([query])
     thetas = query.on_grid(grid)  # (m, d)
     marks = ys_joint_values(pv.rho, grid, gen, mc_replicas)  # (R, m)
-    w = marks.astype(float) @ thetas  # (R, d)
+    w = _replica_dot(marks, thetas)  # (R, d)
     psi = characteristic_exponent(triplet, w)
     mean = complex(psi.mean())
     se = math.sqrt((psi.real.var() + psi.imag.var()) / mc_replicas)

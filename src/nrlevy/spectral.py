@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 from .errors import DomainError, UnsupportedFamilyError
-from .levy_model import IsotropicStable, LevyTriplet, symmetric_stable_std
+from .levy_model import IsotropicStable, LevyTriplet, _replica_dot, symmetric_stable_std
 from .noise_reinforced import NrlpConfig, map_nrlp_blocks
 from .rng import BLOCK_SIZE, RngStream
 from .yule_simon import check_times, ys_abs_moment, ys_pmf
@@ -83,11 +83,15 @@ class StableMarkMixture:
 
         ``buffers`` are passed to :func:`symmetric_stable_std` (two flat
         float64 arrays of at least ``replicas * bins`` elements) and hold the
-        per-bin draws.
+        per-bin draws.  The scales gamma_b^(1/alpha) are folded into the
+        directions once per call, so the draws are not rescaled, and the
+        (replicas, bins) by (bins, m) product runs in numpy's own loops, not
+        in threaded BLAS, whose idle workers would spin against the block
+        pool (``levy_model._replica_dot``).
         """
+        scaled = self.weights[:, None] ** (1.0 / self.alpha) * self.directions
         s = symmetric_stable_std(self.alpha, gen, (replicas, self.weights.size), buffers)
-        s *= self.weights ** (1.0 / self.alpha)
-        return s @ self.directions
+        return _replica_dot(s, scaled)
 
     def exponent(self, thetas: np.ndarray) -> np.ndarray:
         """Jump-part exponent sum_b gamma_b |theta . w_b|^alpha, batched."""

@@ -7,7 +7,9 @@ kinds of deliberate change may regenerate them: a change of the random draw
 order, or a transform that keeps the draws but rounds differently (the
 half-angle stable transform moved exactly cf-compare-spectral-auto,
 simulate-nrlp-spectral, simulate-walk-skeleton, supercritical and
-theorem1-mc).  Regenerate with
+theorem1-mc; the BLAS-free mixture product, with the bin scales folded into
+the directions, moved exactly cf-compare-spectral-auto and
+simulate-nrlp-spectral).  Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -203,8 +205,8 @@ GOLDEN = {
         'report.json': 'f18144b8a29962a095441ce7302377077830a6553b1ea482187575ebb3d740ee',
     }),
     'cf-compare-spectral-auto': (0, {
-        'cfdata.csv': 'c6652d201d6b9ce41d448c068ca87178a468f41968d333a19524e21df732be2e',
-        'report.json': 'ffa0c3bb14bb79c3501109896698dc8bf5ac08335862cbc12658d7159f21fa4a',
+        'cfdata.csv': 'ed6f0f2bb6c12ca2eb958d4b8dda49a772c069f69fc74a09943dc062442a0f21',
+        'report.json': '0941a75c597bd1ec3210e7921e8d0dbc7dce4087b8a358fcdad0d4328dde0e14',
     }),
     'moments': (0, {
         'report.json': 'dd639bcae81a7c83a11e5f24fee9f47cfa53ddffc8508750b98c7f722346aacc',
@@ -218,7 +220,7 @@ GOLDEN = {
         'report.json': 'fb746b2306afe14bd976d88c44cf9f984acbcc1d0cb7b7c42a74cb52fda64366',
     }),
     'simulate-nrlp-spectral': (0, {
-        'paths.csv': 'dc06f99f5bd9aacb15c6ae212a3e5d96f2f9b550d9a6ab17d8a6c4c8425d566d',
+        'paths.csv': 'cdf135a4ec2c63ebabbb5e4e116f7e05f695f669f3db453b95ab49bac3a8f91f',
         'report.json': 'c6d0e48c81b3089192618faf84d6e178c75b1146fe1ff9d2b03a2f049e8dbc74',
     }),
     'simulate-walk-elephant': (0, {

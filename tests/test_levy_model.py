@@ -1,11 +1,16 @@
 """Exponent and sampler checks for the structured Levy families."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nrlevy
 from nrlevy import levy_model
 from nrlevy.errors import DomainError, UnsupportedFamilyError
 from nrlevy.levy_model import (
@@ -351,6 +356,76 @@ class TestIncrements:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(DomainError):
             increment_sample(LevyTriplet.brownian(), 0.0, RngStream(1).generator())
+
+
+SPIN_SCRIPT = """
+import resource, time
+import numpy as np
+from nrlevy.levy_model import FiniteAtomic
+from nrlevy.spectral import build_stable_mixture
+
+def idle_cpu_after(call):
+    # CPU seconds the process burns in the 0.2 s sleep after call().
+    time.sleep(0.3)
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    time.sleep(0.2)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+mixture = build_stable_mixture(1.5, 0.5, 2.0, [0.5, 1.0])
+atoms = FiniteAtomic(np.array([[1.0, 0.5], [-0.5, 2.0]]), np.array([2.0, 0.3]))
+gen = np.random.default_rng(1)
+out = np.zeros((10**6, 2))
+print(idle_cpu_after(lambda: mixture.sample(gen, 1024)))
+print(idle_cpu_after(lambda: atoms.add_increment(out, 1.0, gen)))
+"""
+
+
+class TestReplicaDot:
+    """The products on replica-sized arrays run without BLAS, whose threaded
+    workers would spin against the block pool, and agree with ``@``."""
+
+    @pytest.mark.parametrize("kind", ["float", "int-by-float", "complex"])
+    @pytest.mark.parametrize("shape", [(7,), (7, 1), (7, 3)])
+    def test_matches_matmul(self, kind, shape):
+        gen = np.random.default_rng(41)
+        a = gen.standard_normal((500, 7))
+        b = gen.standard_normal(shape)
+        if kind == "int-by-float":
+            a = gen.poisson(3.0, a.shape)
+        elif kind == "complex":
+            a = np.exp(1j * a) * gen.standard_normal(a.shape)
+        got = levy_model._replica_dot(a, b)
+        want = a @ b
+        assert got.shape == want.shape and got.dtype == want.dtype
+        bound = np.abs(a) @ np.abs(b)  # the sum of |terms| scales the rounding
+        assert np.all(np.abs(got - want) <= 1e-12 * bound)
+
+    def test_batched_operand(self):
+        gen = np.random.default_rng(42)
+        a, b = gen.standard_normal((4, 50, 3)), gen.standard_normal((3, 2))
+        np.testing.assert_allclose(levy_model._replica_dot(a, b), a @ b, rtol=1e-12)
+
+    def test_one_dimensional_gaussian_increments_are_bitwise(self):
+        trip = LevyTriplet(1, np.array([[0.7]]), [0.2])
+        dt, n = 0.3, 10_000
+        got = increment_sample(trip, dt, np.random.default_rng(44), size=n)
+        z = np.random.default_rng(44).standard_normal((n, 1))
+        want = np.tile(dt * trip.drift, (n, 1))
+        want += math.sqrt(dt) * z @ trip.gaussian_factor.T
+        assert np.array_equal(got, want)
+
+    def test_no_blas_spin_after_replica_products(self):
+        # A fresh process, so that BLAS calls made earlier in this one cannot
+        # leave workers spinning into the measurement.
+        src = str(Path(nrlevy.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", SPIN_SCRIPT], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        mixture_cpu, atoms_cpu = map(float, out.stdout.split())
+        assert mixture_cpu < 0.03
+        assert atoms_cpu < 0.03
 
 
 class TestValidation:

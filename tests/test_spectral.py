@@ -14,7 +14,7 @@ from scipy.stats import ks_2samp
 
 from nrlevy.diagnostics import ks_distance
 from nrlevy.errors import UnsupportedFamilyError
-from nrlevy.levy_model import LevyTriplet
+from nrlevy.levy_model import LevyTriplet, symmetric_stable_std
 from nrlevy.noise_reinforced import NrlpConfig, nrlp_marginals, reinforced_cf_exact, CfQuery
 from nrlevy.rng import RngStream
 from nrlevy.spectral import (
@@ -111,6 +111,18 @@ class TestMixtureBins:
 
 
 class TestMixtureSampling:
+    def test_sample_is_the_per_bin_sum(self):
+        # sum_b gamma_b^(1/alpha) d_b S_b, bin by bin, from the same draws.
+        mix = build_stable_mixture(1.5, 0.5, 2.0, [0.5, 1.0])
+        got = mix.sample(np.random.default_rng(45), 300)
+        draws = symmetric_stable_std(1.5, np.random.default_rng(45), (300, mix.weights.size))
+        want, bound = np.zeros((300, 2)), np.zeros((300, 2))
+        for b in range(mix.weights.size):
+            term = mix.weights[b] ** (1 / 1.5) * mix.directions[b] * draws[:, b, None]
+            want += term
+            bound += np.abs(term)
+        assert np.all(np.abs(got - want) <= 1e-12 * bound)
+
     def test_cauchy_marginals(self, cauchy_cfg, cauchy_mixture):
         vals = stable_nrlp_marginals(cauchy_cfg, RngStream(502), 60_000, mixture=cauchy_mixture)
         assert ks_distance(vals[:, 0, 0], cauchy_dist(scale=0.5).cdf) < 0.012
