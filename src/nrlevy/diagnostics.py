@@ -19,11 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, UnsupportedFamilyError
-from .levy_model import LevyTriplet, increment_sample
+from .levy_model import LevyTriplet
 from .noise_reinforced import CfQuery, query_grid_times, reinforced_cf_values
 from .rng import RngStream, iter_blocks
 from .rng import map_blocks as _map_blocks  # perfbench/tracing.py probes this name
-from .step_reinforced import draw_genealogy, reinforced_prefix_sums, simon_terminal_counts
+from .step_reinforced import reinforced_prefix_sums, simon_terminal_counts
 from .yule_simon import MemoryParameter, as_memory, ys_process_values
 
 TOLERANCE_MULT = 4.0
@@ -174,7 +174,10 @@ def _mesh_ecf(
     Returns the complex estimates, shape (len(mesh), len(queries)), and their
     stderr per mesh point.  d = 1 and the mesh are checked before any draw.
     Streams: mesh point i splits ``rng.substream(i)`` into replica blocks
-    with :func:`nrlevy.rng.iter_blocks`.
+    with :func:`nrlevy.rng.iter_blocks`, and each block is one call of
+    :func:`nrlevy.step_reinforced.reinforced_prefix_sums` on its generator,
+    which draws each chunk's genealogy uniforms and then its fresh
+    increments.  A block holds its (n, R) steps and one chunk.
     """
     if triplet.dim != 1:
         raise UnsupportedFamilyError("skeleton experiments are implemented for d = 1")
@@ -186,9 +189,7 @@ def _mesh_ecf(
         ks = np.floor(n * grid_times + 1e-9).astype(np.int64)
 
         def block(gen: np.random.Generator, start: int, count: int) -> np.ndarray:
-            genealogy = draw_genealogy(n, count, p, gen)
-            fresh_steps = increment_sample(triplet, 1.0 / n, gen, size=genealogy.fresh)[:, 0]
-            return reinforced_prefix_sums(np.empty((n, count)), genealogy, ks, fresh_steps)
+            return reinforced_prefix_sums(np.empty((n, count)), triplet, p, gen, ks)
 
         blocks = list(iter_blocks(rng.substream(i), replicas))
         sums = np.concatenate(_map_blocks(block, blocks, threads))

@@ -9,20 +9,17 @@ length n, drawn and transformed one cache-sized chunk of rows at a time
 :func:`follow_sources` resolves it row by row with one gather from the
 earlier rows; a single walk is one replica of it, and the occupation counts
 keep only the sources, gather slot indices and count the originating base
-steps.  The skeleton block kernel holds no genealogy array:
-:func:`draw_genealogy` draws the uniforms once to count the fresh slots,
-the fresh base steps are drawn next (about 1 + (n - 1)(1 - p) per walk, not
-n), and :func:`reinforced_prefix_sums` replays the same uniforms from a copy
-of the generator, chunk by chunk, gathering each chunk's rows and adding
-them onto a running prefix.  Its working set is the (n, R) float array of
-steps, 8 n R bytes, plus the fresh base steps and one chunk.  Repeats are
-tracked by the originating base index (not the step value), so counters
-remain correct when step values collide.
+steps.  The skeleton block kernel :func:`reinforced_prefix_sums` holds no
+genealogy array and makes one pass: each chunk draws its uniforms, then the
+base steps of its fresh slots only (about 1 + (n - 1)(1 - p) per walk, not
+n), scatters them, gathers the chunk's rows and adds them onto a running
+prefix.  Its working set is the (n, R) float array of steps, 8 n R bytes,
+plus one chunk.  Repeats are tracked by the originating base index (not the
+step value), so counters remain correct when step values collide.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,8 +167,12 @@ def skeleton_reinforced_walk(
 SOURCE_CHUNK = 1 << 16
 """Slots per chunk of rows of a genealogy draw (at least one row).
 
-One chunk of uniforms and its whole transform stay in cache; the chunk size
-never changes which uniform a slot gets.
+One chunk of uniforms and its whole transform stay in cache.  The chunk
+size never changes which uniform a slot gets in :func:`repeat_sources` or
+:func:`simon_terminal_counts`.  It does in :func:`reinforced_prefix_sums`
+once n * R > ``SOURCE_CHUNK``: there each chunk's fresh base steps are drawn
+between its uniforms and the next chunk's, so changing it changes the draws
+of such skeleton blocks.
 """
 
 
@@ -197,36 +198,31 @@ def _genealogy_chunks(
     gen: np.random.Generator,
     fresh: np.ndarray | None = None,
     sources: np.ndarray | None = None,
-    *,
-    with_sources: bool = True,
 ):
     """The genealogy rule of :func:`repeat_sources`, one chunk of rows at a time.
 
     Draws the uniforms of about ``SOURCE_CHUNK`` slots (whole rows) into one
     reused buffer, which reads the same stream as a single
-    ``gen.random((n, R))``, and yields ``(start, fresh rows, source rows)``.
-    The rows are views of ``fresh`` and ``sources`` where those (n, R) arrays
-    are given, else of chunk buffers that the next chunk overwrites.  Without
-    ``with_sources`` only the fresh rows are made (source rows are None).
+    ``gen.random((n, R))`` unless the caller draws from ``gen`` between
+    chunks, and yields ``(start, fresh rows, source rows)``.  The rows are
+    views of ``fresh`` and ``sources`` where those (n, R) arrays are given,
+    else of chunk buffers that the next chunk overwrites.
     """
     rows_per = _chunk_rows(n, replicas)
     dtype = _source_dtype(n, replicas) if sources is None else sources.dtype
     buf = np.empty((rows_per, replicas))
     fresh_buf = np.empty((rows_per, replicas), dtype=bool) if fresh is None else None
-    source_buf = np.empty((rows_per, replicas), dtype=dtype) if sources is None and with_sources else None
+    source_buf = np.empty((rows_per, replicas), dtype=dtype) if sources is None else None
     cols = np.arange(replicas, dtype=dtype)
     for start in range(0, n, rows_per):
         stop = min(start + rows_per, n)
         u = buf[: stop - start]
         fr = fresh_buf[: stop - start] if fresh is None else fresh[start:stop]
+        src = source_buf[: stop - start] if sources is None else sources[start:stop]
         gen.random(out=u)
         np.greater_equal(u, pv, out=fr)
         if start == 0:
             fr[0] = True  # step 0 draws a uniform but is always fresh
-        if not with_sources:
-            yield start, fr, None
-            continue
-        src = source_buf[: stop - start] if sources is None else sources[start:stop]
         rows = np.arange(start, stop)[:, None]
         u *= rows / pv
         np.minimum(u, rows - 1, out=u)  # before the cast, which overflows for tiny p
@@ -258,44 +254,6 @@ def repeat_sources(
     return fresh, sources
 
 
-@dataclass(frozen=True)
-class Genealogy:
-    """R genealogies of length n, kept as the point of the stream where they start.
-
-    Made by :func:`draw_genealogy`.  ``fresh`` counts the fresh slots, and
-    :meth:`chunks` replays the same uniforms, one chunk of rows at a time,
-    from a copy of the generator taken at that point; so the (n, R)
-    ``fresh`` and ``sources`` arrays of :func:`repeat_sources` are never held.
-    """
-
-    n: int
-    replicas: int
-    p: float
-    fresh: int
-    start_gen: np.random.Generator
-
-    def chunks(self):
-        """``(start, fresh rows, source rows)`` per chunk, as :func:`repeat_sources` draws them."""
-        return _genealogy_chunks(self.n, self.replicas, self.p, copy.deepcopy(self.start_gen))
-
-
-def draw_genealogy(
-    n: int, replicas: int, p: MemoryParameter | float, gen: np.random.Generator
-) -> Genealogy:
-    """Draw the genealogy of :func:`repeat_sources` from ``gen`` and keep only its replay point.
-
-    ``gen`` advances past the n * R uniforms exactly as :func:`repeat_sources`
-    advances it; only the fresh slots are counted on the way.
-    """
-    pv = _walk_memory(n, p)
-    start_gen = copy.deepcopy(gen)
-    fresh = sum(
-        int(np.count_nonzero(fr))
-        for _, fr, _ in _genealogy_chunks(n, replicas, pv, gen, with_sources=False)
-    )
-    return Genealogy(n, replicas, pv, fresh, start_gen)
-
-
 def follow_sources(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Resolve a genealogy in place and return ``values``.
 
@@ -313,49 +271,38 @@ def follow_sources(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
 
 def reinforced_prefix_sums(
     steps: np.ndarray,
-    sources: np.ndarray | Genealogy,
+    triplet: LevyTriplet,
+    p: MemoryParameter | float,
+    gen: np.random.Generator,
     prefix_ks: Sequence[int],
-    fresh_steps: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Reinforce each column of ``steps`` and return S-hat at the given prefixes.
+    """S-hat at the given prefixes of R reinforced skeleton walks of length n, drawn from ``gen``.
 
-    ``steps`` has shape (n, replicas), one contiguous row per slot, and may
-    be overwritten with the reinforced steps.  ``sources`` is either
-    - a :class:`Genealogy`, replayed chunk by chunk, whose fresh slots take
-      ``fresh_steps`` in row-major order (``steps`` may then be uninitialised),
-    - or the (n, R) ``sources`` of :func:`repeat_sources`, with base steps
-      already in the fresh slots of ``steps``.
-    Each chunk of rows is gathered with one ``take`` per row (repeats read
-    earlier rows), then summed onto the running row of prefix sums, so the
-    result is bitwise that of one ``cumsum`` over all rows while the working
-    set beyond ``steps`` stays one chunk.  Returns shape
-    (replicas, len(prefix_ks)).
+    ``steps`` is an (n, R) buffer, n >= 1, that may be overwritten with
+    the reinforced steps; the base steps are increments of the d = 1
+    ``triplet`` over 1/n.  One pass over the chunks of
+    :func:`_genealogy_chunks`: each chunk draws its uniforms, then
+    ``increment_sample`` for its fresh slots alone, scatters those into its
+    rows of ``steps``, gathers each row with one ``take`` (repeats read
+    earlier rows) and is summed onto the running row of prefix sums.  So the
+    result is bitwise that of one ``cumsum`` over all rows, while the
+    working set beyond ``steps`` stays one chunk.  Returns shape
+    (R, len(prefix_ks)).
     """
     hat = np.ascontiguousarray(steps, dtype=float)
     ks = np.asarray(prefix_ks, dtype=np.int64)
-    replay = isinstance(sources, Genealogy)
-    shape = (sources.n, sources.replicas) if replay else sources.shape
-    if hat.shape != shape or hat.shape[0] < 1 or np.any(ks < 0) or np.any(ks > hat.shape[0]):
-        raise DomainError("need n >= 1, sources shaped like steps and prefixes in [0, n]")
-    if replay != (fresh_steps is not None) or (replay and len(fresh_steps) != sources.fresh):
-        raise DomainError("fresh_steps go with a Genealogy: one base step per fresh slot")
+    if hat.ndim != 2 or hat.shape[0] < 1 or triplet.dim != 1 or np.any((ks < 0) | (ks > len(hat))):
+        raise DomainError("need (n, R) steps with n >= 1, a d = 1 triplet and prefixes in [0, n]")
     n, replicas = hat.shape
-    rows_per = _chunk_rows(n, replicas)
-    if replay:
-        chunks = sources.chunks()
-    else:
-        chunks = ((start, None, sources[start : start + rows_per]) for start in range(0, n, rows_per))
+    pv = _walk_memory(n, p)
     take = hat.reshape(-1).take
-    work = np.empty((rows_per, replicas))
+    work = np.empty((_chunk_rows(n, replicas), replicas))
     total = np.zeros(replicas)
     out = np.zeros((replicas, ks.size))
-    used = 0
-    for start, fresh, src in chunks:
+    for start, fresh, src in _genealogy_chunks(n, replicas, pv, gen):
         block, acc = hat[start : start + len(src)], work[: len(src)]
-        if fresh is not None:
-            count = np.count_nonzero(fresh)
-            block[fresh] = fresh_steps[used : used + count]
-            used += count
+        size = int(np.count_nonzero(fresh))
+        block[fresh] = increment_sample(triplet, 1.0 / n, gen, size=size)[:, 0]
         for row_src, row in zip(src, block):
             take(row_src, out=row)
         np.copyto(acc, block)

@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nrlevy
+
+pytestmark = pytest.mark.bytes
 
 PUBLIC = [
     "CfQuery", "ConfigError", "ConvergenceReport", "DomainError", "EcfEstimate",

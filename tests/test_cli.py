@@ -49,6 +49,7 @@ dir = {out}
 """
 
 
+@pytest.mark.bytes
 class TestParsing:
     def test_missing_file(self, tmp_path):
         assert run(tmp_path / "nope.ini") == 1
@@ -187,6 +188,7 @@ def assert_one_line_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.bytes
 class TestRejections:
     def test_unknown_sampler_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", CF_SMALL.format(extra="sampler = bogus", out=tmp_path / "o"))
@@ -529,6 +531,7 @@ class TestFuzz:
                 pass
 
 
+@pytest.mark.bytes
 class TestDeterminism:
     def test_threads_do_not_change_bytes(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -584,6 +587,7 @@ class TestDeterminism:
         assert (out1 / "report.json").read_bytes() != (out2 / "report.json").read_bytes()
 
 
+@pytest.mark.bytes
 class TestOutputs:
     def test_simulate_ys_histogram(self, tmp_path):
         out = tmp_path / "ys"

@@ -168,6 +168,7 @@ class TestProp8:
             prop8_experiment(0.5, [100], [bad], 2, RngStream(1))
 
 
+@pytest.mark.bytes
 class TestReportInvariants:
     def test_distances_nonnegative_enforced(self):
         with pytest.raises(DomainError):
@@ -201,6 +202,6 @@ class TestReportInvariants:
         def no_draws(*args, **kwargs):
             raise AssertionError("a skeleton block was drawn")
 
-        monkeypatch.setattr(diagnostics, "draw_genealogy", no_draws)
+        monkeypatch.setattr(diagnostics, "reinforced_prefix_sums", no_draws)
         with pytest.raises(DomainError, match="mesh"):
             experiment()

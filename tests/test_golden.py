@@ -9,7 +9,10 @@ half-angle stable transform moved exactly cf-compare-spectral-auto,
 simulate-nrlp-spectral, simulate-walk-skeleton, supercritical and
 theorem1-mc; the BLAS-free mixture product, with the bin scales folded into
 the directions, moved exactly cf-compare-spectral-auto and
-simulate-nrlp-spectral).  Regenerate with
+simulate-nrlp-spectral).  Drawing each chunk's fresh skeleton increments
+right after its genealogy uniforms moved exactly theorem1-multiblock, the
+one case whose blocks span more than one chunk (a change of
+``step_reinforced.SOURCE_CHUNK`` moves it too).  Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -26,6 +29,8 @@ from pathlib import Path
 import pytest
 
 from nrlevy.cli import main
+
+pytestmark = pytest.mark.bytes
 
 CONFIGS = {
     "simulate-ys": """
@@ -250,8 +255,8 @@ GOLDEN = {
         'report.json': '077d21d7dc05e3f14e59b89d543a5c0cd3462bec182e988e1abca7e906a1cdd6',
     }),
     'theorem1-multiblock': (0, {
-        'distances.csv': '12befdae03f6f159661113d4628c6451eb45cb975cfefce9b75defc639660801',
-        'report.json': 'bb89439b13920e35c0ea7901fb22032db30fc287abe79a344a57a91d64126450',
+        'distances.csv': '57819d713317504129bdd907b9531b589c85b22c600b2aa1c0767e02063392cf',
+        'report.json': '4a89537a715a64461fdbf9348575fcf854b24503cce679a84ef98ca8649f0505',
     }),
 }
 

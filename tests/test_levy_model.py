@@ -145,6 +145,7 @@ class TestIndicesAndThinning:
         unchanged = thin(LevyTriplet.stable(1.5, 2.0), 1e-12)
         assert unchanged.scale == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.bytes
     def test_thin_scales_every_family(self):
         # Thinning by p leaves (1 - p) nu: exponent, tail mass and small-ball
         # moment all scale by 1 - p, and the index stays.
@@ -165,6 +166,7 @@ class TestIndicesAndThinning:
                 0.7 * jm.small_ball_moment(1.8, 0.4, 1), rel=1e-9)
 
 
+@pytest.mark.bytes
 class TestStableVariates:
     def test_symmetric_stable_ecf(self):
         gen = RngStream(202).generator()
@@ -289,6 +291,7 @@ def _sign_or_normal_directions(gen: np.random.Generator, size: int, d: int) -> n
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+@pytest.mark.bytes
 class TestTailDraws:
     RADIAL = RadialDensity(lambda r: np.exp(-np.asarray(r)) * np.asarray(r) ** -1.5, bg_hint=0.5)
 
@@ -382,6 +385,7 @@ print(idle_cpu_after(lambda: atoms.add_increment(out, 1.0, gen)))
 """
 
 
+@pytest.mark.bytes
 class TestReplicaDot:
     """The products on replica-sized arrays run without BLAS, whose threaded
     workers would spin against the block pool, and agree with ``@``."""
@@ -438,6 +442,7 @@ class TestValidation:
             with pytest.raises(DomainError):
                 IsotropicStable(bad)
 
+    @pytest.mark.bytes
     def test_jump_measure_must_be_a_family(self):
         with pytest.raises(DomainError):
             LevyTriplet(1, None, None, "stable")

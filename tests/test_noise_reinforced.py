@@ -111,6 +111,7 @@ class TestConfig:
             build()
 
 
+@pytest.mark.bytes
 class TestTimeContract:
     # Every process starts at 0, so library grids and query times lie in
     # (0, 1]; only the CLI writes t = 0 rows.
@@ -272,6 +273,7 @@ def _replay_block(cfg: NrlpConfig, seed: int, replicas: int, chunk: int | None):
     return values, ids
 
 
+@pytest.mark.bytes
 class TestChunkedBlock:
     # Gaussian, drift and symmetric stable jumps (no compensation drift) in
     # d = 2; about 5.6 atoms per replica.
@@ -479,6 +481,7 @@ class TestBudget:
         ]
         assert budgets[0] > budgets[1] > budgets[2] > 0
 
+    @pytest.mark.bytes
     def test_budget_bounds_the_dropped_part(self):
         # One atom at delta below the cutoff, thinned mass 0.01: the dropped
         # part is R = delta * (sum of N marks Y_i - m), N ~ Poisson(0.01),
@@ -495,6 +498,7 @@ class TestBudget:
         for q in (1.02, 1.2, 1.5, 2.0):
             assert np.mean(np.abs(r) ** q) <= truncation_budget(cfg, q)
 
+    @pytest.mark.bytes
     def test_budget_order_is_capped_at_two(self):
         # rho = 4 gives E[Y^2.5] < inf, but von Bahr-Esseen holds only up to q = 2.
         cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.25), 1e-4, np.array([1.0]))

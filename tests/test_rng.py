@@ -5,6 +5,8 @@ import pytest
 
 from nrlevy.rng import BLOCK_SIZE, RngStream, iter_blocks
 
+pytestmark = pytest.mark.bytes
+
 
 class TestIterBlocks:
     @pytest.mark.parametrize("total, size", [(0, 4), (1, 4), (8, 4), (9, 4), (700, 256)])

@@ -75,6 +75,7 @@ UNMERGED_EXPONENT = [
 ]
 
 
+@pytest.mark.bytes
 class TestMixtureBins:
     """One bin per direction among the exact cells, unit directions, and the
     same exponent as the table that kept every exact cell apart."""
@@ -111,6 +112,7 @@ class TestMixtureBins:
 
 
 class TestMixtureSampling:
+    @pytest.mark.bytes
     def test_sample_is_the_per_bin_sum(self):
         # sum_b gamma_b^(1/alpha) d_b S_b, bin by bin, from the same draws.
         mix = build_stable_mixture(1.5, 0.5, 2.0, [0.5, 1.0])

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrlevy import diagnostics
+from nrlevy import diagnostics, step_reinforced
 from nrlevy.errors import DomainError
 from nrlevy.levy_model import LevyTriplet, increment_sample
 from nrlevy.noise_reinforced import CfQuery
 from nrlevy.rng import RngStream, iter_blocks
 from nrlevy.step_reinforced import (
     SOURCE_CHUNK,
-    draw_genealogy,
+    _genealogy_chunks,
     elephant_endpoints,
     elephant_walk,
     follow_sources,
@@ -156,26 +156,30 @@ class TestSkeleton:
         assert walk.partial_sums[-1, 0] == pytest.approx(3.0, rel=1e-12)
 
     def test_brownian_centered(self):
+        # Brownian increments over 1/100: step sd 0.1.
         qs = reinforced_prefix_sums(
-            RngStream(316).generator().standard_normal((100, 20_000)) * 0.1,
-            repeat_sources(100, 20_000, 0.3, RngStream(317).generator())[1],
-            [50, 100],
+            np.empty((100, 20_000)), LevyTriplet.brownian(), 0.3, RngStream(316).generator(), [50, 100]
         )
         se = qs.std(axis=0) / math.sqrt(20_000)
         assert np.all(np.abs(qs.mean(axis=0)) < 4 * se)
 
 
+@pytest.mark.bytes
 class TestBatchKernels:
     @pytest.mark.parametrize("n, replicas, p", [(1, 3, 0.5), (7, 5, 0.5), (60, 8, 0.9), (40, 6, 0.05)])
     def test_prefix_sums_match_reinforce_rule(self, n, replicas, p):
         # Replay the pre-drawn genealogy through the rule origins[i] =
         # origins[slot], one replica at a time; the skeleton prefix sums, the
         # occupation counts and a single walk must all match the replay.
+        # Each block here is one chunk: the kernel draws its uniforms, then
+        # the increments of its fresh slots.
+        triplet = LevyTriplet.brownian()
         gen = RngStream(321).generator()
         fresh, sources = repeat_sources(n, replicas, p, gen)
-        steps = gen.standard_normal((n, replicas))
+        steps = np.zeros((n, replicas))
+        steps[fresh] = increment_sample(triplet, 1.0 / n, gen, size=int(fresh.sum()))[:, 0]
         ks = [0, 1, n // 2, n]
-        got = reinforced_prefix_sums(steps.copy(), sources, ks)
+        got = reinforced_prefix_sums(np.empty((n, replicas)), triplet, p, RngStream(321).generator(), ks)
         assert fresh[0].all()
         assert np.array_equal(fresh, sources == np.arange(n * replicas).reshape(n, replicas))
         _, origins = replay_genealogy(fresh, sources)
@@ -228,28 +232,44 @@ class TestBatchKernels:
         assert abs(estimates[0, 0] - np.exp(3.0j)) < 1e-12
 
     def test_block_path_draws_fresh_slots_only(self, monkeypatch):
-        sizes = []
+        sizes = []  # one list of increment_sample sizes per block
+
+        def block(*args):
+            sizes.append([])
+            return reinforced_prefix_sums(*args)
 
         def recording(triplet, dt, rng, size=None):
-            sizes.append(size)
+            sizes[-1].append(size)
             return increment_sample(triplet, dt, rng, size=size)
 
-        monkeypatch.setattr(diagnostics, "increment_sample", recording)
-        n, p, replicas, rng = 300, 0.8, 1500, RngStream(323)
+        monkeypatch.setattr(diagnostics, "reinforced_prefix_sums", block)
+        monkeypatch.setattr(step_reinforced, "increment_sample", recording)
+        triplet, n, p, replicas, rng = LevyTriplet.stable(1.5), 300, 0.8, 1500, RngStream(323)
         query = CfQuery(np.asarray([1.0]), np.asarray([1.0]))
-        diagnostics._mesh_ecf(LevyTriplet.stable(1.5), p, [query], [n], replicas, rng, 1)
+        diagnostics._mesh_ecf(triplet, p, [query], [n], replicas, rng, 1)
         expected = [
-            int(repeat_sources(n, count, p, gen)[0].sum())
+            int(one_shot_draw(triplet, n, count, p, gen)[0].sum())
             for gen, _, count in iter_blocks(rng.substream(0), replicas)
         ]
-        assert sizes == expected
-        assert sum(sizes) < 0.25 * n * replicas
+        assert [sum(block_sizes) for block_sizes in sizes] == expected
+        assert sum(expected) < 0.25 * n * replicas
 
     def test_kernel_rejects_empty_walks(self):
         with pytest.raises(DomainError):
             repeat_sources(0, 4, 0.5, RngStream(324).generator())
         with pytest.raises(DomainError):
-            reinforced_prefix_sums(np.zeros((0, 4)), np.zeros((0, 4), dtype=np.intp), [0])
+            reinforced_prefix_sums(
+                np.zeros((0, 4)), LevyTriplet.brownian(), 0.5, RngStream(324).generator(), [0]
+            )
+
+    @pytest.mark.parametrize("triplet, ks", [
+        (LevyTriplet.brownian(), [-1]), (LevyTriplet.brownian(), [11]), (LevyTriplet.brownian(2), [10]),
+    ], ids=["negative-prefix", "prefix-past-n", "two-dimensional"])
+    def test_kernel_rejects_before_any_draw(self, triplet, ks):
+        gen = RngStream(328).generator()
+        with pytest.raises(DomainError):
+            reinforced_prefix_sums(np.empty((10, 4)), triplet, 0.5, gen, ks)
+        assert gen.random() == RngStream(328).generator().random()
 
     def test_tiny_memory_casts_without_overflow(self):
         # (u / p) * i exceeds the integer range for fresh slots when p is
@@ -304,26 +324,31 @@ class TestBatchKernels:
             assert abs(corr) < 0.02
 
 
-def one_shot_block(triplet, n, replicas, p, gen, ks):
-    """The skeleton block with the whole genealogy held at once: repeat_sources,
-    a zero-filled (n, R) array, the fresh increments scattered into it,
-    follow_sources and one cumsum over all rows."""
-    fresh, sources = repeat_sources(n, replicas, p, gen)
+def one_shot_draw(triplet, n, replicas, p, gen):
+    """The skeleton block's draws with the whole genealogy held at once:
+    (n, R) ``fresh`` and ``sources`` arrays filled by _genealogy_chunks, and
+    each chunk's fresh increments, drawn inside that loop, scattered into a
+    zero-filled (n, R) array of steps."""
+    fresh = np.empty((n, replicas), dtype=bool)
+    sources = np.empty((n, replicas), dtype=np.intp)
     steps = np.zeros((n, replicas))
-    steps[fresh] = increment_sample(triplet, 1.0 / n, gen, size=int(fresh.sum()))[:, 0]
+    for start, fr, _ in _genealogy_chunks(n, replicas, p, gen, fresh, sources):
+        rows = steps[start : start + len(fr)]
+        rows[fr] = increment_sample(triplet, 1.0 / n, gen, size=int(fr.sum()))[:, 0]
+    return fresh, sources, steps
+
+
+def one_shot_block(triplet, n, replicas, p, gen, ks):
+    """The skeleton block from :func:`one_shot_draw`: follow_sources and one
+    cumsum over all rows."""
+    _, sources, steps = one_shot_draw(triplet, n, replicas, p, gen)
     follow_sources(steps, sources)
     np.cumsum(steps, axis=0, out=steps)
     ks = np.asarray(ks)
     return np.where(ks > 0, steps[ks - 1].T, 0.0)
 
 
-def streamed_block(triplet, n, replicas, p, gen, ks):
-    """The block as ``diagnostics._mesh_ecf`` draws it: count, draw, replay."""
-    genealogy = draw_genealogy(n, replicas, p, gen)
-    fresh_steps = increment_sample(triplet, 1.0 / n, gen, size=genealogy.fresh)[:, 0]
-    return reinforced_prefix_sums(np.empty((n, replicas)), genealogy, ks, fresh_steps)
-
-
+@pytest.mark.bytes
 class TestStreamedBlock:
     # 300 replicas make chunks of 218 rows: 333 lies inside the second chunk,
     # 436 on the edge of the second and third, and row 1000 ends a partial
@@ -343,28 +368,17 @@ class TestStreamedBlock:
         triplet = LevyTriplet.stable(1.5)
         ref, gen = RngStream(331).generator(), RngStream(331).generator()
         want = one_shot_block(triplet, n, replicas, p, ref, ks)
-        got = streamed_block(triplet, n, replicas, p, gen, ks)
+        got = reinforced_prefix_sums(np.empty((n, replicas)), triplet, p, gen, ks)
         assert got.shape == (replicas, len(ks))
         assert got.tobytes() == want.tobytes()
         assert gen.random() == ref.random()
 
-    def test_replay_repeats_the_drawn_genealogy(self):
-        n, replicas, p = 500, 700, 0.6
-        fresh, sources = repeat_sources(n, replicas, p, RngStream(333).generator())
-        gen = RngStream(333).generator()
-        genealogy = draw_genealogy(n, replicas, p, gen)
-        assert genealogy.fresh == fresh.sum()
-        assert gen.random() == RngStream(333).generator().random(n * replicas + 1)[-1]
-        for _ in range(2):  # a replay leaves the genealogy as it was
-            chunks = [(fr.copy(), src.copy()) for _, fr, src in genealogy.chunks()]
-            assert np.array_equal(np.concatenate([c[0] for c in chunks]), fresh)
-            assert np.array_equal(np.concatenate([c[1] for c in chunks]), sources)
-
     def test_block_working_set(self):
-        # The block holds one (n, R) float array, the fresh increments and
-        # one chunk: no (n, R) bool or int genealogy array beside them.  At
-        # the workload's p = 0.8 the peak read 2.27 x 8 n R bytes while the
-        # whole genealogy was held.
+        # The block holds one (n, R) float array and one chunk: no (n, R)
+        # bool or int genealogy array and no array of all its fresh
+        # increments beside it.  At the workload's p = 0.8 the peak read
+        # 2.27 x 8 n R bytes while the whole genealogy was held, and 1.29
+        # while the fresh increments were drawn in one piece.
         n, replicas = 2_000, 1024
         query = CfQuery(np.asarray([1.0]), np.asarray([1.0]))
         tracemalloc.start()
@@ -375,18 +389,10 @@ class TestStreamedBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * n * replicas
-
-    def test_rejects_mismatched_fresh_steps(self):
-        genealogy = draw_genealogy(10, 4, 0.5, RngStream(335).generator())
-        with pytest.raises(DomainError):
-            reinforced_prefix_sums(np.empty((10, 4)), genealogy, [10])
-        with pytest.raises(DomainError):
-            reinforced_prefix_sums(np.empty((10, 4)), genealogy, [10], np.zeros(genealogy.fresh + 1))
-        with pytest.raises(DomainError):
-            reinforced_prefix_sums(np.empty((10, 5)), genealogy, [10], np.zeros(genealogy.fresh))
+        assert peak <= 1.2 * 8 * n * replicas
 
 
+@pytest.mark.bytes
 class TestZeroReplicas:
     @pytest.mark.parametrize("n", [1, 50])
     def test_empty_genealogy_and_counts(self, n):

@@ -88,6 +88,7 @@ class TestSampler:
         with pytest.raises(DomainError):
             ys_sample(1.0, RngStream(1).generator())
 
+    @pytest.mark.bytes
     def test_takes_a_generator_not_a_stream(self):
         # A stream would restart at every call and repeat its draws.
         with pytest.raises(AttributeError):
@@ -202,6 +203,7 @@ def _masked_bridge(rho: float, times, gen: np.random.Generator, replicas: int) -
     return out
 
 
+@pytest.mark.bytes
 class TestBridgeBytes:
     GRIDS = ([1.0], [0.3], [0.999, 1.0], [1e-9, 1.0], [0.2, 0.5, 0.9],
              [0.1, 0.25, 0.5, 0.75], [0.05, 0.2, 0.4, 0.8, 1.0])
@@ -230,6 +232,7 @@ class TestMoments:
         # symmetric in its time arguments (swapped internally)
         assert ys_cross_moment(1.0, 0.5, 4.0) == ys_cross_moment(0.5, 1.0, 4.0)
 
+    @pytest.mark.bytes
     def test_pinned_values_at_positive_times(self):
         # Exact bytes of both helpers, down to a time near the underflow edge.
         assert ys_mean(0.25, 4.0) == 0.3333333333333333
@@ -239,6 +242,7 @@ class TestMoments:
         assert ys_cross_moment(1e-300, 1.0, 3.0) == 4.4999999999997705e-200
         assert ys_cross_moment(1.0, 1.0, 2.5) == 8.333333333333334
 
+    @pytest.mark.bytes
     @pytest.mark.parametrize("t", [0.0, -0.5, 1.5, math.nan])
     def test_rejects_times_outside_the_contract(self, t):
         # Times lie in (0, 1], as for check_times: every process starts at 0.
