@@ -32,9 +32,9 @@ TOLERANCE_MULT = 4.0
 PROP8_BLOCK_SIZE = 256
 """Replicas per block of Simon's dynamics in :func:`prop8_experiment`.
 
-Smaller than ``rng.BLOCK_SIZE`` because each block holds a (block, n) array
-of word origins and the (block * n) counts, and n runs to 1e5 in the
-acceptance suite.
+Smaller than ``rng.BLOCK_SIZE``: a block holds its int32 word origins and
+counts (8 n block bytes), then the counts and one functional's float values
+(13 n block bytes, 333 MB at the acceptance suite's n = 1e5).
 """
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,17 @@ At each step k >= 2, with probability p the walker repeats one of its
 previous steps chosen uniformly at random, otherwise it makes a fresh step.
 One genealogy rule serves every caller: one uniform per slot of R walks of
 length n, drawn and transformed one cache-sized chunk of rows at a time
-(:func:`_genealogy_chunks`).  :func:`repeat_sources` keeps it as (n, R)
-``fresh`` and ``sources`` arrays (int32 sources while n * R < 2**31), and
-:func:`follow_sources` resolves it row by row with one gather from the
-earlier rows; a single walk is one replica of it, and the occupation counts
-keep only the sources, gather slot indices and count the originating base
-steps.  The skeleton block kernel :func:`reinforced_prefix_sums` holds no
-genealogy array and makes one pass: each chunk draws its uniforms, then the
-base steps of its fresh slots only (about 1 + (n - 1)(1 - p) per walk, not
-n), scatters them, gathers the chunk's rows and adds them onto a running
-prefix.  Its working set is the (n, R) float array of steps, 8 n R bytes,
-plus one chunk.  Repeats are tracked by the originating base index (not the
-step value), so counters remain correct when step values collide.
+(:func:`_genealogy_chunks`).  :func:`simon_origins` resolves each chunk as
+it is drawn, one gather per row from the rows already resolved, into the
+(n, R) originating row of every slot; a single walk is one replica of it,
+and the occupation counts count its columns.  The skeleton block kernel
+:func:`reinforced_prefix_sums` holds no genealogy array and makes one
+pass: each chunk draws its uniforms, then the base steps of its fresh slots
+only (about 1 + (n - 1)(1 - p) per walk, not n), scatters them, gathers
+the chunk's rows and adds them onto a running prefix.  Its working set is
+the (n, R) float array of steps, 8 n R bytes, plus one chunk.  Repeats are
+tracked by the originating base index (not the step value), so counters
+remain correct when step values collide.
 """
 
 from __future__ import annotations
@@ -34,15 +33,12 @@ from .yule_simon import MemoryParameter, as_memory
 class ReinforcementRecord:
     """Bookkeeping of one reinforcement realization of length n.
 
-    ``epsilons[k-1]`` says whether step k was a repeat, ``choices[k-1]`` the
-    repeated slot (1-based; 0 when fresh), ``origins[k-1]`` the base index
-    whose word step k uses.  Counting processes derive from ``origins``:
+    ``origins[k-1]`` is the base index whose word step k uses, so step k is
+    fresh iff ``origins[k-1] == k``.  Counting processes derive from it:
     N_j(k) = #{l <= k : origins[l-1] == j}.
     """
 
     n: int
-    epsilons: np.ndarray
-    choices: np.ndarray
     origins: np.ndarray
 
     def counter_events(self, j: int) -> np.ndarray:
@@ -51,11 +47,9 @@ class ReinforcementRecord:
 
     def counters(self) -> dict[int, np.ndarray]:
         """Sparse event lists for every base index that was used at least once."""
-        order = np.argsort(self.origins, kind="stable")
-        sorted_origins = self.origins[order]
-        bounds = np.flatnonzero(np.diff(sorted_origins)) + 1
-        groups = np.split(order + 1, bounds)
-        return {int(g_orig[0]): np.sort(g) for g, g_orig in zip(groups, np.split(sorted_origins, bounds))}
+        order = np.argsort(self.origins, kind="stable")  # sorted steps within each group
+        bounds = np.flatnonzero(np.diff(self.origins[order])) + 1
+        return {int(self.origins[g[0]]): g + 1 for g in np.split(order, bounds)}
 
     def terminal_counts(self) -> np.ndarray:
         """N_j(n) for j = 1..n."""
@@ -70,13 +64,9 @@ class ReinforcedWalk:
     base_steps: np.ndarray
 
     @property
-    def hat_steps(self) -> np.ndarray:
-        return self.base_steps[self.record.origins - 1]
-
-    @property
     def partial_sums(self) -> np.ndarray:
         """S-hat(0..n); row k is the sum of the first k reinforced steps."""
-        sums = np.cumsum(self.hat_steps, axis=0)
+        sums = np.cumsum(self.base_steps[self.record.origins - 1], axis=0)
         zero = np.zeros_like(sums[:1])
         return np.concatenate([zero, sums], axis=0)
 
@@ -90,19 +80,15 @@ def reinforce(
 
     The first step is always kept; afterwards step i repeats a uniformly
     chosen earlier reinforced step with probability p.  The genealogy is one
-    replica of :func:`repeat_sources`, drawn from ``gen``; each repeat is
-    recorded against the slot it copies and, resolved by
-    :func:`follow_sources`, against the originating base index.
+    replica of :func:`simon_origins`, drawn from ``gen``, which records each
+    step against its originating base index.
     """
     base = np.asarray(steps, dtype=float)
     if base.shape[0] == 0:
         raise DomainError("steps must be nonempty")
     n = base.shape[0]
-    fresh, sources = repeat_sources(n, 1, p, gen)
-    eps = ~fresh[:, 0]
-    choices = np.where(eps, sources[:, 0] + 1, 0)
-    origins = follow_sources(sources.copy(), sources)[:, 0] + 1
-    return ReinforcedWalk(ReinforcementRecord(n, eps, choices, origins), base)
+    origins = simon_origins(n, p, gen, 1)[:, 0] + 1
+    return ReinforcedWalk(ReinforcementRecord(n, origins), base)
 
 
 def elephant_walk(
@@ -168,11 +154,10 @@ SOURCE_CHUNK = 1 << 16
 """Slots per chunk of rows of a genealogy draw (at least one row).
 
 One chunk of uniforms and its whole transform stay in cache.  The chunk
-size never changes which uniform a slot gets in :func:`repeat_sources` or
-:func:`simon_terminal_counts`.  It does in :func:`reinforced_prefix_sums`
-once n * R > ``SOURCE_CHUNK``: there each chunk's fresh base steps are drawn
-between its uniforms and the next chunk's, so changing it changes the draws
-of such skeleton blocks.
+size never changes which uniform a slot gets in :func:`simon_origins`.  It
+does in :func:`reinforced_prefix_sums` once n * R > ``SOURCE_CHUNK``:
+there each chunk's fresh base steps are drawn between its uniforms and the
+next chunk's, so changing it changes the draws of such skeleton blocks.
 """
 
 
@@ -191,34 +176,28 @@ def _source_dtype(n: int, replicas: int) -> type:
     return np.int32 if n * replicas < 2**31 else np.intp
 
 
-def _genealogy_chunks(
-    n: int,
-    replicas: int,
-    pv: float,
-    gen: np.random.Generator,
-    fresh: np.ndarray | None = None,
-    sources: np.ndarray | None = None,
-):
-    """The genealogy rule of :func:`repeat_sources`, one chunk of rows at a time.
+def _genealogy_chunks(n: int, replicas: int, pv: float, gen: np.random.Generator):
+    """The genealogy of R = ``replicas`` walks of length n, one chunk of rows at a time.
 
-    Draws the uniforms of about ``SOURCE_CHUNK`` slots (whole rows) into one
-    reused buffer, which reads the same stream as a single
+    One uniform u per slot decides it: u < p makes slot (i, r) a repeat, of
+    slot floor((u / p) * i) clamped to i - 1; else it is fresh (step 0
+    always is).  Draws the uniforms of about ``SOURCE_CHUNK`` slots (whole
+    rows) into one reused buffer, which reads the same stream as a single
     ``gen.random((n, R))`` unless the caller draws from ``gen`` between
-    chunks, and yields ``(start, fresh rows, source rows)``.  The rows are
-    views of ``fresh`` and ``sources`` where those (n, R) arrays are given,
-    else of chunk buffers that the next chunk overwrites.
+    chunks, and yields ``(start, fresh rows, source rows)``: views of chunk
+    buffers that the next chunk overwrites.  A source is the flat index
+    i * R + r of a fresh slot itself, else slot * R + r; it is int32 while
+    n * R < 2**31, else intp.
     """
     rows_per = _chunk_rows(n, replicas)
-    dtype = _source_dtype(n, replicas) if sources is None else sources.dtype
+    dtype = _source_dtype(n, replicas)
     buf = np.empty((rows_per, replicas))
-    fresh_buf = np.empty((rows_per, replicas), dtype=bool) if fresh is None else None
-    source_buf = np.empty((rows_per, replicas), dtype=dtype) if sources is None else None
+    fresh_buf = np.empty((rows_per, replicas), dtype=bool)
+    source_buf = np.empty((rows_per, replicas), dtype=dtype)
     cols = np.arange(replicas, dtype=dtype)
     for start in range(0, n, rows_per):
         stop = min(start + rows_per, n)
-        u = buf[: stop - start]
-        fr = fresh_buf[: stop - start] if fresh is None else fresh[start:stop]
-        src = source_buf[: stop - start] if sources is None else sources[start:stop]
+        u, fr, src = buf[: stop - start], fresh_buf[: stop - start], source_buf[: stop - start]
         gen.random(out=u)
         np.greater_equal(u, pv, out=fr)
         if start == 0:
@@ -233,40 +212,26 @@ def _genealogy_chunks(
         yield start, fr, src
 
 
-def repeat_sources(
-    n: int, replicas: int, p: MemoryParameter | float, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-drawn genealogy ``(fresh, sources)`` of R = ``replicas`` walks of length n.
+def simon_origins(n: int, p: MemoryParameter | float, gen: np.random.Generator, replicas: int) -> np.ndarray:
+    """Originating row of every slot of R = ``replicas`` walks of length n, drawn from ``gen``.
 
-    Both have shape (n, R).  ``fresh`` marks the slots that take a new base
-    step (step 0 always does); ``sources[i, r]`` is the flat index i * R + r
-    of a fresh slot itself, else slot * R + r of the earlier slot it repeats.
-    One uniform u per slot decides both: u < p is a repeat, of slot
-    floor((u / p) * i) clamped to i - 1.  The uniforms are drawn and
-    transformed chunk by chunk (see :func:`_genealogy_chunks`).  ``sources``
-    is int32 while n * R < 2**31, else intp.
+    Returns an (n, R) array, int32 while n * R < 2**31, else intp, whose
+    entry (i, r) equals i exactly when slot (i, r) is fresh.  Each chunk of
+    :func:`_genealogy_chunks` is resolved as it is drawn: its sources are
+    copied in, then each row becomes the flat origins of its sources with
+    one ``take`` (fresh slots read themselves, repeats earlier rows), and
+    the flat indices become rows at the end.
     """
     pv = _walk_memory(n, p)
-    fresh = np.empty((n, replicas), dtype=bool)
-    sources = np.empty((n, replicas), dtype=_source_dtype(n, replicas))
-    for _ in _genealogy_chunks(n, replicas, pv, gen, fresh, sources):
-        pass
-    return fresh, sources
-
-
-def follow_sources(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Resolve a genealogy in place and return ``values``.
-
-    For i = 1..n-1 in turn, row i of the (n, R) array ``values`` becomes
-    ``values.flat[sources[i]]``: fresh slots read themselves and repeats read
-    an already resolved earlier row.  Any dtype works, and ``values`` may be
-    ``sources`` itself: ``follow_sources(s, s)`` turns each slot's source
-    index into the flat index of its originating fresh slot.
-    """
-    take = values.reshape(-1).take
-    for src, row in zip(sources[1:], values[1:]):
-        take(src, out=row)
-    return values
+    origins = np.empty((n, replicas), dtype=_source_dtype(n, replicas))
+    take = origins.reshape(-1).take
+    for start, _, src in _genealogy_chunks(n, replicas, pv, gen):
+        block = origins[start : start + len(src)]
+        np.copyto(block, src)
+        for row_src, row in zip(src, block):
+            take(row_src, out=row)
+    origins //= replicas
+    return origins
 
 
 def reinforced_prefix_sums(
@@ -323,22 +288,13 @@ def simon_terminal_counts(
 ) -> np.ndarray:
     """Terminal occupation counts N_j(n) for many independent realizations.
 
-    Only the dynamics of word choices matter (step values are irrelevant):
-    the sources of :func:`repeat_sources` (its fresh mask is not kept) are
-    chased to each slot's originating row and counted.  Returns an int32
-    array of shape (replicas, n) with row sums n.
+    Only the genealogy matters (step values are irrelevant): each replica's
+    column of :func:`simon_origins` is counted with one ``bincount``, so the
+    working set is the int32 origins and counts, 8 n R bytes.  Returns an
+    int32 array of shape (replicas, n) with row sums n.
     """
-    pv = _walk_memory(n, p)
-    origins = np.empty((n, replicas), dtype=_source_dtype(n, replicas))
-    for _ in _genealogy_chunks(n, replicas, pv, gen, sources=origins):
-        pass
-    follow_sources(origins, origins)
-    origins //= replicas
-    origins += np.arange(replicas, dtype=origins.dtype) * n
-    # bincount wants intp: convert here and drop the int32 origins first,
-    # else its hidden copy is held together with them and the counts.
-    flat = origins.reshape(-1).astype(np.intp)
-    del origins
-    counts = np.bincount(flat, minlength=replicas * n)
-    del flat  # so that it and the int32 copy below are never held together
-    return counts.astype(np.int32).reshape(replicas, n)
+    origins = simon_origins(n, p, gen, replicas)
+    counts = np.empty((replicas, n), dtype=np.int32)
+    for row, column in zip(counts, origins.T):
+        row[:] = np.bincount(column, minlength=n)
+    return counts

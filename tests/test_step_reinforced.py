@@ -17,32 +17,53 @@ from nrlevy.rng import RngStream, iter_blocks
 from nrlevy.step_reinforced import (
     SOURCE_CHUNK,
     _genealogy_chunks,
+    _walk_memory,
     elephant_endpoints,
     elephant_walk,
-    follow_sources,
     reinforce,
     reinforced_prefix_sums,
-    repeat_sources,
+    simon_origins,
     simon_terminal_counts,
     skeleton_reinforced_walk,
 )
 from nrlevy.yule_simon import ys_pmf
 
 
+def repeat_sources(n, replicas, p, gen, on_chunk=None):
+    """The whole genealogy of R walks of length n as (n, R) ``fresh`` and
+    ``sources`` arrays, concatenated from copies of the chunks of
+    _genealogy_chunks.  ``on_chunk(start, fresh rows)`` runs as each chunk
+    is drawn, before the next one."""
+    fresh, sources = [], []
+    for start, fr, src in _genealogy_chunks(n, replicas, _walk_memory(n, p), gen):
+        if on_chunk is not None:
+            on_chunk(start, fr)
+        fresh.append(fr.copy())
+        sources.append(src.copy())
+    return np.concatenate(fresh), np.concatenate(sources)
+
+
+def follow_sources(values, sources):
+    """Resolve a genealogy in place: for i = 1..n-1 in turn, row i of
+    ``values`` becomes ``values.flat[sources[i]]``."""
+    take = values.reshape(-1).take
+    for src, row in zip(sources[1:], values[1:]):
+        take(src, out=row)
+    return values
+
+
 def replay_genealogy(fresh, sources):
-    """Repeated slot (1-based, 0 when fresh) and originating slot of every
-    slot of a :func:`repeat_sources` draw, replayed one step at a time."""
+    """Originating slot of every slot of a :func:`repeat_sources` draw,
+    replayed one step at a time."""
     n, replicas = fresh.shape
-    choices = np.zeros((n, replicas), dtype=np.int64)
     origins = np.tile(np.arange(n)[:, None], (1, replicas))
     for r in range(replicas):
         for i in range(1, n):
             if not fresh[i, r]:
                 slot, col = divmod(int(sources[i, r]), replicas)
                 assert col == r and 0 <= slot < i
-                choices[i, r] = slot + 1
                 origins[i, r] = origins[slot, r]
-    return choices, origins
+    return origins
 
 
 class TestReinforce:
@@ -71,7 +92,7 @@ class TestReinforce:
         rec = walk.record
         for j in range(1, 301):
             events = rec.counter_events(j)
-            if rec.epsilons[j - 1]:
+            if rec.origins[j - 1] != j:
                 assert events.size == 0  # repeated step: its own word never used
             if events.size:
                 assert events[0] >= j  # N_j(k) = 0 before step j
@@ -169,8 +190,9 @@ class TestBatchKernels:
     @pytest.mark.parametrize("n, replicas, p", [(1, 3, 0.5), (7, 5, 0.5), (60, 8, 0.9), (40, 6, 0.05)])
     def test_prefix_sums_match_reinforce_rule(self, n, replicas, p):
         # Replay the pre-drawn genealogy through the rule origins[i] =
-        # origins[slot], one replica at a time; the skeleton prefix sums, the
-        # occupation counts and a single walk must all match the replay.
+        # origins[slot], one replica at a time; the origins kernel, the
+        # skeleton prefix sums, the occupation counts and a single walk must
+        # all match the replay.
         # Each block here is one chunk: the kernel draws its uniforms, then
         # the increments of its fresh slots.
         triplet = LevyTriplet.brownian()
@@ -182,7 +204,10 @@ class TestBatchKernels:
         got = reinforced_prefix_sums(np.empty((n, replicas)), triplet, p, RngStream(321).generator(), ks)
         assert fresh[0].all()
         assert np.array_equal(fresh, sources == np.arange(n * replicas).reshape(n, replicas))
-        _, origins = replay_genealogy(fresh, sources)
+        origins = replay_genealogy(fresh, sources)
+        resolved = simon_origins(n, p, RngStream(321).generator(), replicas)
+        assert resolved.dtype == np.int32
+        assert np.array_equal(resolved, origins)
         for r in range(replicas):
             sums = np.concatenate([[0.0], np.cumsum(steps[origins[:, r], r])])
             assert np.array_equal(got[r], sums[ks])
@@ -191,10 +216,9 @@ class TestBatchKernels:
         assert np.array_equal(counts, [np.bincount(o, minlength=n) for o in origins.T])
         # A single walk is the one-replica draw from the same seed.
         one_fresh, one_sources = repeat_sources(n, 1, p, RngStream(321).generator())
-        choices, origins = replay_genealogy(one_fresh, one_sources)
+        origins = replay_genealogy(one_fresh, one_sources)
         record = reinforce(np.zeros(n), p, RngStream(321).generator()).record
-        assert np.array_equal(record.epsilons, ~one_fresh[:, 0])
-        assert np.array_equal(record.choices, choices[:, 0])
+        assert np.array_equal(record.origins == np.arange(1, n + 1), one_fresh[:, 0])
         assert np.array_equal(record.origins, origins[:, 0] + 1)
 
     @pytest.mark.parametrize("n, replicas, p", [
@@ -256,7 +280,7 @@ class TestBatchKernels:
 
     def test_kernel_rejects_empty_walks(self):
         with pytest.raises(DomainError):
-            repeat_sources(0, 4, 0.5, RngStream(324).generator())
+            simon_origins(0, 0.5, RngStream(324).generator(), 4)
         with pytest.raises(DomainError):
             reinforced_prefix_sums(
                 np.zeros((0, 4)), LevyTriplet.brownian(), 0.5, RngStream(324).generator(), [0]
@@ -277,7 +301,22 @@ class TestBatchKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fresh, _ = repeat_sources(100_000, 2, 1e-15, RngStream(325).generator())
+            origins = simon_origins(100_000, 1e-15, RngStream(325).generator(), 2)
         assert fresh.all()
+        assert np.array_equal(origins, np.arange(100_000)[:, None].repeat(2, axis=1))
+
+    def test_counts_working_set(self):
+        # The counts hold their int32 origins and int32 counts, 8 n R bytes:
+        # the peak read 5.00 x 4 n R bytes while a view of the last genealogy
+        # chunk kept the origins alive beside their intp copy for bincount.
+        n, replicas = 20_000, 256
+        tracemalloc.start()
+        try:
+            simon_terminal_counts(n, 0.5, RngStream(329).generator(), replicas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.2 * 4 * n * replicas
 
     def test_terminal_counts_identity_and_law(self):
         counts = simon_terminal_counts(5_000, 0.5, RngStream(318).generator(), 20)
@@ -326,15 +365,16 @@ class TestBatchKernels:
 
 def one_shot_draw(triplet, n, replicas, p, gen):
     """The skeleton block's draws with the whole genealogy held at once:
-    (n, R) ``fresh`` and ``sources`` arrays filled by _genealogy_chunks, and
-    each chunk's fresh increments, drawn inside that loop, scattered into a
-    zero-filled (n, R) array of steps."""
-    fresh = np.empty((n, replicas), dtype=bool)
-    sources = np.empty((n, replicas), dtype=np.intp)
+    the (n, R) arrays of :func:`repeat_sources`, and each chunk's fresh
+    increments, drawn as that chunk is drawn, scattered into a zero-filled
+    (n, R) array of steps."""
     steps = np.zeros((n, replicas))
-    for start, fr, _ in _genealogy_chunks(n, replicas, p, gen, fresh, sources):
+
+    def draw_fresh(start, fr):
         rows = steps[start : start + len(fr)]
         rows[fr] = increment_sample(triplet, 1.0 / n, gen, size=int(fr.sum()))[:, 0]
+
+    fresh, sources = repeat_sources(n, replicas, p, gen, draw_fresh)
     return fresh, sources, steps
 
 
@@ -400,6 +440,8 @@ class TestZeroReplicas:
         fresh, sources = repeat_sources(n, 0, 0.5, gen)
         assert fresh.shape == sources.shape == (n, 0)
         assert (fresh.dtype, sources.dtype) == (np.bool_, np.int32)
+        origins = simon_origins(n, 0.5, gen, 0)
+        assert origins.shape == (n, 0) and origins.dtype == np.int32
         counts = simon_terminal_counts(n, 0.5, gen, 0)
         assert counts.shape == (0, n) and counts.dtype == np.int32
         assert gen.random() == RngStream(327).generator().random()
