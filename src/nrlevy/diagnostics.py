@@ -33,8 +33,8 @@ PROP8_BLOCK_SIZE = 256
 """Replicas per block of Simon's dynamics in :func:`prop8_experiment`.
 
 Smaller than ``rng.BLOCK_SIZE``: a block holds its int32 word origins and
-counts (8 n block bytes), then the counts and one functional's float values
-(13 n block bytes, 333 MB at the acceptance suite's n = 1e5).
+counts, 8 n block bytes (205 MB at the acceptance suite's n = 1e5).  The
+functionals then read each replica's histogram of counts, not the counts.
 """
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,9 @@ class PathFunctional:
     """A functional F of counting paths that depends only on their terminal value.
 
     ``terminal`` applies F elementwise to an integer array of terminal
-    counts.  F must vanish on the zero path.
+    counts.  F must vanish on the zero path.  :func:`prop8_experiment`
+    applies it to the values 0, 1, ..., max of a block's counts and weights
+    each value by its count in a replica's histogram.
     """
 
     name: str
@@ -351,7 +353,10 @@ def prop8_experiment(
     """Average of F over the rescaled occupation counters vs (1-p) E[F(Y)].
 
     The reference expectation is Monte Carlo over the event-based mark
-    sampler (an independent route from the reinforcement dynamics).
+    sampler (an independent route from the reinforcement dynamics).  A
+    replica's average is sum_v h(v) F(v) / n over the histogram h of its
+    counts, so a block holds no (replicas, n) float array beside the counts;
+    for an integer-valued F (the indicators here) every sum is exact.
     """
     pv = as_memory(p)
     for f in functionals:
@@ -364,8 +369,11 @@ def prop8_experiment(
         per_real = np.empty((replicas, len(functionals)))
         for gen, start, count in iter_blocks(rng.substream(i), replicas, PROP8_BLOCK_SIZE):
             counts = simon_terminal_counts(n, pv, gen, count)
-            for fi, f in enumerate(functionals):
-                per_real[start : start + count, fi] = f.terminal(counts).mean(axis=1)
+            support = np.arange(int(counts.max()) + 1)
+            f_values = np.stack([f.terminal(support) for f in functionals], axis=1)
+            for r, row in enumerate(counts, start):
+                hist = np.bincount(row)
+                per_real[r] = (hist[:, None] * f_values[: hist.size]).sum(axis=0) / n
         estimates[i] = per_real.mean(axis=0)
         stderr[i] = per_real.std(axis=0, ddof=1) / math.sqrt(replicas)
     # Reference: (1 - p) E[F(Y)] over event-based mark paths.

@@ -38,6 +38,7 @@ from .yule_simon import (
     check_times,
     ys_abs_moment,
     ys_cross_moment,
+    ys_head_table,
     ys_joint_values,
     ys_mean,
 )
@@ -201,8 +202,11 @@ def nrlp_marginals(
     The blocks of :func:`map_nrlp_blocks` with the Poisson-series jump part:
     after its reinforced-Brownian normals, a block draws the Poisson atom
     counts of every replica, then for each chunk of at most ``ATOM_CHUNK``
-    atoms (taken in replica order) their jump sizes and mark values.
+    atoms (taken in replica order) their jump sizes and mark values.  The
+    marks' alias table (:func:`nrlevy.yule_simon.ys_head_table`) is built
+    here, once, before any block runs.
     """
+    ys_head_table(config.rho, config.grid)
     return map_nrlp_blocks(config, rng, replicas, threads, _series_jumps)
 
 
@@ -324,23 +328,37 @@ def reinforced_cf(
     mc_replicas: int,
     gen: np.random.Generator,
 ) -> CfEstimate:
-    """exp(-(1-p) E[Psi(sum_j Y(t_j) theta_j)]) by Monte Carlo over mark paths.
+    """exp(-(1-p) E[Psi(sum_j Y(t_j) theta_j)]), with the tail of the marks
+    by Monte Carlo.
 
-    The inner expectation is estimated from ``mc_replicas`` exact joint draws
-    of the mark at the query times, drawn from ``gen``; a running-mean
-    heuristic over doubling sample sizes flags divergence (the expected
-    signal when p * beta'' > 1).
+    On a grid of one or two query times the expectation splits over the
+    cells of the marks' alias head (:func:`nrlevy.yule_simon.ys_head_table`):
+    the cells whose value at the last time is at most ``HEAD_MAX`` are
+    summed exactly with their probabilities, and only the tail cell's
+    conditional expectation is estimated, from ``mc_replicas`` exact tail
+    draws (:meth:`~nrlevy.yule_simon.MarkHead.draw_tail`) from ``gen``.  On
+    longer grids the whole expectation is estimated from ``mc_replicas``
+    joint mark draws.  The standard error is that of the estimated part,
+    and a running-mean heuristic over its draws flags divergence (the
+    expected signal when p * beta'' > 1).
     """
     pv = as_memory(p)
     if query.dim != triplet.dim:
         raise DomainError("query dimension does not match the triplet")
     grid = query_grid_times([query])
     thetas = query.on_grid(grid)  # (m, d)
-    marks = ys_joint_values(pv.rho, grid, gen, mc_replicas)  # (R, m)
-    w = _replica_dot(marks, thetas)  # (R, d)
-    psi = characteristic_exponent(triplet, w)
-    mean = complex(psi.mean())
-    se = math.sqrt((psi.real.var() + psi.imag.var()) / mc_replicas)
+    if grid.size <= 2:
+        head = ys_head_table(pv.rho, grid)
+        cells = head.values[:, : head.tail].T  # (cells, m)
+        body = characteristic_exponent(triplet, _replica_dot(cells, thetas))
+        exact, weight = _replica_dot(body, head.mass[: head.tail]), head.mass[head.tail]
+        marks = head.draw_tail(gen, mc_replicas).T  # (R, m)
+    else:
+        exact, weight = 0.0, 1.0
+        marks = ys_joint_values(pv.rho, grid, gen, mc_replicas)  # (R, m)
+    psi = characteristic_exponent(triplet, _replica_dot(marks, thetas))
+    mean = complex(exact + weight * psi.mean())
+    se = weight * math.sqrt((psi.real.var() + psi.imag.var()) / mc_replicas)
     keep = 1.0 - pv.p
     value = np.exp(-keep * mean)
     diverged = _running_mean_diverges(psi.real)

@@ -38,13 +38,12 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .errors import DomainError, UnsupportedFamilyError
 from .levy_model import IsotropicStable, LevyTriplet, _replica_dot, symmetric_stable_std
 from .noise_reinforced import NrlpConfig, map_nrlp_blocks
 from .rng import BLOCK_SIZE, RngStream
-from .yule_simon import check_times, ys_abs_moment, ys_pmf
+from .yule_simon import check_times, ys_abs_moment, ys_pair_pmf
 
 EXACT_MAX = 32
 """Mark vectors with terminal value up to this become exact bins, one per direction."""
@@ -135,7 +134,7 @@ def build_stable_mixture(
     singles: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     bin_gamma = np.zeros(DIR_BINS)
     bin_dir = np.zeros((2, DIR_BINS))
-    for j, k, prob in _mark_cells(rho, t1, t2, q):
+    for j, k, prob in _mark_cells(rho, t1, t2):
         norms = np.hypot(j.astype(float), k.astype(float))
         gamma_cells = scale_nu * prob * norms**alpha
         exact = k <= EXACT_MAX
@@ -172,20 +171,16 @@ def build_stable_mixture(
     return StableMarkMixture(alpha, directions, gamma)
 
 
-def _mark_cells(rho: float, t1: float, t2: float, q: float):
+def _mark_cells(rho: float, t1: float, t2: float):
     """Exact cells (j, k, P(v)) of the mark vectors v = (j, k), k <= ``ENUM_MAX``.
 
-    j is the mark value at t1 and k >= max(j, 1) the one at t2.  Cells come in
-    row order (j ascending, then k): row j = 0 first, then chunks of whole
-    rows of about ``TABLE_CHUNK`` cells.  The chunk size never changes a
-    cell's value.
+    j is the mark value at t1 and k >= max(j, 1) the one at t2, and P(v)
+    is :func:`nrlevy.yule_simon.ys_pair_pmf`.  Cells come in row order
+    (j ascending, then k): row j = 0 first, then chunks of whole rows of
+    about ``TABLE_CHUNK`` cells.  The chunk size never changes a cell's value.
     """
-    log_q, log_1mq = np.log(q), np.log1p(-q)
-    lgamma = gammaln(np.arange(ENUM_MAX + 2, dtype=float))  # lgamma[n] = log Gamma(n)
-    pmf = np.zeros(ENUM_MAX + 1)  # pmf[j] = P(Y(1) = j)
-    pmf[1:] = ys_pmf(np.arange(1, ENUM_MAX + 1), rho)
     k = np.arange(1, ENUM_MAX + 1)
-    yield np.zeros_like(k), k, t2 * pmf[k] * (1.0 - betainc(rho + 1.0, k.astype(float), q))
+    yield np.zeros_like(k), k, ys_pair_pmf(np.zeros_like(k), k, rho, t1, t2)
     rows = np.arange(1, ENUM_MAX + 1)
     lengths = ENUM_MAX + 1 - rows
     ends = np.cumsum(lengths)
@@ -196,9 +191,7 @@ def _mark_cells(rho: float, t1: float, t2: float, q: float):
         first = ends[a:b] - n  # index of each row's first cell, k = j
         j = np.repeat(rows[a:b], n)
         k = j + np.arange(first[0], ends[b - 1]) - np.repeat(first, n)
-        nb = k - j
-        log_nb = lgamma[k] - lgamma[j] - lgamma[nb + 1] + j * log_q + nb * log_1mq
-        yield j, k, t1 * pmf[j] * np.exp(log_nb)
+        yield j, k, ys_pair_pmf(j, k, rho, t1, t2)
 
 
 def mixture_covers(triplet: LevyTriplet, grid) -> bool:

@@ -4,9 +4,13 @@ The distribution is the heavy-tailed law ``rho * B(k, rho + 1)`` on
 {1, 2, ...}; the process is a time-inhomogeneous pure-birth counting process
 whose value at time t is 0 with probability 1 - t and, conditionally on being
 positive, Yule-Simon distributed.  Both process samplers are exact and read
-many independent paths at a grid of times: :func:`ys_process_values` follows
-each path's jump times, :func:`ys_joint_values` bridges between grid times,
-and each is the other's cross-check.
+many independent paths at a grid of times, and each is the other's
+cross-check: :func:`ys_process_values` follows each path's jump times, and
+:func:`ys_joint_values` draws the first one or two grid times (the head)
+with one lookup per path in a cached Walker alias table over the exact
+joint cells (:func:`ys_pair_pmf`) up to ``HEAD_MAX`` = 300, resolves the
+rare tail paths by an exact conditional draw, and bridges forward with
+negative-binomial increments to any later grid time.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
+from scipy.special import betainc, betaln, gammaln
 
 from .errors import DomainError, NumericalError
 
@@ -167,54 +171,249 @@ def ys_process_values(
     return counts
 
 
+HEAD_MAX = 300
+"""Largest value at the head's last time that the alias table of
+:func:`ys_joint_values` holds as a cell of its own; larger values share the
+table's one tail cell, which an exact conditional draw resolves."""
+
+
+def ys_pair_pmf(j, k, rho: float, t1: float, t2: float) -> np.ndarray:
+    """P(Y(t1) = j, Y(t2) = k) for 0 < t1 < t2 <= 1, elementwise over integer
+    arrays with k >= max(j, 1).
+
+    With q = (t1/t2)^(1/rho), a path that has started by t1 has the cell
+    t1 pmf(j) NB(k - j; j, q) (a negative-binomial increment); one that
+    starts in (t1, t2] has j = 0 and the cell t2 pmf(k) (1 - I_q(rho + 1, k)),
+    I the regularized incomplete beta function.  The log-gamma and pmf
+    values are read from tables up to max(k), cached per (rho, max(k)).
+    This is the one cell formula of both mark tables, the stable mixture's
+    (:mod:`nrlevy.spectral`) and the alias head of :func:`ys_joint_values`.
+    """
+    j, k = np.broadcast_arrays(np.asarray(j), np.asarray(k))
+    late = j == 0  # paths that start in (t1, t2]
+    if late.any() and not late.all():  # one call per kind of cell
+        out = np.empty(k.shape)
+        for part in (late, ~late):
+            out[part] = ys_pair_pmf(j[part], k[part], rho, t1, t2)
+        return out
+    if not (np.issubdtype(j.dtype, np.integer) and np.issubdtype(k.dtype, np.integer)):
+        raise DomainError("mark values must be integers")
+    if np.any(j < 0) or np.any(k < np.maximum(j, 1)):
+        raise DomainError("cells need 0 <= j <= k and k >= 1")
+    if not 0.0 < t1 < t2 <= 1.0:
+        raise DomainError(f"times must satisfy 0 < t1 < t2 <= 1, got {t1} and {t2}")
+    q = (t1 / t2) ** (1.0 / rho)
+    lgamma, pmf = _pair_tables(rho, int(k.max(initial=1)))
+    if late.any():
+        return t2 * pmf[k] * (1.0 - betainc(rho + 1.0, k.astype(float), q))
+    nb = k - j
+    log_nb = lgamma[k] - lgamma[j] - lgamma[nb + 1] + j * np.log(q) + nb * np.log1p(-q)
+    return t1 * pmf[j] * np.exp(log_nb)
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_tables(rho: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """log Gamma(n) for n <= top + 1 and pmf(n) for n <= top (pmf(0) = 0), read-only."""
+    lgamma = gammaln(np.arange(top + 2, dtype=float))
+    pmf = np.zeros(top + 1)
+    pmf[1:] = ys_pmf(np.arange(1, top + 1), rho)
+    lgamma.flags.writeable = pmf.flags.writeable = False
+    return lgamma, pmf
+
+
+@dataclass(frozen=True)
+class MarkHead:
+    """Walker's alias table over the mark cells at the first one or two grid
+    times (the head), with read-only arrays.
+
+    ``values[g]`` is each cell's mark value at head time g and ``mass`` its
+    exact probability.  Column c keeps its own cell when a uniform falls
+    below ``threshold[c]`` and gives ``alias[c]`` otherwise.  The last
+    cell, ``tail``, stands for every path whose value at the head's last
+    time exceeds ``HEAD_MAX``; :meth:`draw_tail` draws those paths' values.
+    """
+
+    rho: float
+    times: tuple[float, ...]
+    mass: np.ndarray
+    threshold: np.ndarray
+    alias: np.ndarray
+    values: np.ndarray
+
+    @property
+    def tail(self) -> int:
+        return self.mass.size - 1
+
+    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """int32 cell ids: a uniform column, then a uniform alias test, per path."""
+        cells = gen.integers(0, self.alias.size, size=size, dtype=np.int32)
+        keep = gen.random(size) < self.threshold.take(cells)
+        np.copyto(cells, self.alias.take(cells), where=~keep)
+        return cells
+
+    def draw_tail(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """Head values (len(times), size) of paths drawn given the tail cell.
+
+        W = (U/t_h)^(1/rho) given Y(t_h) > HEAD_MAX is Beta(rho, HEAD_MAX + 1),
+        and Y(t_h) = HEAD_MAX + Geom(W) by memorylessness.  On a two-time
+        head, with q = (t_1/t_2)^(1/rho), Y(t_1) = 0 if W > q (the path
+        starts after t_1) and otherwise 1 + Binomial(Y(t_2) - 1,
+        (q - W)/(1 - W)).  Draws the betas, the geometrics, then the binomials.
+        """
+        w = gen.beta(self.rho, HEAD_MAX + 1.0, size=size)
+        last = HEAD_MAX + gen.geometric(w)
+        if len(self.times) == 1:
+            return last[None, :]
+        q = (self.times[0] / self.times[1]) ** (1.0 / self.rho)
+        early = np.flatnonzero(w <= q)
+        first = np.zeros(size, dtype=np.int64)
+        we = w[early]
+        first[early] = 1 + gen.binomial(last[early] - 1, (q - we) / (1.0 - we))
+        return np.stack([first, last])
+
+
+def ys_head_table(rho: float, times) -> MarkHead:
+    """The alias table of :func:`ys_joint_values` for the first one or two of
+    ``times``, built once per (rho, head times) and then cached."""
+    times = check_times(times)
+    return _head_table(_check_rho(rho), *map(float, times[:2]))
+
+
+@functools.lru_cache(maxsize=16)
+def _head_table(rho: float, *head: float) -> MarkHead:
+    """Cells with a value of at most ``HEAD_MAX`` at the head's last time t,
+    the empty path (mass 1 - t) first, and one tail cell last (mass
+    t rho B(rho, HEAD_MAX + 1) = t P(Y(1) > HEAD_MAX)); cells of zero mass
+    (1 - t at t = 1, or an underflow) are left out."""
+    t = head[-1]
+    if len(head) == 1:
+        values = np.arange(HEAD_MAX + 1)[None, :]
+        mass = np.concatenate([[1.0 - t], t * ys_pmf(values[0, 1:], rho)])
+    else:
+        values = np.stack(np.triu_indices(HEAD_MAX + 1))  # row order: j ascending, then k
+        mass = np.concatenate([[1.0 - t], ys_pair_pmf(values[0, 1:], values[1, 1:], rho, head[0], t)])
+    values = np.concatenate([values, np.zeros((len(head), 1), dtype=values.dtype)], axis=1)
+    mass = np.append(mass, t * math.exp(math.log(rho) + betaln(rho, HEAD_MAX + 1.0)))
+    kept = mass > 0.0
+    mass = mass[kept]
+    threshold, alias = _alias_table(mass)
+    values = np.ascontiguousarray(values[:, kept], dtype=np.int64)
+    for a in (mass, threshold, alias, values):
+        a.flags.writeable = False
+    return MarkHead(rho, head, mass, threshold, alias, values)
+
+
+def _alias_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table for the law proportional to ``mass``: thresholds
+    (float64) and aliases (int32), one column per cell.
+
+    The cells below the mean mass (donees) lie on one line by cumulative
+    deficit, those at or above it (donors) on another by cumulative excess,
+    and both lines have the same length.  A donee keeps its own mass and
+    takes its alias from the donor whose excess covers the start of its
+    deficit; each donor but the last gives up, beyond its excess, what the
+    last donee it serves still lacks at the end of that excess, and takes
+    the next donor as its alias for that part.  This is Vose's construction
+    (IEEE Trans. Softw. Eng. 17, 1991) in one vectorized pass: every column
+    holds mass 1/n and each cell gets its exact share, up to rounding.
+    """
+    n = mass.size
+    scaled = mass * (n / mass.sum())
+    donor = scaled >= 1.0
+    donor[np.argmax(scaled)] = True  # even if rounding leaves every cell below 1
+    small, large = np.flatnonzero(~donor), np.flatnonzero(donor)
+    deficit = np.cumsum(1.0 - scaled[small])  # where each donee's deficit ends
+    excess = np.cumsum(scaled[large] - 1.0)  # where each donor's excess ends
+    threshold = np.ones(n)
+    alias = np.arange(n, dtype=np.int32)
+    threshold[small] = scaled[small]
+    starts = np.concatenate([[0.0], deficit])  # where each donee starts, then the line's end
+    alias[small] = large[np.minimum(np.searchsorted(excess, starts[:-1], side="right"), large.size - 1)]
+    served = np.searchsorted(starts[:-1], excess[:-1])  # donees that start before a donor's end
+    threshold[large[:-1]] = 1.0 - np.maximum(starts[served] - excess[:-1], 0.0)
+    alias[large[:-1]] = large[1:]
+    return threshold, alias
+
+
 def ys_joint_values(
     rho: float,
     times,
     gen: np.random.Generator,
     replicas: int,
 ) -> np.ndarray:
-    """Joint law of (Y(t_1), ..., Y(t_m)) sampled by Markov bridging.
+    """Joint law of (Y(t_1), ..., Y(t_m)) for ``replicas`` independent paths.
 
     Equivalent in law to reading :func:`ys_process_values` at the grid, but
-    O(len(times)) per path: the first positive value is geometric with success
-    probability (U / t)^(1/rho), and between grid times the birth process
-    branches, giving a negative-binomial increment.  This is the fast inner
-    loop for Monte Carlo over marks; the event-based sampler above is its
-    independent cross-check.
+    O(len(times)) per path.  This is the fast inner loop for Monte Carlo
+    over marks; the event-based sampler above is its independent cross-check.
 
-    Only the paths that have started are kept, as an ascending index array
-    and a contiguous array of their values, so the negative binomial runs on
-    the state without a gather.  The draws from ``gen`` are the uniforms U,
-    then per grid time the geometric values of the paths that start there
-    and the negative-binomial increments of the earlier ones, in path order.
-    The int64 result of shape (replicas, len(times)) is the transpose of a
-    C-ordered (len(times), replicas) array, so each time's column is
-    contiguous.
+    The head, the first one or two grid times, takes one lookup per path in
+    the cached alias table of :func:`ys_head_table`, whose cells are the
+    exact joint law (:func:`ys_pair_pmf`) of the values with at most
+    ``HEAD_MAX`` = 300 at the head's last time t_h.  The paths in the tail
+    cell are drawn exactly (:meth:`MarkHead.draw_tail`): W = (U/t_h)^(1/rho)
+    given Y(t_h) > HEAD_MAX is Beta(rho, HEAD_MAX + 1), then
+    Y(t_h) = HEAD_MAX + Geom(W) by memorylessness, and on a two-time head,
+    with q = (t_1/t_2)^(1/rho), Y(t_1) = 0 if W > q and otherwise
+    1 + Binomial(Y(t_2) - 1, (q - W)/(1 - W)).  Later grid times are
+    bridged forward: a path that has not started by t_h starts at a uniform
+    time U in (t_h, 1], its first positive value is geometric with success
+    probability (U/t)^(1/rho), and between grid times the birth process
+    branches, giving a negative-binomial increment.
+
+    The draws from ``gen`` are the cells (a column from ``gen.integers``,
+    then a uniform alias test, per path), then for the tail paths their
+    beta, geometric and (two-time head) binomial values, then the start
+    times U of the unstarted paths, then per later grid time the geometric
+    values of the paths that start there and the negative-binomial
+    increments of the earlier ones, in path order.  The int64 result of
+    shape (replicas, len(times)) is the transpose of a C-ordered
+    (len(times), replicas) array, so each time's column is contiguous.
     """
     rho = _check_rho(rho)
     times = check_times(times)
-    u = gen.uniform(size=replicas)
+    head = _head_table(rho, *map(float, times[:2]))
+    h = len(head.times)
     out = np.zeros((times.size, replicas), dtype=np.int64)
-    below = np.zeros(replicas, dtype=bool)  # U <= the previous grid time
-    idx = np.empty(0, dtype=np.intp)  # started paths, ascending
-    state = np.empty(0, dtype=np.int64)  # their values
-    t_prev = None
-    for g, t in enumerate(times):
-        prev, below = below, u <= t
-        new = np.flatnonzero(below ^ prev)
-        del prev
+    cells = head.draw(gen, replicas)
+    for values, row in zip(head.values, out):
+        values.take(cells, out=row, mode="clip")
+    tail = np.flatnonzero(cells == head.tail)
+    del cells
+    if tail.size:
+        out[:h, tail] = head.draw_tail(gen, tail.size)
+    if times.size > h:
+        _bridge(rho, times, h, gen, out)
+    return out.T
+
+
+def _bridge(rho: float, times: np.ndarray, h: int, gen: np.random.Generator, out: np.ndarray) -> None:
+    """Rows h, h+1, ... of ``out`` bridged forward from row h - 1.
+
+    Only the paths that have started are kept, as an ascending index array
+    and a contiguous array of their values, so the negative binomial runs on
+    the state without a gather.
+    """
+    t = times[h - 1]
+    last = out[h - 1]
+    wait = np.flatnonzero(last == 0)  # paths that start after t
+    u = 1.0 - (1.0 - t) * gen.random(wait.size)  # their start times, uniform on (t, 1]
+    idx = np.flatnonzero(last)  # started paths, ascending
+    state = last[idx]  # their values
+    for g in range(h, times.size):
+        t_prev, t = t, times[g]
         row = out[g]
+        starts = u <= t
+        new = wait[starts]
         if new.size:
-            row[new] = gen.geometric((u[new] / t) ** (1.0 / rho))
+            row[new] = gen.geometric((u[starts] / t) ** (1.0 / rho))
         if idx.size:
             state += gen.negative_binomial(state, (t_prev / t) ** (1.0 / rho))
             row[idx] = state
         if new.size and g + 1 < times.size:
-            idx = np.flatnonzero(below)
+            idx = np.flatnonzero(row)
             state = row[idx]
-        del new
-        t_prev = t
-    return out.T
+            wait, u = wait[~starts], u[~starts]
 
 
 def check_times(times) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Statistical machinery: ECFs, KS distances, and the experiment drivers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from nrlevy.diagnostics import (
 from nrlevy.errors import DomainError
 from nrlevy.levy_model import LevyTriplet
 from nrlevy.noise_reinforced import CfQuery, reinforced_cf_exact
-from nrlevy.rng import RngStream
+from nrlevy.rng import RngStream, iter_blocks
+from nrlevy.step_reinforced import simon_terminal_counts
 from nrlevy.yule_simon import ys_pmf
 
 
@@ -166,6 +168,37 @@ class TestProp8:
         bad = PathFunctional("const", terminal=lambda c: np.ones_like(c, dtype=float))
         with pytest.raises(DomainError):
             prop8_experiment(0.5, [100], [bad], 2, RngStream(1))
+
+    @pytest.mark.bytes
+    def test_histogram_route_matches_counts_route(self):
+        # Each replica's average read off its histogram of counts equals the
+        # mean of F over its (n,) counts, bit for bit; two blocks here.
+        n, replicas, p = 2_000, 300, 0.5
+        funcs = [PathFunctional.terminal_equals(1), PathFunctional.terminal_at_least(3)]
+        rep = prop8_experiment(p, [n], funcs, replicas, RngStream(613), mc_replicas=1_000)
+        per_real = np.empty((replicas, len(funcs)))
+        blocks = iter_blocks(RngStream(613).substream(0), replicas, diagnostics.PROP8_BLOCK_SIZE)
+        for gen, start, count in blocks:
+            counts = simon_terminal_counts(n, p, gen, count)
+            for fi, f in enumerate(funcs):
+                per_real[start : start + count, fi] = f.terminal(counts).mean(axis=1)
+        assert np.array_equal(rep.estimates[0], per_real.mean(axis=0))
+        assert np.array_equal(rep.stderr[0], per_real.std(axis=0, ddof=1) / math.sqrt(replicas))
+
+    @pytest.mark.bytes
+    def test_block_working_set(self):
+        # One block holds the kernel's int32 origins and counts, 8 n R bytes;
+        # the functionals read histograms, not an (R, n) float array beside
+        # the counts (3.25 x 4 n R bytes when they did).
+        n, replicas = 20_000, diagnostics.PROP8_BLOCK_SIZE
+        funcs = [PathFunctional.terminal_equals(1), PathFunctional.terminal_at_least(2)]
+        tracemalloc.start()
+        try:
+            prop8_experiment(0.5, [n], funcs, replicas, RngStream(614), mc_replicas=1_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n * replicas
 
 
 @pytest.mark.bytes

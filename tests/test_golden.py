@@ -12,7 +12,14 @@ the directions, moved exactly cf-compare-spectral-auto and
 simulate-nrlp-spectral).  Drawing each chunk's fresh skeleton increments
 right after its genealogy uniforms moved exactly theorem1-multiblock, the
 one case whose blocks span more than one chunk (a change of
-``step_reinforced.SOURCE_CHUNK`` moves it too).  Regenerate with
+``step_reinforced.SOURCE_CHUNK`` moves it too).  Drawing the marks of
+``yule_simon.ys_joint_values`` from its alias head (a column and an alias
+test per path, then the exact tail) in place of the geometric and
+negative-binomial bridge moved exactly the cases that draw marks: the
+series sampler's cf-compare-series-exact and simulate-nrlp-series (its
+paths.csv only), and the Monte Carlo theory's cf-compare-series-mc and
+theorem1-mc, whose cf now sums the head's cells exactly and estimates only
+the tail cell.  Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -202,12 +209,12 @@ grid = 0.5,1.0
 
 GOLDEN = {
     'cf-compare-series-exact': (0, {
-        'cfdata.csv': 'bc6fe264c4a6c13d2b85904a38c4182b3bf80d7d31487610dee966b101ac7bd4',
-        'report.json': 'f4643d47f62c2d817b8e5b08be8b8df8b48caea3aa515587dddea5a1468e97fb',
+        'cfdata.csv': 'b03027f79f852056d66984c3754db94fc066c3f247a5696cc7b556116eccdca5',
+        'report.json': 'c4830ced3d23dd451250c53ccbb5831303cab744b503739b054b8afbb11bd93a',
     }),
     'cf-compare-series-mc': (0, {
-        'cfdata.csv': 'c41382844a41d6a09cc84d4bf1fc4ac4880828ae0510bfd2c847a0b182587742',
-        'report.json': 'f18144b8a29962a095441ce7302377077830a6553b1ea482187575ebb3d740ee',
+        'cfdata.csv': '8d3085c08350a64f231b4645becd2713648d690ccfff5e3544d57e67fb85677b',
+        'report.json': 'c612c8b9910fae9da177d6d85351e0a25aa1571312f3e7dc963a35e1a32195db',
     }),
     'cf-compare-spectral-auto': (0, {
         'cfdata.csv': 'ed6f0f2bb6c12ca2eb958d4b8dda49a772c069f69fc74a09943dc062442a0f21',
@@ -221,7 +228,7 @@ GOLDEN = {
         'report.json': '46b9aab867f3dd0a37435e0f07b1304a3ff715df75ca84c273ff793dace27c3c',
     }),
     'simulate-nrlp-series': (0, {
-        'paths.csv': '7b52d855a53d545be72b65143afead2dd20e89299e7f07ef11343f8a5be63a5c',
+        'paths.csv': '8123d44a1fdea2df3412cab7d42463dc72146bed89758ca925597ee633eeb3d2',
         'report.json': 'fb746b2306afe14bd976d88c44cf9f984acbcc1d0cb7b7c42a74cb52fda64366',
     }),
     'simulate-nrlp-spectral': (0, {
@@ -251,8 +258,8 @@ GOLDEN = {
         'report.json': '3b08b06491c00881bcc50a47ccea951a6babef4989d760f9179e9104f3777b19',
     }),
     'theorem1-mc': (0, {
-        'distances.csv': 'ca77ebfffd7f25acfd965c05184bd194209925534da2315c4427caca11ee8c63',
-        'report.json': '077d21d7dc05e3f14e59b89d543a5c0cd3462bec182e988e1abca7e906a1cdd6',
+        'distances.csv': '1493ae18641f34a3c33c7000d02a082a4a492e86ad947934313ac9d2fe4f59d4',
+        'report.json': 'ca3666bc6f8802a36a99ce281e092ed4e3f5f9699c1085049da5d15a9403d407',
     }),
     'theorem1-multiblock': (0, {
         'distances.csv': '57819d713317504129bdd907b9531b589c85b22c600b2aa1c0767e02063392cf',

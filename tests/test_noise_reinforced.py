@@ -364,6 +364,19 @@ class TestTheoreticalCf:
         b = reinforced_cf_exact(LevyTriplet.brownian(), 0.25, q_merged)
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_head_cells_are_summed_exactly(self):
+        # On one or two times only the tail cell (mass 2.2e-5 here) is
+        # estimated, so the stated se falls far below that of plain Monte
+        # Carlo over as many whole mark draws, and still covers the error.
+        trip, n = LevyTriplet.stable(1.5), 200_000
+        query = CfQuery(np.array([1.0]), np.array([1.0]))
+        exact = reinforced_cf_exact(trip, 0.5, query)
+        est = reinforced_cf(trip, 0.5, query, n, RngStream(430).generator())
+        marks = ys_joint_values(2.0, [1.0], RngStream(431).generator(), n)[:, 0]
+        plain_se = abs(exact) * 0.5 * (marks**1.5).std() / math.sqrt(n)
+        assert est.value_se < 0.2 * plain_se
+        assert abs(est.value - exact) < 5 * est.value_se
+
     def test_divergence_flag_when_supercritical(self):
         est = reinforced_cf(LevyTriplet.stable(1.5), 0.8,
                             CfQuery(np.array([1.0]), np.array([1.0])),

@@ -7,16 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
+from scipy.special import betaln
+from scipy.stats import chisquare
 
+from nrlevy import yule_simon
 from nrlevy.errors import DomainError
 from nrlevy.rng import RngStream
 from nrlevy.yule_simon import (
+    HEAD_MAX,
     MemoryParameter,
     as_memory,
     ys_abs_moment,
     ys_cross_moment,
+    ys_head_table,
     ys_joint_values,
     ys_mean,
+    ys_pair_pmf,
     ys_pmf,
     ys_process_values,
     ys_sample,
@@ -181,26 +187,160 @@ class TestProcess:
 
 
 def _masked_bridge(rho: float, times, gen: np.random.Generator, replicas: int) -> np.ndarray:
-    """The bridge's draws written with boolean masks over all paths: an
-    independent statement of the draw order of ``ys_joint_values``."""
+    """The draws of ``ys_joint_values`` written with boolean masks over all
+    paths and fancy indexing into the head's alias table: an independent
+    statement of its draw order."""
     times = np.asarray(times, dtype=float)
-    u = gen.uniform(size=replicas)
+    head = ys_head_table(rho, times)
+    h = len(head.times)
+    col = gen.integers(0, head.alias.size, size=replicas, dtype=np.int32)
+    test = gen.random(replicas)
+    cell = np.where(test < head.threshold[col], col, head.alias[col])
     out = np.zeros((replicas, times.size), dtype=np.int64)
-    state = np.zeros(replicas, dtype=np.int64)
-    started = np.zeros(replicas, dtype=bool)
-    t_prev = None
-    for g, t in enumerate(times):
+    out[:, :h] = head.values[:, cell].T
+    tail = cell == head.tail
+    if np.any(tail):
+        w = gen.beta(rho, HEAD_MAX + 1.0, size=tail.sum())
+        last = HEAD_MAX + gen.geometric(w)
+        out[tail, h - 1] = last
+        if h == 2:
+            q = (times[0] / times[1]) ** (1.0 / rho)
+            early = w <= q
+            first = np.zeros(w.size, dtype=np.int64)
+            first[early] = 1 + gen.binomial(last[early] - 1, (q - w[early]) / (1.0 - w[early]))
+            out[tail, 0] = first
+    state = out[:, h - 1].copy()
+    started = state > 0
+    u = np.ones(replicas)
+    if times.size > h:
+        u[~started] = 1.0 - (1.0 - times[h - 1]) * gen.random((~started).sum())
+    for g in range(h, times.size):
+        t_prev, t = times[g - 1], times[g]
         fresh = ~started & (u <= t)
         if np.any(fresh):
             state[fresh] = gen.geometric((u[fresh] / t) ** (1.0 / rho))
         cont = started
-        if t_prev is not None and np.any(cont):
+        if np.any(cont):
             q = (t_prev / t) ** (1.0 / rho)
             state[cont] += gen.negative_binomial(state[cont], q)
         started |= fresh
         out[:, g] = np.where(started, state, 0)
-        t_prev = t
     return out
+
+
+def pair_chi2_pvalue(pairs: np.ndarray, rho: float, t1: float, t2: float) -> float:
+    """Chi-square p-value of sampled (Y(t1), Y(t2)) pairs against the exact
+    cells: cells with an expected count of at least 10 are bins of their own,
+    the rest (tail included) one pooled bin."""
+    n = pairs.shape[0]
+    j, k = np.triu_indices(HEAD_MAX + 1)  # (0, 0) first, then row order
+    mass = np.concatenate([[1.0 - t2], ys_pair_pmf(j[1:], k[1:], rho, t1, t2)])
+    expected = n * mass
+    own = expected >= 10.0
+    codes = j[own] * (HEAD_MAX + 1) + k[own]  # ascending
+    drawn = np.where(pairs[:, 1] <= HEAD_MAX, pairs[:, 0] * (HEAD_MAX + 1) + pairs[:, 1], -1)
+    pos = np.minimum(np.searchsorted(codes, drawn), codes.size - 1)
+    hit = codes[pos] == drawn
+    observed = np.bincount(pos[hit], minlength=codes.size)
+    f_obs = np.append(observed, n - observed.sum())
+    f_exp = np.append(expected[own], n - expected[own].sum())
+    return chisquare(f_obs, f_exp).pvalue
+
+
+class TestAliasHead:
+    """The head's alias table draws the exact cells; the tail and the later
+    grid times follow the process law.  Seeds, sizes and thresholds are fixed."""
+
+    @pytest.mark.parametrize("rho, t1, t2", [(2.0, 0.5, 1.0), (1.25, 0.3, 0.7), (3.3, 0.2, 0.9)])
+    def test_pair_pmf_is_a_law(self, rho, t1, t2):
+        j, k = np.triu_indices(HEAD_MAX + 1)
+        cells = ys_pair_pmf(j[1:], k[1:], rho, t1, t2)
+        tail = t2 * math.exp(math.log(rho) + betaln(rho, HEAD_MAX + 1.0))
+        assert abs(cells.sum() + (1.0 - t2) + tail - 1.0) < 1e-12
+        rows = np.bincount(k[1:], weights=cells)[1:]  # P(Y(t2) = k)
+        kk = np.arange(1, HEAD_MAX + 1)
+        np.testing.assert_allclose(rows, t2 * ys_pmf(kk, rho), rtol=1e-12)
+
+    def test_pair_pmf_rejects_bad_cells(self):
+        for j, k in ((1, 0), (3, 2), (-1, 4), (0, 0)):
+            with pytest.raises(DomainError):
+                ys_pair_pmf(np.array([j]), np.array([k]), 2.0, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            ys_pair_pmf(np.array([1]), np.array([2]), 2.0, 0.5, 0.5)
+
+    def test_tables_are_cached_and_read_only(self):
+        a = ys_head_table(2.0, [0.2, 0.5])
+        assert ys_head_table(2.0, np.array([0.2, 0.5, 0.9])) is a  # the head is the first two times
+        assert a.values.shape == (2, a.alias.size) and a.tail == a.alias.size - 1
+        for arr in (a.threshold, a.alias, a.values):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("rho, times", [(2.0, [0.45, 1.0]), (1.01, [1e-9, 1.0]), (50.0, [0.3]),
+                                            (1.11, [0.6, 0.8]), (3.3, [0.999, 1.0])])
+    def test_alias_columns_hold_each_cells_mass(self, rho, times):
+        # Cell c's probability is its own column's threshold plus what the
+        # columns aliased to it give up, over the column count.
+        head = ys_head_table(rho, times)
+        implied = head.threshold.copy()
+        np.add.at(implied, head.alias, 1.0 - head.threshold)
+        assert head.threshold.min() >= 0.0 and head.threshold.max() <= 1.0
+        assert np.abs(implied / implied.size - head.mass / head.mass.sum()).max() < 1e-13
+        assert np.all(head.mass > 0.0)  # cells of zero mass are left out
+
+    @pytest.mark.parametrize("mass", [[1.0, 0.0, 0.0, 3.0], [2.0, 2.0, 0.0, 0.0], [1.0] * 7, [0.3]])
+    def test_alias_table_edge_laws(self, mass):
+        # Donors with no excess, ties at the mean and a single cell.
+        threshold, alias = yule_simon._alias_table(np.asarray(mass))
+        implied = threshold.copy()
+        np.add.at(implied, alias, 1.0 - threshold)
+        np.testing.assert_allclose(implied / len(mass), np.asarray(mass) / sum(mass), atol=1e-15)
+
+    @pytest.mark.parametrize("rho, t1, t2, seed", [(2.0, 0.5, 1.0, 120), (1.25, 0.3, 0.7, 121),
+                                                   (3.3, 0.4, 0.9, 122), (1.11, 0.6, 0.8, 123)])
+    def test_head_cells_match_exact_law(self, rho, t1, t2, seed):
+        pairs = ys_joint_values(rho, [t1, t2], RngStream(seed).generator(), 1_000_000)
+        assert pair_chi2_pvalue(pairs, rho, t1, t2) > 1e-3
+
+    def test_one_point_head_matches_pmf(self):
+        t, n = 0.7, 1_000_000
+        vals = ys_joint_values(2.0, [t], RngStream(124).generator(), n)[:, 0]
+        k = np.arange(1, HEAD_MAX + 1)
+        expected = n * np.concatenate([[1.0 - t], t * ys_pmf(k, 2.0)])
+        own = expected >= 10.0
+        observed = np.bincount(vals[vals <= HEAD_MAX], minlength=HEAD_MAX + 1)[own]
+        f_obs = np.append(observed, n - observed.sum())
+        f_exp = np.append(expected[own], n - expected[own].sum())
+        assert chisquare(f_obs, f_exp).pvalue > 1e-3
+
+    def test_tail_matches_event_sampler(self):
+        # At rho = 1.11 about 1,500 of 10^6 paths pass HEAD_MAX by t2 = 0.8.
+        # Nearly all of them have started by t1 = 0.3; at t1 = 0.002 about a
+        # third start later, so both branches of the tail's Y(t1) are drawn.
+        # One event-sampler run reads its paths at all three times.
+        from scipy.stats import ks_2samp
+
+        rho, t2, n = 1.11, 0.8, 1_000_000
+        event = ys_process_values(rho, [0.002, 0.3, t2], RngStream(126).generator(), n)
+        exact = t2 * math.exp(math.log(rho) + betaln(rho, HEAD_MAX + 1.0))
+        se = math.sqrt(exact * (1.0 - exact) / n)
+        for g, t1, seed in ((1, 0.3, 125), (0, 0.002, 127)):
+            joint = ys_joint_values(rho, [t1, t2], RngStream(seed).generator(), n)
+            tails = [vals[vals[:, 1] > HEAD_MAX] for vals in (joint, event[:, [g, 2]])]
+            for tail in tails:
+                assert abs(tail.shape[0] / n - exact) < 4 * se
+            # Within the tail: the laws of Y(t2), of Y(t1), and of Y(t1)/Y(t2).
+            assert ks_2samp(tails[0][:, 1], tails[1][:, 1]).pvalue > 1e-3
+            assert ks_2samp(tails[0][:, 0], tails[1][:, 0]).pvalue > 1e-3
+            ratio = [tail[:, 0] / tail[:, 1] for tail in tails]
+            assert ks_2samp(*ratio).pvalue > 1e-3
+
+    def test_three_point_grid_pairs_match_exact_law(self):
+        # The third time comes from the forward bridge: the start times of
+        # the paths empty at t2 and the negative-binomial increments.
+        rho, times = 2.0, [0.2, 0.5, 0.9]
+        vals = ys_joint_values(rho, times, RngStream(129).generator(), 1_000_000)
+        assert pair_chi2_pvalue(vals[:, [1, 2]], rho, 0.5, 0.9) > 1e-3
+        assert pair_chi2_pvalue(vals[:, [0, 2]], rho, 0.2, 0.9) > 1e-3
 
 
 @pytest.mark.bytes
