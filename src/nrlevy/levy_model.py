@@ -39,28 +39,9 @@ def _replica_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pool's threads.  ``np.einsum`` without ``optimize`` (which would route
     through ``tensordot``, so back to BLAS) runs numpy's own loops: each
     output column is one einsum over the last axis of a.  A one-term
-    contraction (k = 1) is the plain product, bit for bit, except that
-    einsum adds it onto zero, so a product of -0.0 comes out as 0.0; longer
-    ones may round differently from BLAS.
-
-    An integer a with at most two terms (the finite-atomic increment's
-    Poisson counts of two atoms, the Monte Carlo cf's marks on one or two
-    times) skips einsum, which would cast a through its buffers: each term
-    is one multiply into a scratch row and one add onto zeros, in einsum's
-    order, so the bytes are the same, 1.2 to 1.6 times as fast.
-    With more terms the strided passes over a cost more than the cast, and
-    on a contiguous column einsum adds in a SIMD order of its own.
+    contraction (k = 1) is the plain product, bit for bit; longer ones may
+    round differently from BLAS.
     """
-    if a.dtype.kind in "iu" and b.shape[0] <= 2:
-        cols = b.reshape(b.shape[0], -1)
-        dtype = np.result_type(a.dtype, b.dtype)
-        out = np.zeros(a.shape[:-1] + cols.shape[1:], dtype)
-        term = np.empty(a.shape[:-1], dtype)
-        for j in range(cols.shape[1]):
-            acc = out[..., j]
-            for c in range(cols.shape[0]):
-                acc += np.multiply(a[..., c], cols[c, j], out=term)
-        return out.reshape(a.shape[:-1] + b.shape[1:])
     if b.ndim == 1:
         return np.einsum("...k,k->...", a, b)
     return np.stack([np.einsum("...k,k->...", a, col) for col in b.T], axis=-1)

@@ -184,18 +184,16 @@ def ys_pair_pmf(j, k, rho: float, t1: float, t2: float) -> np.ndarray:
     With q = (t1/t2)^(1/rho), a path that has started by t1 has the cell
     t1 pmf(j) NB(k - j; j, q) (a negative-binomial increment); one that
     starts in (t1, t2] has j = 0 and the cell t2 pmf(k) (1 - I_q(rho + 1, k)),
-    I the regularized incomplete beta function.  The log-gamma and pmf
+    I the regularized incomplete beta function.  One call takes cells of
+    one kind, all late (j = 0) or all early (j >= 1).  The log-gamma and pmf
     values are read from tables up to max(k), cached per (rho, max(k)).
     This is the one cell formula of both mark tables, the stable mixture's
     (:mod:`nrlevy.spectral`) and the alias head of :func:`ys_joint_values`.
     """
     j, k = np.broadcast_arrays(np.asarray(j), np.asarray(k))
     late = j == 0  # paths that start in (t1, t2]
-    if late.any() and not late.all():  # one call per kind of cell
-        out = np.empty(k.shape)
-        for part in (late, ~late):
-            out[part] = ys_pair_pmf(j[part], k[part], rho, t1, t2)
-        return out
+    if late.any() and not late.all():
+        raise DomainError("cells of one call need all j = 0 or all j >= 1")
     if not (np.issubdtype(j.dtype, np.integer) and np.issubdtype(k.dtype, np.integer)):
         raise DomainError("mark values must be integers")
     if np.any(j < 0) or np.any(k < np.maximum(j, 1)):
@@ -291,7 +289,8 @@ def _head_table(rho: float, *head: float) -> MarkHead:
         mass = np.concatenate([[1.0 - t], t * ys_pmf(values[0, 1:], rho)])
     else:
         values = np.stack(np.triu_indices(HEAD_MAX + 1))  # row order: j ascending, then k
-        mass = np.concatenate([[1.0 - t], ys_pair_pmf(values[0, 1:], values[1, 1:], rho, head[0], t)])
+        late, early = values[:, 1 : HEAD_MAX + 1], values[:, HEAD_MAX + 1 :]  # j = 0 after (0, 0)
+        mass = np.concatenate([[1.0 - t], *(ys_pair_pmf(*v, rho, head[0], t) for v in (late, early))])
     values = np.concatenate([values, np.zeros((len(head), 1), dtype=values.dtype)], axis=1)
     mass = np.append(mass, t * math.exp(math.log(rho) + betaln(rho, HEAD_MAX + 1.0)))
     kept = mass > 0.0

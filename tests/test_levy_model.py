@@ -406,22 +406,6 @@ class TestReplicaDot:
         bound = np.abs(a) @ np.abs(b)  # the sum of |terms| scales the rounding
         assert np.all(np.abs(got - want) <= 1e-12 * bound)
 
-    @pytest.mark.parametrize("terms", [1, 2])
-    @pytest.mark.parametrize("cols", [1, 2, 3])
-    def test_integer_terms_keep_einsum_bytes(self, terms, cols):
-        # An integer a with at most two terms takes one pass per term; the
-        # bytes are einsum's, signed zeros included (einsum adds onto zeros).
-        gen = np.random.default_rng(45)
-        a = gen.poisson(0.7, (4000, terms)) * gen.choice([-1, 1], (4000, terms))
-        b = gen.standard_normal((terms, cols))
-        b[0] = -np.abs(b[0])  # 0 * negative is -0.0 before the add
-        for rhs in (b, b + 0.5j * b, b[:, 0]):
-            want = (np.einsum("...k,k->...", a, rhs) if rhs.ndim == 1 else
-                    np.stack([np.einsum("...k,k->...", a, col) for col in rhs.T], axis=-1))
-            got = levy_model._replica_dot(a, rhs)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-
     def test_batched_operand(self):
         gen = np.random.default_rng(42)
         a, b = gen.standard_normal((4, 50, 3)), gen.standard_normal((3, 2))

@@ -228,13 +228,24 @@ def _masked_bridge(rho: float, times, gen: np.random.Generator, replicas: int) -
     return out
 
 
+def pair_cells(rho: float, t1: float, t2: float):
+    """(j, k, P(Y(t1) = j, Y(t2) = k)) over every cell with 1 <= k <= HEAD_MAX,
+    in row order (j ascending, then k)."""
+    j, k = np.triu_indices(HEAD_MAX + 1)
+    j, k = j[1:], k[1:]  # (0, 0) is the empty path
+    rows = (slice(None, HEAD_MAX), slice(HEAD_MAX, None))  # the late row, then the early ones
+    mass = np.concatenate([ys_pair_pmf(j[r], k[r], rho, t1, t2) for r in rows])
+    return j, k, mass
+
+
 def pair_chi2_pvalue(pairs: np.ndarray, rho: float, t1: float, t2: float) -> float:
     """Chi-square p-value of sampled (Y(t1), Y(t2)) pairs against the exact
     cells: cells with an expected count of at least 10 are bins of their own,
     the rest (tail included) one pooled bin."""
     n = pairs.shape[0]
-    j, k = np.triu_indices(HEAD_MAX + 1)  # (0, 0) first, then row order
-    mass = np.concatenate([[1.0 - t2], ys_pair_pmf(j[1:], k[1:], rho, t1, t2)])
+    j, k, cells = pair_cells(rho, t1, t2)
+    j, k = np.append(0, j), np.append(0, k)  # (0, 0) first, then row order
+    mass = np.append(1.0 - t2, cells)
     expected = n * mass
     own = expected >= 10.0
     codes = j[own] * (HEAD_MAX + 1) + k[own]  # ascending
@@ -253,11 +264,10 @@ class TestAliasHead:
 
     @pytest.mark.parametrize("rho, t1, t2", [(2.0, 0.5, 1.0), (1.25, 0.3, 0.7), (3.3, 0.2, 0.9)])
     def test_pair_pmf_is_a_law(self, rho, t1, t2):
-        j, k = np.triu_indices(HEAD_MAX + 1)
-        cells = ys_pair_pmf(j[1:], k[1:], rho, t1, t2)
+        j, k, cells = pair_cells(rho, t1, t2)
         tail = t2 * math.exp(math.log(rho) + betaln(rho, HEAD_MAX + 1.0))
         assert abs(cells.sum() + (1.0 - t2) + tail - 1.0) < 1e-12
-        rows = np.bincount(k[1:], weights=cells)[1:]  # P(Y(t2) = k)
+        rows = np.bincount(k, weights=cells)[1:]  # P(Y(t2) = k)
         kk = np.arange(1, HEAD_MAX + 1)
         np.testing.assert_allclose(rows, t2 * ys_pmf(kk, rho), rtol=1e-12)
 
@@ -267,6 +277,8 @@ class TestAliasHead:
                 ys_pair_pmf(np.array([j]), np.array([k]), 2.0, 0.5, 1.0)
         with pytest.raises(DomainError):
             ys_pair_pmf(np.array([1]), np.array([2]), 2.0, 0.5, 0.5)
+        with pytest.raises(DomainError):  # late and early cells in one call
+            ys_pair_pmf(np.array([0, 1]), np.array([2, 2]), 2.0, 0.5, 1.0)
 
     def test_tables_are_cached_and_read_only(self):
         a = ys_head_table(2.0, [0.2, 0.5])
