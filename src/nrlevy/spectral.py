@@ -21,7 +21,9 @@ with independent Z_v.  On a two-point grid the table has three parts:
 - The far tail is closed with its limiting direction and its exact weight.
 
 That makes 582 bins (325 singleton directions, 256 direction bins and the
-tail); a one-point grid needs one bin.  This avoids the epsilon-truncated
+tail); a one-point grid needs one bin.  The exact cells come from
+:func:`nrlevy.yule_simon.ys_pair_cells`, which the series marks' alias head
+reads too; this module only bins them.  This avoids the epsilon-truncated
 series entirely: its cost is independent of the small-jump activity, which
 makes indices close to the critical one tractable.
 
@@ -43,7 +45,7 @@ from .errors import DomainError, UnsupportedFamilyError
 from .levy_model import IsotropicStable, LevyTriplet, _replica_dot, symmetric_stable_std
 from .noise_reinforced import NrlpConfig, map_nrlp_blocks
 from .rng import BLOCK_SIZE, RngStream
-from .yule_simon import check_times, ys_abs_moment, ys_pair_pmf
+from .yule_simon import check_times, ys_abs_moment, ys_pair_cells
 
 EXACT_MAX = 32
 """Mark vectors with terminal value up to this become exact bins, one per direction."""
@@ -53,9 +55,6 @@ ENUM_MAX = 4000
 
 DIR_BINS = 256
 """Direction bins for the enumerated vectors beyond ``EXACT_MAX``."""
-
-TABLE_CHUNK = 1 << 16
-"""Cells per chunk of whole rows when the mark table is enumerated."""
 
 
 @dataclass(frozen=True)
@@ -109,13 +108,14 @@ def build_stable_mixture(
 
     Vectors with terminal value <= ``EXACT_MAX`` become one bin per direction,
     with the summed scale of the vectors that share it (exact, by stability).
-    Terminal values up to ``ENUM_MAX`` are enumerated in chunks of whole rows
-    (:func:`_mark_cells`) and grouped into ``DIR_BINS`` direction bins, each
-    with its mass-weighted mean direction (an approximation); beyond that the
-    mixture is closed with the limiting direction profile, whose weight comes
-    from the exact marginal tail.  Every direction has unit norm.  The bins
-    are the singleton directions (ordered by reduced pair), the direction
-    bins and the tail: 582 bins on a two-point grid, one on a one-point grid.
+    The exact cells with terminal values up to ``ENUM_MAX``
+    (:func:`nrlevy.yule_simon.ys_pair_cells`) are grouped into ``DIR_BINS``
+    direction bins, each with its mass-weighted mean direction (an
+    approximation); beyond that the mixture is closed with the limiting
+    direction profile, whose weight comes from the exact marginal tail.
+    Every direction has unit norm.  The bins are the singleton directions
+    (ordered by reduced pair), the direction bins and the tail: 582 bins on
+    a two-point grid, one on a one-point grid.
     """
     times = check_times(times)
     if not 0.0 < alpha < rho:
@@ -134,7 +134,7 @@ def build_stable_mixture(
     singles: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     bin_gamma = np.zeros(DIR_BINS)
     bin_dir = np.zeros((2, DIR_BINS))
-    for j, k, prob in _mark_cells(rho, t1, t2):
+    for j, k, prob in ys_pair_cells(rho, t1, t2, ENUM_MAX):
         norms = np.hypot(j.astype(float), k.astype(float))
         gamma_cells = scale_nu * prob * norms**alpha
         exact = k <= EXACT_MAX
@@ -169,29 +169,6 @@ def build_stable_mixture(
     directions = np.vstack([single_dirs, bin_dirs, tail_dir[None, :]])
     gamma = np.concatenate([single_gamma, bin_gamma[used] * bin_norms**alpha, [tail_gamma]])
     return StableMarkMixture(alpha, directions, gamma)
-
-
-def _mark_cells(rho: float, t1: float, t2: float):
-    """Exact cells (j, k, P(v)) of the mark vectors v = (j, k), k <= ``ENUM_MAX``.
-
-    j is the mark value at t1 and k >= max(j, 1) the one at t2, and P(v)
-    is :func:`nrlevy.yule_simon.ys_pair_pmf`.  Cells come in row order
-    (j ascending, then k): row j = 0 first, then chunks of whole rows of
-    about ``TABLE_CHUNK`` cells.  The chunk size never changes a cell's value.
-    """
-    k = np.arange(1, ENUM_MAX + 1)
-    yield np.zeros_like(k), k, ys_pair_pmf(np.zeros_like(k), k, rho, t1, t2)
-    rows = np.arange(1, ENUM_MAX + 1)
-    lengths = ENUM_MAX + 1 - rows
-    ends = np.cumsum(lengths)
-    cuts = np.searchsorted(ends, np.arange(TABLE_CHUNK, ends[-1], TABLE_CHUNK)) + 1
-    bounds = np.unique(np.concatenate([[0], cuts, [rows.size]]))
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        n = lengths[a:b]
-        first = ends[a:b] - n  # index of each row's first cell, k = j
-        j = np.repeat(rows[a:b], n)
-        k = j + np.arange(first[0], ends[b - 1]) - np.repeat(first, n)
-        yield j, k, ys_pair_pmf(j, k, rho, t1, t2)
 
 
 def mixture_covers(triplet: LevyTriplet, grid) -> bool:

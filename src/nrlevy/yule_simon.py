@@ -8,9 +8,11 @@ many independent paths at a grid of times, and each is the other's
 cross-check: :func:`ys_process_values` follows each path's jump times, and
 :func:`ys_joint_values` draws the first one or two grid times (the head)
 with one lookup per path in a cached Walker alias table over the exact
-joint cells (:func:`ys_pair_pmf`) up to ``HEAD_MAX`` = 300, resolves the
-rare tail paths by an exact conditional draw, and bridges forward with
-negative-binomial increments to any later grid time.
+joint cells up to ``HEAD_MAX`` = 300, resolves the rare tail paths by an
+exact conditional draw, and bridges forward with negative-binomial
+increments to any later grid time.  :func:`ys_pair_cells` enumerates the
+exact two-time cells for both mark tables, this alias head and the stable
+mixture of :mod:`nrlevy.spectral`.
 """
 
 from __future__ import annotations
@@ -129,7 +131,10 @@ def _abs_moment_sum(q: float, rho: float, kmin: int) -> float:
     """E[Y(1)^q; Y(1) > kmin], cached: each call sums ABS_MOMENT_KMAX - kmin terms."""
     k = np.arange(kmin + 1, ABS_MOMENT_KMAX + 1, dtype=float)
     head = float(np.sum(np.exp(q * np.log(k) + np.log(rho) + betaln(k, rho + 1.0))))
-    tail = rho * math.gamma(rho + 1.0) * ABS_MOMENT_KMAX ** (q - rho) / (rho - q)
+    try:
+        tail = rho * math.gamma(rho + 1.0) * ABS_MOMENT_KMAX ** (q - rho) / (rho - q)
+    except OverflowError:  # Gamma(rho + 1) overflows for rho > 170
+        tail = rho * math.exp(math.lgamma(rho + 1.0) + (q - rho) * math.log(ABS_MOMENT_KMAX)) / (rho - q)
     return head + tail
 
 
@@ -177,36 +182,46 @@ HEAD_MAX = 300
 table's one tail cell, which an exact conditional draw resolves."""
 
 
-def ys_pair_pmf(j, k, rho: float, t1: float, t2: float) -> np.ndarray:
-    """P(Y(t1) = j, Y(t2) = k) for 0 < t1 < t2 <= 1, elementwise over integer
-    arrays with k >= max(j, 1).
+TABLE_CHUNK = 1 << 16
+"""Cells per chunk of whole rows in :func:`ys_pair_cells`."""
 
-    With q = (t1/t2)^(1/rho), a path that has started by t1 has the cell
-    t1 pmf(j) NB(k - j; j, q) (a negative-binomial increment); one that
-    starts in (t1, t2] has j = 0 and the cell t2 pmf(k) (1 - I_q(rho + 1, k)),
-    I the regularized incomplete beta function.  One call takes cells of
-    one kind, all late (j = 0) or all early (j >= 1).  The log-gamma and pmf
-    values are read from tables up to max(k), cached per (rho, max(k)).
-    This is the one cell formula of both mark tables, the stable mixture's
-    (:mod:`nrlevy.spectral`) and the alias head of :func:`ys_joint_values`.
+
+def ys_pair_cells(rho: float, t1: float, t2: float, kmax: int):
+    """Yield the exact cells (j, k, P(Y(t1) = j, Y(t2) = k)) as arrays, for
+    0 < t1 < t2 <= 1 and 1 <= k <= ``kmax``: the one enumeration of both mark
+    tables, the alias head of :func:`ys_joint_values` and the stable mixture
+    (:mod:`nrlevy.spectral`).
+
+    Cells come in row order (j ascending, then k >= max(j, 1)): row j = 0
+    first, then chunks of whole rows of about ``TABLE_CHUNK`` cells; the
+    chunk size never changes a cell's value.  With q = (t1/t2)^(1/rho), a
+    path that starts in (t1, t2] has j = 0 and the cell
+    t2 pmf(k) (1 - I_q(rho + 1, k)), I the regularized incomplete beta
+    function; one that has started by t1 has the cell t1 pmf(j) NB(k - j; j, q),
+    a negative-binomial increment.  The log-gamma and pmf values are read
+    from tables cached per (rho, kmax).
     """
-    j, k = np.broadcast_arrays(np.asarray(j), np.asarray(k))
-    late = j == 0  # paths that start in (t1, t2]
-    if late.any() and not late.all():
-        raise DomainError("cells of one call need all j = 0 or all j >= 1")
-    if not (np.issubdtype(j.dtype, np.integer) and np.issubdtype(k.dtype, np.integer)):
-        raise DomainError("mark values must be integers")
-    if np.any(j < 0) or np.any(k < np.maximum(j, 1)):
-        raise DomainError("cells need 0 <= j <= k and k >= 1")
+    rho = _check_rho(rho)
     if not 0.0 < t1 < t2 <= 1.0:
         raise DomainError(f"times must satisfy 0 < t1 < t2 <= 1, got {t1} and {t2}")
     q = (t1 / t2) ** (1.0 / rho)
-    lgamma, pmf = _pair_tables(rho, int(k.max(initial=1)))
-    if late.any():
-        return t2 * pmf[k] * (1.0 - betainc(rho + 1.0, k.astype(float), q))
-    nb = k - j
-    log_nb = lgamma[k] - lgamma[j] - lgamma[nb + 1] + j * np.log(q) + nb * np.log1p(-q)
-    return t1 * pmf[j] * np.exp(log_nb)
+    k = np.arange(1, kmax + 1)
+    j = np.zeros_like(k)
+    lgamma, pmf = _pair_tables(rho, kmax)
+    yield j, k, t2 * pmf[k] * (1.0 - betainc(rho + 1.0, k.astype(float), q))
+    rows = np.arange(1, kmax + 1)
+    lengths = kmax + 1 - rows
+    ends = np.cumsum(lengths)
+    cuts = np.searchsorted(ends, np.arange(TABLE_CHUNK, ends[-1], TABLE_CHUNK)) + 1
+    bounds = np.unique(np.concatenate([[0], cuts, [rows.size]]))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        n = lengths[a:b]
+        first = ends[a:b] - n  # index of each row's first cell, k = j
+        j = np.repeat(rows[a:b], n)
+        k = j + np.arange(first[0], ends[b - 1]) - np.repeat(first, n)
+        nb = k - j
+        log_nb = lgamma[k] - lgamma[j] - lgamma[nb + 1] + j * np.log(q) + nb * np.log1p(-q)
+        yield j, k, t1 * pmf[j] * np.exp(log_nb)
 
 
 @functools.lru_cache(maxsize=8)
@@ -281,19 +296,21 @@ def ys_head_table(rho: float, times) -> MarkHead:
 def _head_table(rho: float, *head: float) -> MarkHead:
     """Cells with a value of at most ``HEAD_MAX`` at the head's last time t,
     the empty path (mass 1 - t) first, and one tail cell last (mass
-    t rho B(rho, HEAD_MAX + 1) = t P(Y(1) > HEAD_MAX)); cells of zero mass
-    (1 - t at t = 1, or an underflow) are left out."""
+    t rho B(rho, HEAD_MAX + 1) = t P(Y(1) > HEAD_MAX)); the other cells of
+    zero mass (1 - t at t = 1, or an underflow) are left out, so the tail
+    cell stays the last column even when its own mass underflows."""
     t = head[-1]
     if len(head) == 1:
         values = np.arange(HEAD_MAX + 1)[None, :]
         mass = np.concatenate([[1.0 - t], t * ys_pmf(values[0, 1:], rho)])
     else:
-        values = np.stack(np.triu_indices(HEAD_MAX + 1))  # row order: j ascending, then k
-        late, early = values[:, 1 : HEAD_MAX + 1], values[:, HEAD_MAX + 1 :]  # j = 0 after (0, 0)
-        mass = np.concatenate([[1.0 - t], *(ys_pair_pmf(*v, rho, head[0], t) for v in (late, early))])
+        j, k, mass = (np.concatenate(c) for c in zip(*ys_pair_cells(rho, head[0], t, HEAD_MAX)))
+        values = np.stack([np.append(0, j), np.append(0, k)])
+        mass = np.append(1.0 - t, mass)
     values = np.concatenate([values, np.zeros((len(head), 1), dtype=values.dtype)], axis=1)
     mass = np.append(mass, t * math.exp(math.log(rho) + betaln(rho, HEAD_MAX + 1.0)))
     kept = mass > 0.0
+    kept[-1] = True
     mass = mass[kept]
     threshold, alias = _alias_table(mass)
     values = np.ascontiguousarray(values[:, kept], dtype=np.int64)
@@ -348,7 +365,7 @@ def ys_joint_values(
 
     The head, the first one or two grid times, takes one lookup per path in
     the cached alias table of :func:`ys_head_table`, whose cells are the
-    exact joint law (:func:`ys_pair_pmf`) of the values with at most
+    exact joint law (:func:`ys_pair_cells`) of the values with at most
     ``HEAD_MAX`` = 300 at the head's last time t_h.  The paths in the tail
     cell are drawn exactly (:meth:`MarkHead.draw_tail`): W = (U/t_h)^(1/rho)
     given Y(t_h) > HEAD_MAX is Beta(rho, HEAD_MAX + 1), then

@@ -655,6 +655,22 @@ class TestOutputs:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 2 times x 2 thetas
 
+    @pytest.mark.parametrize("experiment, p, sampler, jumps", [
+        ("cf-compare", 0.005, "series", "cauchy"),
+        ("simulate-nrlp", 0.005, "series", "stable\nalpha = 1.5"),
+        ("simulate-nrlp", 0.0005, "auto", "cauchy"),
+    ], ids=["cf-compare-series", "simulate-nrlp-series", "simulate-nrlp-auto"])
+    def test_small_p_writes_a_report(self, tmp_path, experiment, p, sampler, jumps):
+        # rho = 1/p > 170, where Gamma(rho + 1) overflows a float.
+        out = tmp_path / "small-p"
+        cfg = write(
+            tmp_path, "small-p.ini",
+            f"[experiment]\nname = {experiment}\np = {p}\nseed = 5\nreplicas = 20\n"
+            f"grid = 0.5,1.0\nsampler = {sampler}\n[triplet]\njumps = {jumps}\n[output]\ndir = {out}\n",
+        )
+        assert run(cfg) in (0, 2)
+        assert json.loads((out / "report.json").read_text())["experiment"] == experiment
+
     def test_simulate_walk_outputs(self, tmp_path):
         out = tmp_path / "w"
         cfg = write(

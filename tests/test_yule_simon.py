@@ -22,7 +22,7 @@ from nrlevy.yule_simon import (
     ys_head_table,
     ys_joint_values,
     ys_mean,
-    ys_pair_pmf,
+    ys_pair_cells,
     ys_pmf,
     ys_process_values,
     ys_sample,
@@ -231,11 +231,7 @@ def _masked_bridge(rho: float, times, gen: np.random.Generator, replicas: int) -
 def pair_cells(rho: float, t1: float, t2: float):
     """(j, k, P(Y(t1) = j, Y(t2) = k)) over every cell with 1 <= k <= HEAD_MAX,
     in row order (j ascending, then k)."""
-    j, k = np.triu_indices(HEAD_MAX + 1)
-    j, k = j[1:], k[1:]  # (0, 0) is the empty path
-    rows = (slice(None, HEAD_MAX), slice(HEAD_MAX, None))  # the late row, then the early ones
-    mass = np.concatenate([ys_pair_pmf(j[r], k[r], rho, t1, t2) for r in rows])
-    return j, k, mass
+    return tuple(np.concatenate(c) for c in zip(*ys_pair_cells(rho, t1, t2, HEAD_MAX)))
 
 
 def pair_chi2_pvalue(pairs: np.ndarray, rho: float, t1: float, t2: float) -> float:
@@ -272,13 +268,33 @@ class TestAliasHead:
         np.testing.assert_allclose(rows, t2 * ys_pmf(kk, rho), rtol=1e-12)
 
     def test_pair_pmf_rejects_bad_cells(self):
-        for j, k in ((1, 0), (3, 2), (-1, 4), (0, 0)):
+        # The enumerator builds only valid cells; it checks rho and the times.
+        for rho, t1, t2 in ((2.0, 0.5, 0.5), (2.0, 0.7, 0.5), (2.0, 0.0, 0.5), (2.0, 0.5, 1.5),
+                            (1.0, 0.5, 1.0)):
             with pytest.raises(DomainError):
-                ys_pair_pmf(np.array([j]), np.array([k]), 2.0, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            ys_pair_pmf(np.array([1]), np.array([2]), 2.0, 0.5, 0.5)
-        with pytest.raises(DomainError):  # late and early cells in one call
-            ys_pair_pmf(np.array([0, 1]), np.array([2, 2]), 2.0, 0.5, 1.0)
+                list(ys_pair_cells(rho, t1, t2, HEAD_MAX))
+
+    @pytest.mark.bytes
+    def test_pair_cells_layout_and_chunks(self, monkeypatch):
+        # Row order is the upper triangle's without (0, 0), and chunks of
+        # whole rows give the bytes of one chunk.
+        j, k, mass = pair_cells(2.0, 0.3, 0.8)
+        tj, tk = np.triu_indices(HEAD_MAX + 1)
+        np.testing.assert_array_equal(j, tj[1:])
+        np.testing.assert_array_equal(k, tk[1:])
+        monkeypatch.setattr(yule_simon, "TABLE_CHUNK", 1000)
+        chunks = list(ys_pair_cells(2.0, 0.3, 0.8, HEAD_MAX))
+        assert len(chunks) > 3 and not chunks[0][0].any()  # row 0, then whole rows
+        assert all(c[1][0] == c[0][0] and c[1][-1] == HEAD_MAX for c in chunks[1:])
+        for got, want in zip(zip(*chunks), (j, k, mass)):
+            np.testing.assert_array_equal(np.concatenate(got), want)
+
+    def test_tail_cell_kept_when_its_mass_underflows(self):
+        # At rho = 2000 the tail's mass t rho B(rho, HEAD_MAX + 1) is 0.
+        for times in ([0.5, 1.0], [0.7]):
+            head = ys_head_table(2000.0, times)
+            assert head.mass[head.tail] == 0.0
+            np.testing.assert_array_equal(head.values[:, head.tail], 0)
 
     def test_tables_are_cached_and_read_only(self):
         a = ys_head_table(2.0, [0.2, 0.5])
@@ -418,6 +434,12 @@ class TestMoments:
         assert ys_abs_moment(q, rho, t, kmin=kmin) == pytest.approx(
             ys_abs_moment(q, rho, t) - head, rel=1e-12
         )
+
+    def test_abs_moment_past_gamma_overflow(self):
+        # Gamma(201) overflows a float; the tail term then comes from lgamma.
+        k = np.arange(1, 1001)
+        direct = float(np.sum(k**1.5 * ys_pmf(k, 200.0)))
+        assert ys_abs_moment(1.5, 200.0) == pytest.approx(direct, rel=1e-12)
 
     def test_abs_moment_is_linear_in_t(self):
         for q, rho, t in ((1.5, 2.0, 0.5), (0.7, 3.0, 0.3), (1.9, 2.5, 1.0)):
