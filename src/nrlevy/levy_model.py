@@ -530,24 +530,22 @@ def _half_angle(x: np.ndarray, q: np.ndarray, sine: bool) -> None:
         np.subtract(q, 1.0, out=x)
 
 
-def _cms(alpha: float, gen: np.random.Generator, size, shift: float, buffers=None) -> np.ndarray:
+def _cms(alpha: float, gen: np.random.Generator, size, shift: float, buffer=None) -> np.ndarray:
     """(S/D) (C/(W D))^((1-alpha)/alpha) with S = sin A, C = cos(V - A), D = cos V
     and A = alpha (V + shift); see :func:`symmetric_stable_std`.  One power, and
     W = 0 gives the formula's limit where S (W/C) (C/(W D))^(1/alpha) would give
     0 * inf = nan."""
     shape = () if size is None else size
     n = int(np.prod(shape))
-    if buffers is None:
-        buffers = (np.empty(n), np.empty(n))
-    v, w = buffers[0][:n], buffers[1][:n]
+    v = np.empty(n) if buffer is None else buffer[:n]
     gen.random(out=v)
     v *= math.pi
     v += -math.pi / 2.0
-    gen.standard_exponential(out=w)
-    scratch = np.empty((3, min(n, STABLE_CHUNK)))
+    scratch = np.empty((4, min(n, STABLE_CHUNK)))
     for start in range(0, n, STABLE_CHUNK):
-        vc, wc = v[start : start + STABLE_CHUNK], w[start : start + STABLE_CHUNK]
-        a, c, q = scratch[:, : vc.size]
+        vc = v[start : start + STABLE_CHUNK]
+        a, c, q, wc = scratch[:, : vc.size]
+        gen.standard_exponential(out=wc)
         # V + shift first: exact near V = -pi/2, so A >= 0 and V - A >= -pi/2.
         np.multiply(np.add(vc, shift, out=a) if shift else vc, alpha / 2.0, out=a)
         vc *= 0.5
@@ -567,7 +565,7 @@ def symmetric_stable_std(
     alpha: float,
     gen: np.random.Generator,
     size=None,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    buffer: np.ndarray | None = None,
 ) -> np.ndarray:
     """Standard symmetric alpha-stable draws, cf exp(-|theta|^alpha).
 
@@ -580,16 +578,17 @@ def symmetric_stable_std(
     subtract, divide and one power.  The values differ from the sin/cos
     evaluation by rounding, relatively by a few units of 2^-52 / (a cos V).
 
-    V is drawn with ``gen.random`` into the first buffer and W with
-    ``gen.standard_exponential`` into the second (the draws and generator
-    state of ``gen.uniform(-pi/2, pi/2, size)``, ``gen.exponential(size=size)``),
-    then the transform runs in place over chunks of ``STABLE_CHUNK``
-    elements, so the only allocations are the two buffers and three
-    chunk-sized temporaries.  ``buffers`` lets a caller that draws
-    repeatedly reuse two flat float64 arrays of at least the draw count; the
-    result is then a view of the first.
+    Every V is drawn with ``gen.random`` into one array, then the transform
+    runs in place over chunks of ``STABLE_CHUNK`` elements, each chunk's W
+    drawn with ``gen.standard_exponential`` into a chunk-sized scratch row
+    just before its transform.  Consecutive draws read one stream, so the
+    values and generator state are those of ``gen.uniform(-pi/2, pi/2,
+    size)`` followed by ``gen.exponential(size=size)``.  The only
+    allocations are the draw array and four chunk-sized rows; ``buffer``
+    lets a caller that draws repeatedly reuse one flat float64 array of at
+    least the draw count for the draws, and the result is then a view of it.
     """
-    return _cms(alpha, gen, size, 0.0, buffers)
+    return _cms(alpha, gen, size, 0.0, buffer)
 
 
 def positive_stable_std(sigma: float, gen: np.random.Generator, size=None) -> np.ndarray:

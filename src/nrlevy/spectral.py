@@ -75,12 +75,12 @@ class StableMarkMixture:
         self,
         gen: np.random.Generator,
         replicas: int,
-        buffers: tuple[np.ndarray, np.ndarray] | None = None,
+        buffer: np.ndarray | None = None,
     ) -> np.ndarray:
         """Jump part at the grid times, (replicas, m).
 
-        ``buffers`` are passed to :func:`symmetric_stable_std` (two flat
-        float64 arrays of at least ``replicas * bins`` elements) and hold the
+        ``buffer`` is passed to :func:`symmetric_stable_std` (one flat
+        float64 array of at least ``replicas * bins`` elements) and holds the
         per-bin draws.  The scales gamma_b^(1/alpha) are folded into the
         directions once per call, so the draws are not rescaled, and the
         (replicas, bins) by (bins, m) product runs in numpy's own loops, not
@@ -88,7 +88,7 @@ class StableMarkMixture:
         pool (``levy_model._replica_dot``).
         """
         scaled = self.weights[:, None] ** (1.0 / self.alpha) * self.directions
-        s = symmetric_stable_std(self.alpha, gen, (replicas, self.weights.size), buffers)
+        s = symmetric_stable_std(self.alpha, gen, (replicas, self.weights.size), buffer)
         return _replica_dot(s, scaled)
 
     def exponent(self, thetas: np.ndarray) -> np.ndarray:
@@ -137,10 +137,11 @@ def build_stable_mixture(
     for j, k, prob in ys_pair_cells(rho, t1, t2, ENUM_MAX):
         norms = np.hypot(j.astype(float), k.astype(float))
         gamma_cells = scale_nu * prob * norms**alpha
-        exact = k <= EXACT_MAX
-        singles.append((j[exact], k[exact], gamma_cells[exact]))
-        rest = ~exact
-        j, k, norms, gamma_cells = j[rest], k[rest], norms[rest], gamma_cells[rest]
+        if k[0] <= EXACT_MAX:  # in row order k[0] is the chunk's least k
+            exact = k <= EXACT_MAX
+            singles.append((j[exact], k[exact], gamma_cells[exact]))
+            rest = ~exact
+            j, k, norms, gamma_cells = j[rest], k[rest], norms[rest], gamma_cells[rest]
         bins = np.minimum((j / k * DIR_BINS).astype(int), DIR_BINS - 1)
         np.add.at(bin_gamma, bins, gamma_cells)
         np.add.at(bin_dir[0], bins, gamma_cells * (j / norms))
@@ -199,8 +200,8 @@ def stable_nrlp_marginals(
     Law-equivalent to :func:`nrlevy.noise_reinforced.nrlp_marginals` with the
     truncation removed; cost per replica is the number of mixture bins.  The
     mixture is the jump part of :func:`nrlevy.noise_reinforced.map_nrlp_blocks`,
-    whose result does not depend on ``threads``.  Each thread allocates its two
-    (block, bins) draw buffers once and reuses them for every block it runs.
+    whose result does not depend on ``threads``.  Each thread allocates one
+    (block, bins) draw buffer once and reuses it for every block it runs.
     """
     if mixture is None:
         mixture = stable_mixture_for(config)
@@ -208,8 +209,8 @@ def stable_nrlp_marginals(
     local = threading.local()
 
     def jumps(_config: NrlpConfig, gen: np.random.Generator, values: np.ndarray) -> None:
-        if not hasattr(local, "buffers"):
-            local.buffers = (np.empty(draws), np.empty(draws))
-        values[:, :, 0] += mixture.sample(gen, values.shape[0], local.buffers)
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty(draws)
+        values[:, :, 0] += mixture.sample(gen, values.shape[0], local.buffer)
 
     return map_nrlp_blocks(config, rng, replicas, threads, jumps)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln
+from scipy.special import bernoulli, betainc, betaln, gammaln, zeta
 
 from .errors import DomainError, NumericalError
 
@@ -110,32 +110,92 @@ def ys_cross_moment(s: float, t: float, rho: float) -> float:
     return c * s ** (1.0 - 1.0 / rho) * t ** (1.0 / rho)
 
 
-ABS_MOMENT_KMAX = 10**6
-"""Last term of the series in :func:`ys_abs_moment`; an integral covers the rest."""
+MOMENT_HEAD_MAX = 1 << 16
+"""Most exact terms :func:`ys_abs_moment` sums before its tail."""
+
+MOMENT_TAIL_TERMS = 10
+"""Terms of the asymptotic expansion in the tail of :func:`ys_abs_moment`."""
 
 
 def ys_abs_moment(q: float, rho: float, t: float = 1.0, kmin: int = 0) -> float:
-    """E[Y(t)^q; Y(t) > kmin] for 0 < q < rho, by series plus an integral tail.
+    """E[Y(t)^q; Y(t) > kmin] for 0 < q < rho: an exact head plus a Hurwitz-zeta tail.
 
-    With the default ``kmin = 0`` this is the full moment E[Y(t)^q].  The
-    tail beyond ``ABS_MOMENT_KMAX`` uses B(k, rho+1) ~ Gamma(rho+1) k^-(rho+1).
+    With the default ``kmin = 0`` this is the full moment E[Y(t)^q], the sum
+    of k^q rho B(k, rho+1) over k > kmin.  The terms up to K are summed
+    exactly, with the pmf from its ratio recursion.  The rest comes from
+    Gamma(k)/Gamma(k+rho+1) = k^-(rho+1) sum_j c_j k^-j, whose terms are
+    Hurwitz zeta functions; ``MOMENT_TAIL_TERMS`` of them reach double
+    precision once K >= 4 (rho+1)^2.  Where a bound on the terms past a
+    smaller K lies below 2^-64 of the first term (large rho), the head
+    stops there and the tail is dropped.  Against 40-digit references the
+    relative error is below 1e-13; a pmf value below the normal float range
+    adds an absolute error under K^(q+1) 2^-1074, below 1e-300 for q < 2.
+    A head longer than ``MOMENT_HEAD_MAX`` terms, one whose k^q would pass
+    e^700, or a tail factor that underflows raises DomainError: that takes
+    q close to rho > 127, large q or a kmin far past rho, never an order
+    below 2 with kmin <= 4000.
     """
     rho = _check_rho(rho, minimum=0.0)
-    if not 0.0 < q < rho:
+    if not (0.0 < q < rho and 1.0 + (rho - q) > 1.0):
         raise DomainError(f"moment order must lie in (0, rho), got q={q}")
     return t * _abs_moment_sum(q, rho, kmin)
 
 
 @functools.lru_cache(maxsize=64)
 def _abs_moment_sum(q: float, rho: float, kmin: int) -> float:
-    """E[Y(1)^q; Y(1) > kmin], cached: each call sums ABS_MOMENT_KMAX - kmin terms."""
-    k = np.arange(kmin + 1, ABS_MOMENT_KMAX + 1, dtype=float)
-    head = float(np.sum(np.exp(q * np.log(k) + np.log(rho) + betaln(k, rho + 1.0))))
-    try:
-        tail = rho * math.gamma(rho + 1.0) * ABS_MOMENT_KMAX ** (q - rho) / (rho - q)
-    except OverflowError:  # Gamma(rho + 1) overflows for rho > 170
-        tail = rho * math.exp(math.lgamma(rho + 1.0) + (q - rho) * math.log(ABS_MOMENT_KMAX)) / (rho - q)
-    return head + tail
+    """E[Y(1)^q; Y(1) > kmin], cached."""
+    a, d = rho + 1.0, rho - q
+    start = max(kmin, math.ceil(4.0 * a * a), 128)
+    # Term k is t_k = k^q rho Gamma(rho+1) Gamma(k)/Gamma(k+a).  For k > K,
+    # t_k <= t_K (1 + a/K)^q ((K+a)/(k+a))^(a-q), so the terms past K sum to
+    # at most t_K (1 + a/K)^q (K+a)/d.  Try the head ends K = kmin + 2^i.
+    ends = kmin + 2.0 ** np.arange(MOMENT_HEAD_MAX.bit_length())
+    log_t = q * np.log(ends) + betaln(ends, a)
+    log_bound = log_t + q * np.log1p(a / ends) + np.log(ends + a) - math.log(d)
+    done = np.flatnonzero((log_bound < log_t[0] - 64.0 * math.log(2.0)) & (ends < start))
+    K = int(ends[done[0]]) if done.size else start
+    head = 0.0
+    if K > kmin:
+        if K > MOMENT_HEAD_MAX or q * math.log(K) > 700.0:
+            raise DomainError(f"E[Y^q] at q={q}, rho={rho}, kmin={kmin} needs more than "
+                              f"{MOMENT_HEAD_MAX} exact terms or k^q past the float range")
+        k = np.arange(1.0, K + 1.0)
+        pmf = k / (k + a)  # pmf(k+1) / pmf(k)
+        pmf[1:] = pmf[:-1]
+        pmf[0] = rho / a
+        np.cumprod(pmf, out=pmf)
+        head = float(np.sum(k[kmin:] ** q * pmf[kmin:]))
+    if done.size:
+        return head
+    n = K + 1.0
+    s = 1.0 + d + np.arange(MOMENT_TAIL_TERMS + 1)
+    z = zeta(s, n)
+    # The leading part n^-d / d of zeta(1+d, n) from d itself: 1 + d may round.
+    z[0] += n**-d / d - n ** (1.0 - s[0]) / (s[0] - 1.0)
+    tail = float(np.sum(_tail_coefficients(a) * z))
+    if not tail >= 2.0**-969:  # normal, with 53 bits to spare for its smaller terms
+        raise DomainError(f"E[Y^q] at q={q}, rho={rho}, kmin={kmin}: the tail underflows")
+    return head + math.exp(math.log(rho) + math.lgamma(a) + math.log(tail))
+
+
+def _tail_coefficients(a: float) -> np.ndarray:
+    """c_0..c_J of Gamma(x)/Gamma(x+a) ~ x^-a sum_j c_j x^-j, J = ``MOMENT_TAIL_TERMS``.
+
+    The Stirling series gives log Gamma(x) - log Gamma(x+a) ~ -a log x +
+    sum_m e_m x^-m with e_m = (-1)^m (B_{m+1}(a) - B_{m+1}) / (m (m+1)), from
+    Bernoulli polynomials; the c_j are the coefficients of its exponential,
+    c_j = (1/j) sum_{m<=j} m e_m c_{j-m}.
+    """
+    terms = MOMENT_TAIL_TERMS
+    b = bernoulli(terms + 1)
+    e = [0.0] + [
+        (-1) ** m * sum(math.comb(m + 1, i) * b[i] * a ** (m + 1 - i) for i in range(m + 1)) / (m * (m + 1))
+        for m in range(1, terms + 1)
+    ]
+    c = [1.0]
+    for j in range(1, terms + 1):
+        c.append(sum(m * e[m] * c[j - m] for m in range(1, j + 1)) / j)
+    return np.asarray(c)
 
 
 # ---------------------------------------------------------------------------

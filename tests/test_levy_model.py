@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -196,16 +197,33 @@ class TestStableVariates:
 
         # (300, 437) is not a multiple of the chunk and spans several chunks.
         assert (300 * 437) % STABLE_CHUNK and 300 * 437 > 2 * STABLE_CHUNK
-        spare = (np.empty(300 * 437 + 5), np.empty(300 * 437 + 5))
+        # One buffer holds every V; each chunk's W is drawn into the chunk
+        # scratch, so the draws and the next draw match the closed form's.
+        spare = np.empty(300 * 437 + 5)
         for size in (None, 1000, (300, 437)):
-            for buffers in (None, spare):
+            for buffer in (None, spare):
                 ref_gen, gen = RngStream(205).generator(), RngStream(205).generator()
                 expected = closed_form(ref_gen, size)
-                got = symmetric_stable_std(alpha, gen, size, buffers)
+                got = symmetric_stable_std(alpha, gen, size, buffer)
                 assert np.shape(got) == np.shape(expected)
                 assert type(got) is type(expected)
                 assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
                 assert gen.bit_generator.state == ref_gen.bit_generator.state
+                assert gen.random() == ref_gen.random()
+                if buffer is not None and size is not None:
+                    assert np.shares_memory(got, spare)
+
+    def test_symmetric_stable_holds_one_draw_array(self):
+        # The draws live in one float64 array; W comes chunk by chunk into the
+        # four chunk-sized scratch rows, so nothing else grows with n.
+        n = 400_000
+        gen = RngStream(206).generator()
+        symmetric_stable_std(1.5, gen, 10)
+        tracemalloc.start()
+        symmetric_stable_std(1.5, gen, n)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 8 * n + 4 * 8 * STABLE_CHUNK + 64 * 1024
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
     def test_symmetric_stable_rounds_like_the_sin_cos_form(self, alpha):

@@ -1,6 +1,7 @@
 """Law and moment checks for the Yule-Simon distribution and process."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,10 +437,62 @@ class TestMoments:
         )
 
     def test_abs_moment_past_gamma_overflow(self):
-        # Gamma(201) overflows a float; the tail term then comes from lgamma.
+        # Gamma(201) overflows a float; the head alone then carries the sum.
         k = np.arange(1, 1001)
         direct = float(np.sum(k**1.5 * ys_pmf(k, 200.0)))
         assert ys_abs_moment(1.5, 200.0) == pytest.approx(direct, rel=1e-12)
+
+    # (q, rho, kmin, E[Y(1)^q; Y(1) > kmin]) at 40 digits, rounded to a float:
+    # an exact head up to max(kmin, 40 (rho+1)^2, 2000) plus 24 terms of the
+    # Hurwitz-zeta tail, computed offline; doubling the head moved none of
+    # them by 1e-35.  The first six are the 40-digit references of ROADMAP
+    # item 9, which the floats match to their 15 printed digits.
+    MOMENT_REFERENCES = (
+        (1.5, 2.0, 0, 4.877343781941655),
+        (1.99, 2.0, 0, 394.3904954988193),
+        (1.2, 1.25, 0, 27.42030057036601),
+        (1.249, 1.25, 0, 1415.2743342485405),
+        (1.5, 2.0, 4000, 0.12645159541902387),
+        (1.0, 2.0, 4000, 0.0009995002498750624),
+        (1.0, 1.01, 0, 100.99999999999991),
+        (1.009, 1.01, 0, 1013.8727520526603),
+        (0.5, 1.01, 40, 0.2986439864703004),
+        (9.9, 10.0, 0, 232873946.64858496),
+        (9.99, 10.0, 40, 3462955094.2728224),
+        (9.0, 10.0, 4000, 9008.832421659334),
+        (49.5, 50.0, 0, 7.623941919174477e64),
+        (49.9, 50.0, 4000, 6.457947646590502e66),
+        (1.5, 50.0, 40, 4.521349912646488e-24),
+        (1.9, 2.5, 40, 1.4446680580172893),
+        (0.3, 0.5, 0, 2.298259686538983),
+        (1.5, 100.0, 0, 1.0185794868728688),
+        (1.5, 2000.0, 0, 1.0009149408743057),
+    )
+
+    @pytest.mark.parametrize("q, rho, kmin, expected", MOMENT_REFERENCES)
+    def test_abs_moment_matches_pinned_references(self, q, rho, kmin, expected):
+        assert ys_abs_moment(q, rho, kmin=kmin) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.bytes
+    def test_abs_moment_allocates_a_short_head(self):
+        yule_simon._abs_moment_sum.cache_clear()
+        tracemalloc.start()
+        ys_abs_moment(1.5, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.bytes
+    def test_abs_moment_rejects_what_it_cannot_bound(self):
+        # Orders close to a large rho need a head past MOMENT_HEAD_MAX terms
+        # or k^q beyond the float range, and a kmin far past rho a tail
+        # factor below it; every order below 2 is covered.
+        for q, rho, kmin in ((99.0, 100.0, 0), (200.0, 300.0, 0), (1999.0, 2000.0, 0), (10.0, 100.0, 30000)):
+            with pytest.raises(DomainError):
+                ys_abs_moment(q, rho, kmin=kmin)
+        for rho in (1.01, 3.0, 40.0, 127.0, 128.0, 700.0, 2000.0, 1e5):
+            for kmin in (0, 4000):
+                assert 0.0 <= ys_abs_moment(min(1.99, rho / 2.0), rho, kmin=kmin) < math.inf
 
     def test_abs_moment_is_linear_in_t(self):
         for q, rho, t in ((1.5, 2.0, 0.5), (0.7, 3.0, 0.3), (1.9, 2.5, 1.0)):
