@@ -445,8 +445,9 @@ class TestMoments:
     # (q, rho, kmin, E[Y(1)^q; Y(1) > kmin]) at 40 digits, rounded to a float:
     # an exact head up to max(kmin, 40 (rho+1)^2, 2000) plus 24 terms of the
     # Hurwitz-zeta tail, computed offline; doubling the head moved none of
-    # them by 1e-35.  The first six are the 40-digit references of ROADMAP
-    # item 9, which the floats match to their 15 printed digits.
+    # them by 1e-35.  The first six are the 40-digit references that
+    # ROADMAP.md gives for the moment, which the floats match to their 15
+    # printed digits.
     MOMENT_REFERENCES = (
         (1.5, 2.0, 0, 4.877343781941655),
         (1.99, 2.0, 0, 394.3904954988193),
