@@ -76,8 +76,15 @@ class JumpMeasure:
         """nu({|x| >= eps})."""
         return 0.0
 
-    def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
-        """Draws of shape (size, d) from the normalized restriction of nu to {|x| >= eps}."""
+    def sample_tail(
+        self, eps: float, d: int, gen: np.random.Generator, size: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Draws of shape (size, d) from the normalized restriction of nu to {|x| >= eps}.
+
+        ``out``, a C-ordered float (size, d) array, receives the draws and is
+        returned; without it one is allocated.  Either way the draws and the
+        generator's state are the same.
+        """
         raise DomainError("a measure with no mass above the cutoff has no tail law")
 
     def small_ball_moment(self, q: float, eps: float, d: int) -> float:
@@ -89,12 +96,21 @@ class JumpMeasure:
         return np.zeros(d)
 
 
-def _on_sphere(radii: np.ndarray, gen: np.random.Generator, d: int) -> np.ndarray:
-    """Jumps of shape (radii.size, d): the given radii on uniform directions."""
+def _on_sphere(
+    radii: np.ndarray, gen: np.random.Generator, d: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Jumps of shape (radii.size, d), written into ``out``: the given radii on
+    uniform directions."""
+    out = np.empty((radii.size, d)) if out is None else out
     if d == 1:  # the sign of U - 1/2, with U = 1/2 read as +
-        return np.copysign(radii, gen.random(radii.size) - 0.5)[:, None]
-    z = gen.standard_normal((radii.size, d))
-    return radii[:, None] * (z / np.linalg.norm(z, axis=1, keepdims=True))
+        signs = gen.random(out=out.reshape(radii.size))
+        signs -= 0.5
+        np.copysign(radii, signs, out=signs)
+        return out
+    z = gen.standard_normal(out=out)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z *= radii[:, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,9 +163,13 @@ class IsotropicStable(JumpMeasure):
     def tail_mass(self, eps: float, d: int) -> float:
         return self.scale * stable_radial_constant(self.alpha, d) * eps**-self.alpha / self.alpha
 
-    def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
-        radii = eps * gen.random(size) ** (-1.0 / self.alpha)
-        return _on_sphere(radii, gen, d)
+    def sample_tail(
+        self, eps: float, d: int, gen: np.random.Generator, size: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        radii = gen.random(size)
+        radii **= -1.0 / self.alpha
+        radii *= eps
+        return _on_sphere(radii, gen, d, out)
 
     def small_ball_moment(self, q: float, eps: float, d: int) -> float:
         if q <= self.alpha:
@@ -197,11 +217,13 @@ class FiniteAtomic(JumpMeasure):
         keep = np.linalg.norm(self.positions, axis=1) >= eps
         return float(self.masses[keep].sum())
 
-    def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
+    def sample_tail(
+        self, eps: float, d: int, gen: np.random.Generator, size: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         keep = np.linalg.norm(self.positions, axis=1) >= eps
         pos, masses = self.positions[keep], self.masses[keep]
         idx = gen.choice(masses.size, size=size, p=masses / masses.sum())
-        return pos[idx]
+        return np.take(pos, idx, axis=0, out=out, mode="clip")
 
     def small_ball_moment(self, q: float, eps: float, d: int) -> float:
         norms = np.linalg.norm(self.positions, axis=1)
@@ -276,9 +298,11 @@ class RadialDensity(JumpMeasure):
             raise ConfigError("radial tail mass is not finite")
         return val
 
-    def sample_tail(self, eps: float, d: int, gen: np.random.Generator, size: int) -> np.ndarray:
+    def sample_tail(
+        self, eps: float, d: int, gen: np.random.Generator, size: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         radii = np.interp(gen.random(size), *_radial_tail_table(self, eps))
-        return _on_sphere(radii, gen, d)
+        return _on_sphere(radii, gen, d, out)
 
     def small_ball_moment(self, q: float, eps: float, d: int) -> float:
         val, _ = _quad(lambda r: r**q * self._eval(r), 0.0, eps, limit=400)

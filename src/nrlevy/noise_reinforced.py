@@ -13,6 +13,7 @@ multidimensional characteristic function by Monte Carlo over mark paths.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -33,6 +34,7 @@ from .levy_model import (
 )
 from .rng import RngStream, iter_blocks, map_blocks
 from .yule_simon import (
+    AliasScratch,
     MemoryParameter,
     as_memory,
     check_times,
@@ -188,10 +190,24 @@ def nrbm_sample_many(
 ATOM_CHUNK = 1 << 17
 """Atoms per chunk of a series block.
 
-A block's jumps, marks and replica ids are drawn and reduced one chunk at a
-time, which bounds a block's working set whatever the cutoff; a block with
-at most this many atoms draws in one chunk.
+A block's jumps and marks are drawn and reduced one chunk at a time, into
+a :class:`ChunkWorkspace` of this many atoms, which bounds a block's
+working set whatever the cutoff; a block with at most this many atoms
+draws in one chunk.
 """
+
+
+class ChunkWorkspace:
+    """The arrays one thread reuses for every chunk of the series blocks it
+    runs, for chunks of up to ``atoms`` atoms on a grid of ``m`` times in
+    dimension ``d``: the jumps, the marks, their products and the alias
+    test's scratch (:class:`nrlevy.yule_simon.AliasScratch`)."""
+
+    def __init__(self, atoms: int, m: int, d: int) -> None:
+        self.jumps = np.empty(atoms * d)
+        self.marks = np.empty(atoms * m, dtype=np.int64)
+        self.products = np.empty(atoms)
+        self.alias = AliasScratch(atoms)
 
 
 def nrlp_marginals(
@@ -204,10 +220,22 @@ def nrlp_marginals(
     counts of every replica, then for each chunk of at most ``ATOM_CHUNK``
     atoms (taken in replica order) their jump sizes and mark values.  The
     marks' alias table (:func:`nrlevy.yule_simon.ys_head_table`) is built
-    here, once, before any block runs.
+    here, once, before any block runs.  Each thread sizes one
+    :class:`ChunkWorkspace` from ``ATOM_CHUNK`` at its first block of this
+    call and reuses it for every chunk of every block it runs, so that
+    after its first chunk a thread allocates only each chunk's alias
+    columns and arrays with one entry per replica of the block.
     """
     ys_head_table(config.rho, config.grid)
-    return map_nrlp_blocks(config, rng, replicas, threads, _series_jumps)
+    shape = ATOM_CHUNK, config.grid.size, config.triplet.dim
+    local = threading.local()
+
+    def jumps(config: NrlpConfig, gen: np.random.Generator, values: np.ndarray) -> None:
+        if not hasattr(local, "work"):
+            local.work = ChunkWorkspace(*shape)
+        _series_jumps(config, gen, values, local.work)
+
+    return map_nrlp_blocks(config, rng, replicas, threads, jumps)
 
 
 def map_nrlp_blocks(
@@ -230,27 +258,31 @@ def map_nrlp_blocks(
     return out
 
 
-def _series_jumps(config: NrlpConfig, gen: np.random.Generator, values: np.ndarray) -> None:
-    """The Poisson series of marked jumps above the cutoff, chunk by chunk."""
-    replicas, _, d = values.shape
+def _series_jumps(
+    config: NrlpConfig, gen: np.random.Generator, values: np.ndarray, work: ChunkWorkspace | None = None
+) -> None:
+    """The Poisson series of marked jumps above the cutoff, chunk by chunk,
+    through ``work`` (a fresh workspace for this block when None)."""
+    replicas, m, d = values.shape
     nu = config.thinned
     lam = nu.tail_mass(config.truncation_eps, d)
     ends = np.cumsum(gen.poisson(lam, size=replicas))
     total = int(ends[-1])
+    work = ChunkWorkspace(min(ATOM_CHUNK, total), m, d) if work is None else work
     for a in range(0, total, ATOM_CHUNK):
         n = min(ATOM_CHUNK, total - a)
         # Replicas first..last hold atoms a..a+n-1; those between may hold none.
         first, last = np.searchsorted(ends, [a, a + n - 1], side="right")
         in_chunk = np.diff(np.minimum(ends[first : last + 1], a + n), prepend=a)
         rep_ids = np.repeat(np.arange(first, last + 1), in_chunk)
-        jumps = nu.sample_tail(config.truncation_eps, d, gen, n)
-        marks = ys_joint_values(config.rho, config.grid, gen, n)  # (n, m)
-        for g in range(config.grid.size):
-            weights = marks[:, g].astype(float)
+        jumps = nu.sample_tail(config.truncation_eps, d, gen, n, out=work.jumps[: n * d].reshape(n, d))
+        marks = work.marks[: m * n].reshape(m, n)
+        ys_joint_values(config.rho, config.grid, gen, n, out=marks, scratch=work.alias)
+        products = work.products[:n]
+        for g in range(m):
             for e in range(d):
-                values[:, g, e] += np.bincount(
-                    rep_ids, weights=weights * jumps[:, e], minlength=replicas
-                )
+                np.multiply(marks[g], jumps[:, e], out=products)
+                values[:, g, e] += np.bincount(rep_ids, weights=products, minlength=replicas)
 
 
 def _nrlp_block(

@@ -294,6 +294,17 @@ def _pair_tables(rho: float, top: int) -> tuple[np.ndarray, np.ndarray]:
     return lgamma, pmf
 
 
+class AliasScratch:
+    """Arrays for the alias test of :meth:`MarkHead.draw` on up to ``size``
+    paths, reusable from one draw to the next."""
+
+    def __init__(self, size: int) -> None:
+        self.uniforms = np.empty(size)
+        self.thresholds = np.empty(size)
+        self.aliases = np.empty(size, dtype=np.intp)
+        self.mask = np.empty(size, dtype=bool)
+
+
 @dataclass(frozen=True)
 class MarkHead:
     """Walker's alias table over the mark cells at the first one or two grid
@@ -317,11 +328,21 @@ class MarkHead:
     def tail(self) -> int:
         return self.mass.size - 1
 
-    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """int32 cell ids: a uniform column, then a uniform alias test, per path."""
-        cells = gen.integers(0, self.alias.size, size=size, dtype=np.int32)
-        keep = gen.random(size) < self.threshold.take(cells)
-        np.copyto(cells, self.alias.take(cells), where=~keep)
+    def draw(self, gen: np.random.Generator, size: int, scratch: AliasScratch | None = None) -> np.ndarray:
+        """intp cell ids: a uniform column, then a uniform alias test, per path.
+
+        The column array is the one new array; the test's uniforms, the
+        columns' thresholds and aliases and the mask of columns that give
+        their alias go into ``scratch`` (a fresh one when None).  intp ids
+        index ``take`` without a converted copy, and ``gen.integers`` draws
+        the same columns for intp as for int32 from the same bits.
+        """
+        scratch = AliasScratch(size) if scratch is None else scratch
+        cells = gen.integers(0, self.alias.size, size=size, dtype=np.intp)
+        uniforms = gen.random(out=scratch.uniforms[:size])
+        thresholds = self.threshold.take(cells, out=scratch.thresholds[:size], mode="clip")
+        swap = np.greater_equal(uniforms, thresholds, out=scratch.mask[:size])
+        np.copyto(cells, self.alias.take(cells, out=scratch.aliases[:size], mode="clip"), where=swap)
         return cells
 
     def draw_tail(self, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -381,7 +402,7 @@ def _head_table(rho: float, *head: float) -> MarkHead:
 
 def _alias_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walker's alias table for the law proportional to ``mass``: thresholds
-    (float64) and aliases (int32), one column per cell.
+    (float64) and aliases (intp), one column per cell.
 
     The cells below the mean mass (donees) lie on one line by cumulative
     deficit, those at or above it (donors) on another by cumulative excess,
@@ -401,7 +422,7 @@ def _alias_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     deficit = np.cumsum(1.0 - scaled[small])  # where each donee's deficit ends
     excess = np.cumsum(scaled[large] - 1.0)  # where each donor's excess ends
     threshold = np.ones(n)
-    alias = np.arange(n, dtype=np.int32)
+    alias = np.arange(n, dtype=np.intp)
     threshold[small] = scaled[small]
     starts = np.concatenate([[0.0], deficit])  # where each donee starts, then the line's end
     alias[small] = large[np.minimum(np.searchsorted(excess, starts[:-1], side="right"), large.size - 1)]
@@ -416,6 +437,8 @@ def ys_joint_values(
     times,
     gen: np.random.Generator,
     replicas: int,
+    out: np.ndarray | None = None,
+    scratch: AliasScratch | None = None,
 ) -> np.ndarray:
     """Joint law of (Y(t_1), ..., Y(t_m)) for ``replicas`` independent paths.
 
@@ -444,18 +467,23 @@ def ys_joint_values(
     values of the paths that start there and the negative-binomial
     increments of the earlier ones, in path order.  The int64 result of
     shape (replicas, len(times)) is the transpose of a C-ordered
-    (len(times), replicas) array, so each time's column is contiguous.
+    (len(times), replicas) array, so each time's column is contiguous:
+    of ``out`` when given (whatever it held is overwritten), else of a new
+    one.  ``scratch`` is passed to :meth:`MarkHead.draw`; neither changes
+    a draw.
     """
     rho = _check_rho(rho)
     times = check_times(times)
     head = _head_table(rho, *map(float, times[:2]))
     h = len(head.times)
-    out = np.zeros((times.size, replicas), dtype=np.int64)
-    cells = head.draw(gen, replicas)
+    out = np.empty((times.size, replicas), dtype=np.int64) if out is None else out
+    scratch = AliasScratch(replicas) if scratch is None else scratch
+    cells = head.draw(gen, replicas, scratch)
     for values, row in zip(head.values, out):
         values.take(cells, out=row, mode="clip")
-    tail = np.flatnonzero(cells == head.tail)
+    tail = np.flatnonzero(np.equal(cells, head.tail, out=scratch.mask[:replicas]))
     del cells
+    out[h:] = 0  # the bridge writes only the paths that have started
     if tail.size:
         out[:h, tail] = head.draw_tail(gen, tail.size)
     if times.size > h:

@@ -325,10 +325,28 @@ class TestTailDraws:
             np.testing.assert_array_equal(got, want)
             assert gen.random() == ref.random()
 
+    @pytest.mark.parametrize("family, d", [("stable", 1), ("stable", 2), ("atomic", 2), ("radial", 1)])
+    def test_out_form_matches_the_allocating_draw(self, family, d):
+        # Written into a garbage-filled array, the draws and the generator's
+        # state are those of the call that allocates its result.
+        nu = {"stable": IsotropicStable(1.5, 0.7),
+              "atomic": FiniteAtomic(np.array([[1.0, 0.5], [-0.2, 2.0], [0.01, 0.0]]),
+                                     np.array([0.5, 1.5, 3.0])),
+              "radial": self.RADIAL}[family]
+        eps, size = 0.05, 2000
+        gen, ref = np.random.default_rng(207), np.random.default_rng(207)
+        out = np.full((size, d), np.nan)
+        got = nu.sample_tail(eps, d, gen, size, out=out)
+        want = nu.sample_tail(eps, d, ref, size)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+        assert gen.random() == ref.random()
+
     def test_half_uniform_reads_as_positive(self):
         class Fixed:
-            def random(self, size):
-                return np.array([0.5, 0.25, 0.75, 0.0])[:size]
+            def random(self, size=None, out=None):
+                out[:] = np.array([0.5, 0.25, 0.75, 0.0])[: out.size]
+                return out
 
         got = levy_model._on_sphere(np.array([1.0, 2.0, 3.0, 4.0]), Fixed(), 1)
         np.testing.assert_array_equal(got, [[1.0], [-2.0], [3.0], [-4.0]])

@@ -391,6 +391,26 @@ class TestBridgeBytes:
                 assert gen.random() == ref.random()  # the same number of bits consumed
 
 
+    @pytest.mark.parametrize("times", [[0.7], [0.3, 1.0], [0.2, 0.5, 0.9]])
+    def test_out_form_matches_the_allocating_draw(self, times):
+        # A garbage-filled out and scratch: every row is overwritten, the
+        # rows past the head included, whose unstarted paths hold 0.
+        rho, replicas = 1.5, 5000
+        gen, ref = np.random.default_rng(125), np.random.default_rng(125)
+        out = np.full((len(times), replicas), -7, dtype=np.int64)
+        scratch = yule_simon.AliasScratch(replicas + 3)
+        for a in (scratch.uniforms, scratch.thresholds):
+            a.fill(np.nan)
+        scratch.aliases.fill(-1)
+        scratch.mask.fill(True)
+        got = ys_joint_values(rho, times, gen, replicas, out=out, scratch=scratch)
+        want = ys_joint_values(rho, times, ref, replicas)
+        assert np.shares_memory(got, out) and got.shape == (replicas, len(times))
+        np.testing.assert_array_equal(got, want)
+        assert np.any(want == 0) and np.all(out >= 0)
+        assert gen.random() == ref.random()
+
+
 class TestMoments:
     def test_mean_values(self):
         assert ys_mean(1.0, 4.0) == pytest.approx(4.0 / 3.0, rel=1e-14)
