@@ -262,7 +262,12 @@ def _series_jumps(
     config: NrlpConfig, gen: np.random.Generator, values: np.ndarray, work: ChunkWorkspace | None = None
 ) -> None:
     """The Poisson series of marked jumps above the cutoff, chunk by chunk,
-    through ``work`` (a fresh workspace for this block when None)."""
+    through ``work`` (a fresh workspace for this block when None).
+
+    Atoms come in replica order, so a chunk's atoms of one replica are one
+    segment of it; each replica's sum x Y(t) over its segment is one
+    ``np.add.reduceat`` (a pairwise sum) over the nonempty segments.
+    """
     replicas, m, d = values.shape
     nu = config.thinned
     lam = nu.tail_mass(config.truncation_eps, d)
@@ -273,8 +278,10 @@ def _series_jumps(
         n = min(ATOM_CHUNK, total - a)
         # Replicas first..last hold atoms a..a+n-1; those between may hold none.
         first, last = np.searchsorted(ends, [a, a + n - 1], side="right")
-        in_chunk = np.diff(np.minimum(ends[first : last + 1], a + n), prepend=a)
-        rep_ids = np.repeat(np.arange(first, last + 1), in_chunk)
+        stops = np.minimum(ends[first : last + 1], a + n) - a  # where each segment ends
+        starts = np.concatenate([[0], stops[:-1]])
+        held = np.flatnonzero(stops > starts)
+        rows, starts = first + held, starts[held]
         jumps = nu.sample_tail(config.truncation_eps, d, gen, n, out=work.jumps[: n * d].reshape(n, d))
         marks = work.marks[: m * n].reshape(m, n)
         ys_joint_values(config.rho, config.grid, gen, n, out=marks, scratch=work.alias)
@@ -282,7 +289,7 @@ def _series_jumps(
         for g in range(m):
             for e in range(d):
                 np.multiply(marks[g], jumps[:, e], out=products)
-                values[:, g, e] += np.bincount(rep_ids, weights=products, minlength=replicas)
+                values[rows, g, e] += np.add.reduceat(products, starts)
 
 
 def _nrlp_block(

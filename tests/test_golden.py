@@ -9,7 +9,9 @@ half-angle stable transform moved exactly cf-compare-spectral-auto,
 simulate-nrlp-spectral, simulate-walk-skeleton, supercritical and
 theorem1-mc; the BLAS-free mixture product, with the bin scales folded into
 the directions, moved exactly cf-compare-spectral-auto and
-simulate-nrlp-spectral).  Drawing each chunk's fresh skeleton increments
+simulate-nrlp-spectral; the series sampler's per-replica sums by
+``np.add.reduceat`` over a chunk's replica segments, pairwise in place of
+a sequential ``np.bincount``, moved exactly cf-compare-series-exact).  Drawing each chunk's fresh skeleton increments
 right after its genealogy uniforms moved exactly theorem1-multiblock, the
 one case whose blocks span more than one chunk (a change of
 ``step_reinforced.SOURCE_CHUNK`` moves it too).  Drawing the marks of
@@ -213,8 +215,8 @@ grid = 0.5,1.0
 
 GOLDEN = {
     'cf-compare-series-exact': (0, {
-        'cfdata.csv': '9c0e50e545084fc7258be2bbacb647a4f666ac93ed6b2b9a4b6bc96c0f593906',
-        'report.json': 'd44047dffea17058decc7e5675f16c6f43424476e4984828b6b748b4e0d0c35b',
+        'cfdata.csv': 'ee94bd32aa0d5336eae74a1e30e442eabb5a730a0c33d52c68e2f39404ffa594',
+        'report.json': '94419502b3b19d193803e7d79a8333f96e79daea3b09bc431c6a7016aec1fe37',
     }),
     'cf-compare-series-mc': (0, {
         'cfdata.csv': '8d3085c08350a64f231b4645becd2713648d690ccfff5e3544d57e67fb85677b',

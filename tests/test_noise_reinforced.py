@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,11 +28,12 @@ from nrlevy.noise_reinforced import (
     reinforced_cf_values,
     truncation_budget,
 )
-from nrlevy.rng import RngStream
+from nrlevy.rng import BLOCK_SIZE, RngStream
 from nrlevy.spectral import build_stable_mixture
 from nrlevy.yule_simon import (
     MemoryParameter,
     _abs_moment_sum,
+    ys_head_table,
     ys_joint_values,
     ys_process_values,
     ys_sample,
@@ -247,12 +249,17 @@ class TestNrlpSampling:
         assert abs(joint - prod) < 5 / math.sqrt(100_000)
 
 
-def _replay_block(cfg: NrlpConfig, seed: int, replicas: int, chunk: int | None):
+def _replay_block(cfg: NrlpConfig, seed: int, replicas: int, chunk: int | None,
+                  segments: bool = True):
     """The documented block draw order, with replica ids from np.repeat.
 
     Normals, then every replica's atom count, then per chunk of ``chunk``
-    atoms (all atoms at once for None) the jump sizes and the marks.
-    Returns the block's values and the replica id of each atom.
+    atoms (all atoms at once for None) the jump sizes and the marks.  Each
+    replica's sum over a chunk is ``np.add.reduceat`` over the runs of equal
+    ids (the documented sum), or with ``segments=False`` a sequential
+    ``np.bincount``.  Returns the block's values, the replica id of each
+    atom and, per (replica, time, coordinate), the sum of the absolute
+    terms.
     """
     gen = np.random.default_rng(seed)
     trip, grid, d = cfg.triplet, cfg.grid, cfg.triplet.dim
@@ -261,16 +268,23 @@ def _replay_block(cfg: NrlpConfig, seed: int, replicas: int, chunk: int | None):
     values += np.einsum("rgd,ed->rge", bhat, trip.gaussian_factor)
     counts = gen.poisson(cfg.thinned.tail_mass(cfg.truncation_eps, d), size=replicas)
     ids = np.repeat(np.arange(replicas), counts)
+    magnitude = np.zeros_like(values)
     chunk = chunk or ids.size
     for a in range(0, ids.size, chunk):
         n = min(chunk, ids.size - a)
         jumps = cfg.thinned.sample_tail(cfg.truncation_eps, d, gen, n)
         marks = ys_joint_values(cfg.rho, grid, gen, n).astype(float)
+        chunk_ids = ids[a : a + n]
+        runs = np.flatnonzero(np.diff(chunk_ids, prepend=-1))
         for g in range(grid.size):
             for e in range(d):
-                values[:, g, e] += np.bincount(ids[a : a + n], weights=marks[:, g] * jumps[:, e],
-                                               minlength=replicas)
-    return values, ids
+                terms = marks[:, g] * jumps[:, e]
+                if segments:
+                    values[chunk_ids[runs], g, e] += np.add.reduceat(terms, runs)
+                else:
+                    values[:, g, e] += np.bincount(chunk_ids, weights=terms, minlength=replicas)
+                magnitude[:, g, e] += np.bincount(chunk_ids, weights=np.abs(terms), minlength=replicas)
+    return values, ids, magnitude
 
 
 @pytest.mark.bytes
@@ -285,14 +299,14 @@ class TestChunkedBlock:
         monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", 7)
         got = noise_reinforced._nrlp_block(self.CFG, np.random.default_rng(440), 40,
                                             noise_reinforced._series_jumps)
-        want, ids = _replay_block(self.CFG, 440, 40, 7)
+        want, ids, _ = _replay_block(self.CFG, 440, 40, 7)
         assert np.sum(ids[6:-1:7] == ids[7::7]) >= 10  # replicas cut by a chunk edge
         np.testing.assert_array_equal(got, want)
 
     def test_one_chunk_block_equals_one_shot_series(self):
         got = noise_reinforced._nrlp_block(self.CFG, np.random.default_rng(441), 300,
                                             noise_reinforced._series_jumps)
-        want, ids = _replay_block(self.CFG, 441, 300, None)
+        want, ids, _ = _replay_block(self.CFG, 441, 300, None)
         assert ids.size <= noise_reinforced.ATOM_CHUNK
         np.testing.assert_array_equal(got, want)
 
@@ -305,11 +319,50 @@ class TestChunkedBlock:
         monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", chunk)
         got = noise_reinforced._nrlp_block(cfg, np.random.default_rng(444), 600,
                                             noise_reinforced._series_jumps)
-        want, ids = _replay_block(cfg, 444, 600, chunk)
+        want, ids, _ = _replay_block(cfg, 444, 600, chunk)
         assert np.unique(ids).size < 120  # most of the 600 replicas hold no atom
         assert ids[0] > 0 and ids[-1] < 599  # empty replicas before the first chunk and after the last
         assert np.sum(np.diff(ids)[chunk - 1 :: chunk] > 1) >= 5  # empty replicas across chunk edges
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("sparse, chunk", [(False, 7), (False, None), (True, 1), (True, 7)])
+    def test_segment_sums_within_rounding_of_sequential_sums(self, monkeypatch, sparse, chunk):
+        # The sequential bincount sum that the segment sums replaced differs
+        # by rounding only: two sums of k terms each lie within (k - 1) u of
+        # the exact sum in units of the absolute terms, u = 2^-53, and each
+        # addition into a value rounds once more.
+        cfg = self.CFG if not sparse else NrlpConfig(
+            LevyTriplet(2, np.eye(2), np.array([0.3, -0.2]), IsotropicStable(1.5, 0.1)),
+            MemoryParameter(0.3), 0.5, np.array([0.5, 1.0]))
+        replicas = 300 if not sparse else 600
+        if chunk is not None:
+            monkeypatch.setattr(noise_reinforced, "ATOM_CHUNK", chunk)
+        got = noise_reinforced._nrlp_block(cfg, np.random.default_rng(445), replicas,
+                                            noise_reinforced._series_jumps)
+        want, ids, magnitude = _replay_block(cfg, 445, replicas, chunk, segments=False)
+        k = np.bincount(ids).max()
+        u = 2.0**-53
+        tol = 2 * k * u * (magnitude + np.abs(want))
+        assert np.all(np.abs(got - want) <= tol)
+
+    def test_block_working_set(self):
+        # After the chunk workspace and the values, one series call holds at
+        # most two chunk-sized arrays: a chunk's alias columns, or its
+        # radii.  At 3 blocks of about 5 chunks of 2^17 atoms, the parent of
+        # the workspace peaked at 10.6 x 8 ATOM_CHUNK bytes.
+        cfg = NrlpConfig(LevyTriplet.cauchy(), MemoryParameter(0.5), 5e-4, np.array([0.5, 1.0]))
+        replicas, n, m, d = 3 * BLOCK_SIZE, noise_reinforced.ATOM_CHUNK, 2, 1
+        assert cfg.thinned.tail_mass(cfg.truncation_eps, d) * BLOCK_SIZE > 3 * n
+        ys_head_table(cfg.rho, cfg.grid)
+        workspace = 8 * n * (d + m + 4) + n  # jumps, marks, products, alias test
+        values = 8 * m * d * (replicas + BLOCK_SIZE)  # the result and one block's values
+        tracemalloc.start()
+        try:
+            nrlp_marginals(cfg, RngStream(446), replicas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workspace + values + 2 * n * 8
 
     def test_threads_do_not_change_marginals(self, monkeypatch):
         # 2500 replicas: blocks of 1024, 1024 and a partial 452, each drawn
