@@ -223,16 +223,17 @@ def nrlp_marginals(
     here, once, before any block runs.  Each thread sizes one
     :class:`ChunkWorkspace` from ``ATOM_CHUNK`` at its first block of this
     call and reuses it for every chunk of every block it runs, so that
-    after its first chunk a thread allocates only each chunk's alias
-    columns and arrays with one entry per replica of the block.
+    after its first chunk a thread allocates per chunk, for
+    one-dimensional stable jumps on one or two times, only the alias
+    columns (``gen.integers`` has no ``out=``), the radii and arrays of
+    one entry per replica of the block.
     """
     ys_head_table(config.rho, config.grid)
-    shape = ATOM_CHUNK, config.grid.size, config.triplet.dim
     local = threading.local()
 
-    def jumps(config: NrlpConfig, gen: np.random.Generator, values: np.ndarray) -> None:
+    def jumps(_config: NrlpConfig, gen: np.random.Generator, values: np.ndarray) -> None:
         if not hasattr(local, "work"):
-            local.work = ChunkWorkspace(*shape)
+            local.work = ChunkWorkspace(ATOM_CHUNK, config.grid.size, config.triplet.dim)
         _series_jumps(config, gen, values, local.work)
 
     return map_nrlp_blocks(config, rng, replicas, threads, jumps)

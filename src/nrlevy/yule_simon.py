@@ -328,16 +328,15 @@ class MarkHead:
     def tail(self) -> int:
         return self.mass.size - 1
 
-    def draw(self, gen: np.random.Generator, size: int, scratch: AliasScratch | None = None) -> np.ndarray:
+    def draw(self, gen: np.random.Generator, size: int, scratch: AliasScratch) -> np.ndarray:
         """intp cell ids: a uniform column, then a uniform alias test, per path.
 
         The column array is the one new array; the test's uniforms, the
         columns' thresholds and aliases and the mask of columns that give
-        their alias go into ``scratch`` (a fresh one when None).  intp ids
-        index ``take`` without a converted copy, and ``gen.integers`` draws
-        the same columns for intp as for int32 from the same bits.
+        their alias go into ``scratch``.  intp ids index ``take`` without a
+        converted copy, and ``gen.integers`` draws the same columns for
+        intp as for int32 from the same bits.
         """
-        scratch = AliasScratch(size) if scratch is None else scratch
         cells = gen.integers(0, self.alias.size, size=size, dtype=np.intp)
         uniforms = gen.random(out=scratch.uniforms[:size])
         thresholds = self.threshold.take(cells, out=scratch.thresholds[:size], mode="clip")
@@ -469,8 +468,9 @@ def ys_joint_values(
     shape (replicas, len(times)) is the transpose of a C-ordered
     (len(times), replicas) array, so each time's column is contiguous:
     of ``out`` when given (whatever it held is overwritten), else of a new
-    one.  ``scratch`` is passed to :meth:`MarkHead.draw`; neither changes
-    a draw.
+    one.  ``scratch``, an :class:`AliasScratch` for at least ``replicas``
+    paths, holds the alias test's arrays (a new one when None).  Neither
+    changes a draw.
     """
     rho = _check_rho(rho)
     times = check_times(times)
