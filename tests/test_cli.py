@@ -1,7 +1,9 @@
 """Config parsing, determinism, CSV emission, and exit codes."""
 
 import csv
+import hashlib
 import json
+import random
 import tempfile
 import warnings
 from pathlib import Path
@@ -529,6 +531,101 @@ class TestFuzz:
                 validate(load_config(path))
             except (NrlevyError, ValueError):
                 pass
+
+
+# [experiment] key -> (good values, bad values) that the check-order corpus draws from.
+_ORDER_VALUES = {
+    "seed": (["0", "42"], ["-1", str(2**64)]),
+    "p": (["0.3", "0.5", "0.8", "0.001"], ["0", "1", "1.5"]),
+    "rho": (["3.0", "1000"], ["0", "-1"]),
+    "replicas": (["100", "2"], ["1", "0"]),
+    "mesh": (["20,50", "10,20,40"], ["50,20", "50,50", "100", "0,10"]),
+    "grid": (["1.0", "0.5,1.0", "0.0,0.5,1.0", "0.25,0.5,1.0"],
+             ["0.0", "", "0.7,0.2", "-0.5,1.0", "0.5,1.5", "0.5,0.5"]),
+    "thetas": (["0.5", "0.5,1.0"], [""]),
+    "theta": (["1.0", "-2"], []),
+    "alpha": (["1.5", "1.9", "1.1"], ["0.5", "2.5"]),
+    "n": (["10", "1"], ["0"]),
+    "ks": (["1,2", "3"], ["", "-1,2", "0"]),
+    "truncation_eps": (["0.1", "1e-4"], ["0", "-1"]),
+    "tolerance_mult": (["4"], ["0", "-1"]),
+    "threads": (["1", "2"], ["0"]),
+    "walk": (["elephant", "skeleton"], ["bogus"]),
+    "theory": (["auto", "exact", "mc"], ["bogus"]),
+    "mc_replicas": (["1000", "2"], ["1", "0"]),
+    "sampler": (["auto", "series", "spectral"], ["bogus"]),
+    "final_threshold": (["0.1"], ["0", "-1"]),
+}
+_ORDER_TRIPLETS = (
+    ["dim = 1\ngaussian = 1.0", "dim = 1\njumps = cauchy", "jumps = stable\nalpha = 1.5",
+     "dim = 1\njumps = stable\nalpha = 1.9\nscale = 3.0", "dim = 1\njumps = atoms\natoms = 0.5:1.0",
+     "dim = 1\ngaussian = 0.7\ndrift = -0.2\njumps = stable\nalpha = 1.2", "dim = 2\ngaussian = 1.0"],
+    ["dim = 2\ndrift = 0.1", "jumps = weird", "jumps = atoms", "dim = abc"],
+)
+# experiment -> the [experiment] keys it reads, as README's config section lists
+# them, and [triplet] where it reads one (simulate-walk: with walk = skeleton).
+_ORDER_READS = {
+    "simulate-ys": "seed p rho replicas",
+    "simulate-walk": "seed p n walk [triplet]",
+    "simulate-nrlp": "seed p replicas grid truncation_eps sampler threads [triplet]",
+    "cf-compare": "seed p replicas grid thetas truncation_eps sampler theory mc_replicas "
+                  "tolerance_mult threads [triplet]",
+    "theorem1": "seed p replicas mesh theory mc_replicas tolerance_mult threads [triplet]",
+    "supercritical": "seed p alpha theta replicas mesh final_threshold threads",
+    "prop8": "seed p n ks replicas mc_replicas tolerance_mult",
+    "moments": "seed p rho replicas grid tolerance_mult",
+}
+
+
+def _order_pick(rnd: random.Random, choices: tuple[list, list]) -> str:
+    """A good value, or one time in eight a bad one."""
+    good, bad = choices
+    return rnd.choice(bad if bad and rnd.random() < 0.125 else good)
+
+
+def _order_corpus(size: int, seed: int) -> list[str]:
+    """Seeded configs: each experiment (and now and then an unknown name)
+    with a random subset of the keys it reads, good and bad values, now and
+    then a key it does not read, and no, a well-formed or a bad [triplet]."""
+    rnd = random.Random(seed)
+    texts = []
+    for _ in range(size):
+        name = rnd.choice(sorted(_ORDER_READS)) if rnd.random() < 0.98 else "frobnicate"
+        reads = _ORDER_READS.get(name, "").split()
+        chance = {k: 0.9 if k == "p" else 0.5 if k in reads else 0.01 for k in _ORDER_VALUES}
+        keys = [k for k in _ORDER_VALUES if rnd.random() < chance[k]]
+        lines = [f"name = {name}"] + [f"{k} = {_order_pick(rnd, _ORDER_VALUES[k])}" for k in keys]
+        text = "[experiment]\n" + "".join(line + "\n" for line in lines)
+        if rnd.random() < (0.875 if "[triplet]" in reads else 0.125):
+            text += "[triplet]\n" + _order_pick(rnd, _ORDER_TRIPLETS) + "\n"
+        texts.append(text)
+    return texts
+
+
+@pytest.mark.bytes
+class TestCheckOrder:
+    # sha256 of the outcomes, one line each ("ok" or "Type: message"), of
+    # validate(load_config(...)) on the 3,000 configs of _order_corpus(3000, 27):
+    # 182 distinct outcomes, 725 of them "ok".
+    DIGEST = "a89ea72c9552760fe967d1166cb18d46cd6bfe563210e3c9ebaf82e1512679b8"
+
+    def test_validate_outcomes_and_order(self, tmp_path):
+        # Which check fires first, and its exact message, for each config: a
+        # refactor of validate must leave every line of this list unchanged.
+        path = tmp_path / "c.ini"
+        outcomes = []
+        for text in _order_corpus(3000, 27):
+            path.write_text(text)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    validate(load_config(path))
+                outcomes.append("ok")
+            except Exception as exc:  # noqa: BLE001  (the type is part of the outcome)
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert len(set(outcomes)) == 182
+        assert digest == self.DIGEST
 
 
 @pytest.mark.bytes
