@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,28 +59,10 @@ from .yule_simon import (
     ys_sample,
 )
 
-# experiment -> the [experiment] keys besides name that it reads; validate
-# rejects any other key that the config or a flag sets.
-_EXPERIMENT_READS = {
-    "simulate-ys": {"seed", "p", "rho", "replicas"},
-    "simulate-walk": {"seed", "p", "n", "walk"},
-    "simulate-nrlp": {"seed", "p", "replicas", "grid", "truncation_eps", "sampler", "threads"},
-    "cf-compare": {
-        "seed", "p", "replicas", "grid", "thetas", "truncation_eps", "sampler", "theory",
-        "mc_replicas", "tolerance_mult", "threads",
-    },
-    "theorem1": {"seed", "p", "replicas", "mesh", "theory", "mc_replicas", "tolerance_mult", "threads"},
-    "supercritical": {"seed", "p", "alpha", "theta", "replicas", "mesh", "final_threshold", "threads"},
-    "prop8": {"seed", "p", "n", "ks", "replicas", "mc_replicas", "tolerance_mult"},
-    "moments": {"seed", "p", "rho", "replicas", "grid", "tolerance_mult"},
-}
-EXPERIMENTS = tuple(_EXPERIMENT_READS)
-
 SAMPLERS = ("auto", "series", "spectral")
 WALKS = ("elephant", "skeleton")
 
 _OUTPUT_KEYS = {"dir"}
-_DEFAULT_RHO = {"simulate-ys": 2.0, "moments": 4.0}  # rho when neither p nor rho is set
 
 
 def fmt(x: float) -> str:
@@ -125,7 +108,7 @@ class ExperimentConfig:
         """``rho`` if set, else the 1/p that ``p`` implies, else the experiment's default."""
         if self.rho is not None:
             return self.rho
-        return self.memory().rho if self.p is not None else _DEFAULT_RHO[self.experiment]
+        return self.memory().rho if self.p is not None else _TABLE[self.experiment].default_rho
 
 
 def _parse_float(text: str) -> float:
@@ -266,7 +249,9 @@ def load_config(path: Path) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    unread = sorted(cfg.given - _EXPERIMENT_READS[cfg.experiment])
+    """Reject a config before its runner; each check hangs on a key the experiment reads."""
+    spec = _TABLE[cfg.experiment]
+    unread = sorted(cfg.given.difference(spec.reads))
     if unread:
         raise ConfigError(f"{cfg.experiment} does not read {', '.join(unread)}")
     for key in ("replicas", "threads", "n", "mc_replicas"):
@@ -274,12 +259,12 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{key} must be positive")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")
-    for experiment, key in (("moments", "replicas"), ("prop8", "replicas"), ("prop8", "mc_replicas")):
-        if cfg.experiment == experiment and getattr(cfg, key) < 2:
-            raise ConfigError(f"{experiment} estimates a standard error: {key} must be at least 2")
-    for experiment, key in (("cf-compare", "thetas"), ("prop8", "ks")):
-        if cfg.experiment == experiment and not getattr(cfg, key):
-            raise ConfigError(f"{experiment} needs at least one entry in {key}")
+    for key in spec.min_two:
+        if getattr(cfg, key) < 2:
+            raise ConfigError(f"{cfg.experiment} estimates a standard error: {key} must be at least 2")
+    for key in ("thetas", "ks"):
+        if key in spec.reads and not getattr(cfg, key):
+            raise ConfigError(f"{cfg.experiment} needs at least one entry in {key}")
     for key in ("mesh", "ks"):
         if min(getattr(cfg, key), default=1) < 1:
             raise ConfigError(f"{key} entries must be at least 1, got {getattr(cfg, key)}")
@@ -288,30 +273,29 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
     if cfg.p is not None:
         cfg.memory()
-    if cfg.experiment in _DEFAULT_RHO and cfg.p is not None and cfg.rho is not None:
+    if "rho" in spec.reads and cfg.p is not None and cfg.rho is not None:
         raise ConfigError(f"{cfg.experiment} reads rho: set p (rho = 1/p) or rho, not both")
     for key, allowed in (("sampler", SAMPLERS), ("theory", THEORIES), ("walk", WALKS)):
         if getattr(cfg, key) not in allowed:
             raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; choose from {allowed}")
-    reads_triplet = cfg.experiment in ("theorem1", "simulate-nrlp", "cf-compare") or (
-        cfg.experiment == "simulate-walk" and cfg.walk == "skeleton")
-    what = f"walk = {cfg.walk}" if cfg.experiment == "simulate-walk" else cfg.experiment
+    reads_triplet = spec.triplet or ("walk" in spec.reads and cfg.walk == "skeleton")
+    what = f"walk = {cfg.walk}" if "walk" in spec.reads else cfg.experiment
     if reads_triplet and cfg.triplet is None:
         raise ConfigError(f"{what} requires a [triplet] section")
     if cfg.triplet is not None and not reads_triplet:
-        if cfg.experiment == "supercritical":
-            raise ConfigError("supercritical walks a unit-scale stable process of index alpha "
+        if "alpha" in spec.reads:
+            raise ConfigError(f"{cfg.experiment} walks a unit-scale stable process of index alpha "
                               "and reads no [triplet] section")
         raise ConfigError(f"{what} reads no [triplet] section")
-    if cfg.experiment in ("theorem1", "supercritical") and (
+    if "mesh" in spec.reads and (
             len(cfg.mesh) < 2 or any(b <= a for a, b in zip(cfg.mesh, cfg.mesh[1:]))):
         raise ConfigError(f"mesh must be strictly increasing with at least two points, got {cfg.mesh}")
-    if cfg.experiment == "supercritical" and cfg.alpha * cfg.memory().p <= 1.0:
+    if "alpha" in spec.reads and cfg.alpha * cfg.memory().p <= 1.0:
         raise ConfigError(
-            f"supercritical requires alpha * p > 1, got {cfg.alpha * cfg.p:.4g} "
+            f"{cfg.experiment} requires alpha * p > 1, got {cfg.alpha * cfg.p:.4g} "
             "(use theorem1 for admissible parameters)"
         )
-    if cfg.experiment in ("theorem1", "simulate-nrlp", "cf-compare"):
+    if spec.triplet:
         mp = cfg.memory()
         with warnings.catch_warnings():  # the critical case p * beta = 1 errors below in one line
             warnings.simplefilter("ignore")
@@ -321,9 +305,9 @@ def validate(cfg: ExperimentConfig) -> None:
                 f"inadmissible memory parameter: p * beta = "
                 f"{mp.p * bg_index(cfg.triplet):.4g} >= 1 (need p * beta < 1)"
             )
-    if cfg.experiment in ("cf-compare", "theorem1") and cfg.triplet.dim != 1:
+    if "theory" in spec.reads and cfg.triplet.dim != 1:
         raise ConfigError(f"{cfg.experiment} is one-dimensional: set dim = 1")
-    if "grid" in _EXPERIMENT_READS[cfg.experiment]:
+    if "grid" in spec.reads:
         try:
             check_times(_sampled_grid(cfg))
         except DomainError:
@@ -331,7 +315,7 @@ def validate(cfg: ExperimentConfig) -> None:
                 f"grid must be strictly increasing within (0, 1] after an optional "
                 f"leading 0.0, got grid = {cfg.grid}"
             ) from None
-    if (cfg.experiment in ("simulate-nrlp", "cf-compare") and cfg.sampler == "spectral"
+    if ("sampler" in spec.reads and cfg.sampler == "spectral"
             and not mixture_covers(cfg.triplet, _sampled_grid(cfg))):
         raise ConfigError(
             "sampler = spectral covers one-dimensional stable jumps on one or two "
@@ -373,7 +357,6 @@ def distance_table(report: dict) -> tuple[list[str], list]:
 
 def _convergence_outputs(rep: dg.ConvergenceReport) -> Outputs:
     report = {
-        "experiment": rep.experiment,
         "params": dict(rep.params),
         "schedule": list(rep.mesh_schedule),
         "distances": [float(v) for v in rep.distances],
@@ -433,7 +416,6 @@ def _run_prop8(cfg: ExperimentConfig) -> Outputs:
     z = rep.z_scores
     passed = bool(np.all(np.abs(z) < cfg.tolerance_mult))
     report = {
-        "experiment": "prop8",
         "params": {"p": cfg.p, "n": cfg.n, "replicas": cfg.replicas},
         "schedule": list(rep.n_schedule),
         "functionals": list(rep.functional_names),
@@ -465,7 +447,6 @@ def _run_simulate_ys(cfg: ExperimentConfig) -> Outputs:
     emp = counts[1:] / cfg.replicas
     tv = 0.5 * float(np.abs(emp - pmf).sum()) + 0.5 * float(1.0 - pmf.sum())
     report = {
-        "experiment": "simulate-ys",
         "params": {"rho": rho, "replicas": cfg.replicas},
         "schedule": [],
         "tv_distance": tv,
@@ -488,7 +469,6 @@ def _run_simulate_walk(cfg: ExperimentConfig) -> Outputs:
         for k in events:
             counter_rows.append([j, int(k)])
     report = {
-        "experiment": "simulate-walk",
         "params": {"p": cfg.p, "n": cfg.n, "walk": cfg.walk},
         "schedule": [],
         "terminal": [float(v) for v in np.atleast_1d(sums[-1])],
@@ -544,7 +524,6 @@ def _run_simulate_nrlp(cfg: ExperimentConfig) -> Outputs:
         except NrlevyError:
             budget = None
     report = {
-        "experiment": "simulate-nrlp",
         "params": {
             "p": cfg.p, "replicas": cfg.replicas, "truncation_eps": cfg.truncation_eps,
             "sampler": sampler,
@@ -582,7 +561,6 @@ def _run_cf_compare(cfg: ExperimentConfig) -> Outputs:
              float(d), r["stderr"]] for r, d in zip(records, dist)]
     header = ["theta", "t", "ecf_re", "ecf_im", "theory_re", "theory_im", "distance", "stderr"]
     report = {
-        "experiment": "cf-compare",
         "params": {
             "p": cfg.p, "replicas": cfg.replicas, "truncation_eps": cfg.truncation_eps,
             "sampler": sampler, "theory": cfg.theory,
@@ -614,7 +592,6 @@ def _run_moments(cfg: ExperimentConfig) -> Outputs:
               ys_cross_moment(float(grid[0]), float(grid[-1]), rho))
     ok = all(abs(c["z"]) < cfg.tolerance_mult for c in checks)
     report = {
-        "experiment": "moments",
         "params": {"rho": rho, "replicas": cfg.replicas},
         "schedule": [],
         "checks": checks,
@@ -623,16 +600,38 @@ def _run_moments(cfg: ExperimentConfig) -> Outputs:
     return report, bool(ok), {}
 
 
-_RUNNERS = {
-    "theorem1": _run_theorem1,
-    "supercritical": _run_supercritical,
-    "prop8": _run_prop8,
-    "simulate-ys": _run_simulate_ys,
-    "simulate-walk": _run_simulate_walk,
-    "simulate-nrlp": _run_simulate_nrlp,
-    "cf-compare": _run_cf_compare,
-    "moments": _run_moments,
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment's contract; validate checks each key it reads."""
+
+    runner: Callable[[ExperimentConfig], Outputs]
+    reads: tuple[str, ...]  # [experiment] keys besides name; validate rejects any other set key
+    triplet: bool = False  # reads a [triplet] whatever its other keys say
+    default_rho: float | None = None  # rho when neither p nor rho is set
+    min_two: tuple[str, ...] = ()  # counts a standard error needs at least 2 of
+
+
+_TABLE = {
+    "simulate-ys": _Experiment(_run_simulate_ys, ("seed", "p", "rho", "replicas"), default_rho=2.0),
+    "simulate-walk": _Experiment(_run_simulate_walk, ("seed", "p", "n", "walk")),
+    "simulate-nrlp": _Experiment(_run_simulate_nrlp, (
+        "seed", "p", "replicas", "grid", "truncation_eps", "sampler", "threads"), triplet=True),
+    "cf-compare": _Experiment(_run_cf_compare, (
+        "seed", "p", "replicas", "grid", "thetas", "truncation_eps", "sampler", "theory",
+        "mc_replicas", "tolerance_mult", "threads"), triplet=True),
+    "theorem1": _Experiment(_run_theorem1, (
+        "seed", "p", "replicas", "mesh", "theory", "mc_replicas", "tolerance_mult", "threads",
+    ), triplet=True),
+    "supercritical": _Experiment(_run_supercritical, (
+        "seed", "p", "alpha", "theta", "replicas", "mesh", "final_threshold", "threads")),
+    "prop8": _Experiment(_run_prop8, ("seed", "p", "n", "ks", "replicas", "mc_replicas", "tolerance_mult"),
+                         min_two=("replicas", "mc_replicas")),
+    "moments": _Experiment(_run_moments, ("seed", "p", "rho", "replicas", "grid", "tolerance_mult"),
+                           default_rho=4.0, min_two=("replicas",)),
 }
+EXPERIMENTS = tuple(_TABLE)
+# run() dispatches through this dict, so wrapping one of its values wraps every run of that experiment.
+_RUNNERS = {name: spec.runner for name, spec in _TABLE.items()}
 
 
 def run(config_path: Path, overrides: argparse.Namespace | None = None) -> int:
@@ -643,6 +642,7 @@ def run(config_path: Path, overrides: argparse.Namespace | None = None) -> int:
             _apply_overrides(cfg, overrides)
         validate(cfg)
         report, passed, tables = _RUNNERS[cfg.experiment](cfg)
+        report = {"experiment": cfg.experiment, **report}
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         # CSVs first: report.json is the last file a run writes.
         for name, (header, rows) in tables.items():
