@@ -407,12 +407,22 @@ def _run_supercritical(cfg: ExperimentConfig) -> Outputs:
     ))
 
 
+def _require_stderr(cfg: ExperimentConfig, check: str, se: float) -> None:
+    """Raise unless ``se`` > 0: a zero standard error leaves the check's z-score undefined."""
+    if not se > 0:
+        counts = ", ".join(f"{key} = {getattr(cfg, key)}" for key in _TABLE[cfg.experiment].min_two)
+        raise DomainError(f"{cfg.experiment} check {check}: the standard error over {counts} is 0, "
+                          "so its z-score is undefined")
+
+
 def _run_prop8(cfg: ExperimentConfig) -> Outputs:
     functionals = [dg.PathFunctional.terminal_equals(k) for k in cfg.ks]
     rep = dg.prop8_experiment(
         cfg.memory(), [cfg.n], functionals, cfg.replicas, cfg.stream(),
         mc_replicas=cfg.mc_replicas,
     )
+    for (i, fi), se in np.ndenumerate(rep.pooled_se):
+        _require_stderr(cfg, f"{rep.functional_names[fi]} at n = {rep.n_schedule[i]}", se)
     z = rep.z_scores
     passed = bool(np.all(np.abs(z) < cfg.tolerance_mult))
     report = {
@@ -582,6 +592,7 @@ def _run_moments(cfg: ExperimentConfig) -> Outputs:
     def check(moment: str, samples: np.ndarray, ref: float) -> None:
         emp = float(samples.mean())
         se = float(samples.std(ddof=1) / math.sqrt(cfg.replicas))
+        _require_stderr(cfg, moment, se)
         checks.append({"moment": moment, "estimate": emp, "stderr": se,
                        "reference": ref, "z": (emp - ref) / se})
 

@@ -336,9 +336,13 @@ class Prop8Report:
     reference_se: np.ndarray
 
     @property
+    def pooled_se(self) -> np.ndarray:
+        """Standard error of each estimate minus its reference."""
+        return np.sqrt(self.stderr**2 + self.reference_se[None, :] ** 2)
+
+    @property
     def z_scores(self) -> np.ndarray:
-        pooled = np.sqrt(self.stderr**2 + self.reference_se[None, :] ** 2)
-        return (self.estimates - self.references[None, :]) / pooled
+        return (self.estimates - self.references[None, :]) / self.pooled_se
 
 
 def prop8_experiment(

@@ -229,7 +229,10 @@ def ys_process_values(
         counts[idx] += t[idx, None] <= times[None, :]
         if m > MAX_JUMPS_PER_PATH:
             raise NumericalError("jump-count safety cap exceeded; suspect a bad RNG state")
-        t[idx] *= np.exp(rho * gen.exponential(size=idx.size) / m)
+        # At large rho exp overflows to +inf: that jump time lies past 1 and
+        # the path stops, as it should, so the overflow is not worth a warning.
+        with np.errstate(over="ignore"):
+            t[idx] *= np.exp(rho * gen.exponential(size=idx.size) / m)
         keep = t[idx] <= 1.0
         idx = idx[keep]
         m += 1

@@ -459,6 +459,27 @@ class TestRejections:
         err = capsys.readouterr().err
         assert "unit-scale stable" in err and "alpha" in err
 
+    @pytest.mark.parametrize("config, check", [
+        ("[experiment]\nname = moments\nrho = 1000\nreplicas = 2\ngrid = 1\n", "moments check mean@1.0"),
+        ("[experiment]\nname = moments\np = 0.001\nreplicas = 5\n", "moments check mean@1.0"),
+        ("[experiment]\nname = prop8\np = 0.5\nn = 5\nks = 1,100\nreplicas = 10\nmc_replicas = 10\n",
+         "prop8 check terminal==100 at n = 5"),
+    ], ids=["moments-rho", "moments-p", "prop8"])
+    def test_zero_standard_error_is_one_line(self, tmp_path, capsys, config, check):
+        # Every sample of the check agrees, so its z-score would divide by a
+        # zero standard error: the run ends with one error line naming the
+        # check and its replica counts, before it writes any file.  Warnings
+        # become errors here, because pytest would otherwise capture them.
+        out = tmp_path / "o"
+        cfg = write(tmp_path, "c.ini", config + f"[output]\ndir = {out}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {check}: the standard error over replicas = ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("exc", [
         TypeError("unsupported operand type(s) for +: 'int' and 'NoneType'"),
         MemoryError("Unable to allocate 64.0 GiB for an array with shape (8589934592,)"),

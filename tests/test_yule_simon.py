@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,14 @@ class TestProcess:
         assert np.all(np.diff(vals, axis=1) >= 0)
         assert np.all(vals >= 0)
         assert np.all(vals[:, -1] >= 1)  # the first jump time is uniform on (0, 1)
+
+    def test_large_rho_overflow_is_silent(self):
+        # At rho = 1000, exp(rho E / m) overflows for about half the paths at
+        # m = 1: the jump time is then +inf, past 1, so the path stops there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = ys_process_values(1000.0, [0.5, 1.0], RngStream(113).generator(), 1000)
+        assert vals.min() >= 0 and vals[:, 1].min() >= 1
 
     def test_positivity_probability(self):
         vals = ys_process_values(2.0, [0.3], RngStream(105).generator(), 100_000)
