@@ -73,6 +73,19 @@ dim = 1
 jumps = stable
 alpha = 1.5
 """,
+    "simulate-walk-skeleton-d2": """
+[experiment]
+name = simulate-walk
+p = 0.5
+n = 50
+seed = 25
+walk = skeleton
+[triplet]
+dim = 2
+gaussian = 1.0
+jumps = atoms
+atoms = 1,0:1;0,-1:2
+""",
     "simulate-nrlp-series": """
 [experiment]
 name = simulate-nrlp
@@ -250,6 +263,11 @@ GOLDEN = {
         'counters.csv': '4a3c12f91e271b2e759c929c6b042c775e5cd28b63c137c1b2b45133ed44d6f4',
         'report.json': '2389812af919d82d641d737a9c4b0964c067ff1bcbc433dfd37f17ddd37c0146',
         'walk.csv': '2271ecce8381010754af87d53cb08d4804587c4f23bdd178ff7de686c446bda8',
+    }),
+    'simulate-walk-skeleton-d2': (0, {
+        'counters.csv': '175238d315db585648304724fbf4856095fdfaac8bc3e079956d550aeddbad00',
+        'report.json': 'f65ac23e4e91b3af8a5e036ff96ce29e439952a862eccc1f421fb19545c47de3',
+        'walk.csv': '8976611c446293cac5ac6366c4ff4167432688f7e10421f28e4fec7e37866b0d',
     }),
     'simulate-ys': (0, {
         'histogram.csv': '2d2214ff76cd8b8f60ac74c11224503fa4197a6eed1aaf75609044c08d1a1874',
