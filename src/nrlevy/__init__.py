@@ -31,7 +31,6 @@ from .levy_model import (
 )
 from .step_reinforced import (
     ReinforcedWalk,
-    ReinforcementRecord,
     elephant_walk,
     reinforce,
     skeleton_reinforced_walk,
@@ -73,7 +72,6 @@ __all__ = [
     "PathFunctional",
     "RadialDensity",
     "ReinforcedWalk",
-    "ReinforcementRecord",
     "RngStream",
     "UnsupportedFamilyError",
     "ZeroJumps",

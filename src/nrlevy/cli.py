@@ -321,6 +321,11 @@ def validate(cfg: ExperimentConfig) -> None:
             "sampler = spectral covers one-dimensional stable jumps on one or two "
             "positive grid times"
         )
+    if "theory" in spec.reads and cfg.tolerance_mult / math.sqrt(cfg.replicas) >= 2.0:
+        raise ConfigError(
+            "the verdict cannot fail: tolerance_mult / sqrt(replicas) must be below 2, "
+            "the largest distance between two characteristic functions"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +477,16 @@ def _run_simulate_walk(cfg: ExperimentConfig) -> Outputs:
     else:
         walk = skeleton_reinforced_walk(cfg.triplet, cfg.n, cfg.memory(), stream.generator(0))
     sums = walk.partial_sums
-    rows = [[k] + [float(v) for v in np.atleast_1d(sums[k])] for k in range(sums.shape[0])]
-    dim = np.atleast_1d(sums[0]).size
-    counter_rows = []
-    for j, events in sorted(walk.record.counters().items()):
-        for k in events:
-            counter_rows.append([j, int(k)])
+    rows = [[k] + [float(v) for v in row] for k, row in enumerate(sums)]
     report = {
         "params": {"p": cfg.p, "n": cfg.n, "walk": cfg.walk},
         "schedule": [],
-        "terminal": [float(v) for v in np.atleast_1d(sums[-1])],
+        "terminal": [float(v) for v in sums[-1]],
         "verdict": None,
     }
     return report, None, {
-        "walk.csv": (["k"] + [f"value{i}" for i in range(dim)], rows),
-        "counters.csv": (["j", "k_event"], counter_rows),
+        "walk.csv": (["k"] + [f"value{i}" for i in range(sums.shape[1])], rows),
+        "counters.csv": (["j", "k_event"], walk.counters().tolist()),
     }
 
 

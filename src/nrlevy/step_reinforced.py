@@ -30,45 +30,30 @@ from .yule_simon import MemoryParameter, as_memory
 
 
 @dataclass(frozen=True)
-class ReinforcementRecord:
-    """Bookkeeping of one reinforcement realization of length n.
+class ReinforcedWalk:
+    """One reinforced walk: its (n, d) base steps and its genealogy.
 
-    ``origins[k-1]`` is the base index whose word step k uses, so step k is
-    fresh iff ``origins[k-1] == k``.  Counting processes derive from it:
-    N_j(k) = #{l <= k : origins[l-1] == j}.
+    ``origins`` is column 0 of :func:`simon_origins`: step k uses base step
+    ``origins[k-1] + 1`` and is fresh iff ``origins[k-1] == k - 1``.
     """
 
-    n: int
     origins: np.ndarray
-
-    def counter_events(self, j: int) -> np.ndarray:
-        """Sorted step indices k at which base step j was (re)used."""
-        return np.flatnonzero(self.origins == j) + 1
-
-    def counters(self) -> dict[int, np.ndarray]:
-        """Sparse event lists for every base index that was used at least once."""
-        order = np.argsort(self.origins, kind="stable")  # sorted steps within each group
-        bounds = np.flatnonzero(np.diff(self.origins[order])) + 1
-        return {int(self.origins[g[0]]): g + 1 for g in np.split(order, bounds)}
-
-    def terminal_counts(self) -> np.ndarray:
-        """N_j(n) for j = 1..n."""
-        return np.bincount(self.origins, minlength=self.n + 1)[1:]
-
-
-@dataclass(frozen=True)
-class ReinforcedWalk:
-    """A reinforced step sequence together with its partial sums."""
-
-    record: ReinforcementRecord
     base_steps: np.ndarray
 
     @property
     def partial_sums(self) -> np.ndarray:
-        """S-hat(0..n); row k is the sum of the first k reinforced steps."""
-        sums = np.cumsum(self.base_steps[self.record.origins - 1], axis=0)
+        """S-hat(0..n) as (n + 1, d); row k is the sum of the first k reinforced steps."""
+        sums = np.cumsum(self.base_steps[self.origins], axis=0)
         zero = np.zeros_like(sums[:1])
         return np.concatenate([zero, sums], axis=0)
+
+    def counters(self) -> np.ndarray:
+        """The jumps of the occupation counters N_j(k) = #{l <= k : step l uses base step j}.
+
+        One 1-based row (j, k) per step k, j its base step, sorted by j and then k.
+        """
+        order = np.argsort(self.origins, kind="stable")  # sorted steps within each j
+        return np.column_stack([self.origins[order] + 1, order + 1])
 
 
 def reinforce(
@@ -76,7 +61,7 @@ def reinforce(
     p: MemoryParameter | float,
     gen: np.random.Generator,
 ) -> ReinforcedWalk:
-    """Apply Simon's dynamics to a base step sequence.
+    """Apply Simon's dynamics to a base step sequence, (n, d) or n scalars (d = 1).
 
     The first step is always kept; afterwards step i repeats a uniformly
     chosen earlier reinforced step with probability p.  The genealogy is one
@@ -84,11 +69,8 @@ def reinforce(
     step against its originating base index.
     """
     base = np.asarray(steps, dtype=float)
-    if base.shape[0] == 0:
-        raise DomainError("steps must be nonempty")
-    n = base.shape[0]
-    origins = simon_origins(n, p, gen, 1)[:, 0] + 1
-    return ReinforcedWalk(ReinforcementRecord(n, origins), base)
+    origins = simon_origins(len(base), p, gen, 1)[:, 0]
+    return ReinforcedWalk(origins, base.reshape(len(base), -1))
 
 
 def elephant_walk(
@@ -96,7 +78,7 @@ def elephant_walk(
     p: MemoryParameter | float,
     gen: np.random.Generator,
 ) -> ReinforcedWalk:
-    """One-dimensional reinforced walk with symmetric +-1 base steps.
+    """One-dimensional reinforced walk with symmetric +-1 base steps, held as (n, 1).
 
     Equivalent to the Markov chain whose increment is +1 with conditional
     probability 1/2 + p S(k) / (2k): repeating a uniformly chosen past step

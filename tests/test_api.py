@@ -15,7 +15,7 @@ PUBLIC = [
     "CfQuery", "ConfigError", "ConvergenceReport", "DomainError", "EcfEstimate",
     "FiniteAtomic", "InadmissibleError", "IsotropicStable", "LevyTriplet",
     "MemoryParameter", "NrlevyError", "NrlpConfig", "NumericalError", "PathFunctional",
-    "RadialDensity", "ReinforcedWalk", "ReinforcementRecord", "RngStream",
+    "RadialDensity", "ReinforcedWalk", "RngStream",
     "UnsupportedFamilyError", "ZeroJumps", "bg_index", "characteristic_exponent",
     "check_additivity", "check_stability", "elephant_walk", "empirical_cf",
     "increment_sample", "is_admissible", "ks_distance", "prop8_experiment", "reinforce",
@@ -26,7 +26,7 @@ PUBLIC = [
 
 
 def test_public_surface():
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 41
     assert sorted(nrlevy.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(nrlevy, name) is not None

@@ -396,6 +396,30 @@ class TestRejections:
         assert calls == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, flags", [
+        (THM1.replace("replicas = 200", "replicas = 4"), []),
+        (CF_SMALL.replace("replicas = 200", "replicas = 2000").replace("{extra}", ""),
+         ["--tolerance-mult", "100"]),
+    ], ids=["theorem1-four-replicas", "cf-compare-tolerance-mult-100"])
+    def test_verdict_that_cannot_fail_rejected(self, tmp_path, capsys, monkeypatch, config, flags):
+        # 2 is the largest distance between two characteristic functions, so
+        # a threshold tolerance_mult / sqrt(replicas) >= 2 passes any draws.
+        calls = []
+        for name in EXPERIMENTS:
+            monkeypatch.setitem(cli._RUNNERS, name, lambda cfg: calls.append(cfg) or ({}, None, {}))
+        cfg = write(tmp_path, "c.ini", config.format(out=tmp_path / "o"))
+        assert main(["--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "tolerance_mult / sqrt(replicas)" in err and "below 2" in err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
+
+    def test_five_theorem1_replicas_can_fail(self, tmp_path):
+        # At the default tolerance 4 / sqrt(5) < 2: the check lets it through.
+        cfg = write(tmp_path, "c.ini", THM1.replace("replicas = 200", "replicas = 5").format(out=tmp_path / "o"))
+        validate(load_config(cfg))
+
     @pytest.mark.parametrize("extra, flags, named", [
         ("rho = 3.0\nalpha = 1.2\n", [], "alpha, rho"),
         ("", ["--alpha", "1.2"], "alpha"),
@@ -627,8 +651,8 @@ def _order_corpus(size: int, seed: int) -> list[str]:
 class TestCheckOrder:
     # sha256 of the outcomes, one line each ("ok" or "Type: message"), of
     # validate(load_config(...)) on the 3,000 configs of _order_corpus(3000, 27):
-    # 182 distinct outcomes, 725 of them "ok".
-    DIGEST = "a89ea72c9552760fe967d1166cb18d46cd6bfe563210e3c9ebaf82e1512679b8"
+    # 183 distinct outcomes, 691 of them "ok".
+    DIGEST = "93ad6edd3433ffc4d01d4726c768a92c30e334f98c0f0bd370dd7025257fdaac"
 
     def test_validate_outcomes_and_order(self, tmp_path):
         # Which check fires first, and its exact message, for each config: a
@@ -645,7 +669,7 @@ class TestCheckOrder:
             except Exception as exc:  # noqa: BLE001  (the type is part of the outcome)
                 outcomes.append(f"{type(exc).__name__}: {exc}")
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-        assert len(set(outcomes)) == 182
+        assert len(set(outcomes)) == 183
         assert digest == self.DIGEST
 
 

@@ -52,6 +52,18 @@ def follow_sources(values, sources):
     return values
 
 
+def counter_events(walk, j):
+    """Sorted steps k at which base step j (1-based) was (re)used, read from
+    the (j, k) rows of ``walk.counters()``."""
+    rows = walk.counters()
+    return rows[rows[:, 0] == j, 1]
+
+
+def terminal_counts(walk):
+    """N_j(n) for j = 1..n: how many steps use each base step."""
+    return np.bincount(walk.origins, minlength=len(walk.origins))
+
+
 def replay_genealogy(fresh, sources):
     """Originating slot of every slot of a :func:`repeat_sources` draw,
     replayed one step at a time."""
@@ -76,23 +88,26 @@ class TestReinforce:
     def test_counting_identity(self, n, p, seed):
         gen = RngStream(seed).generator()
         walk = reinforce(gen.standard_normal(n), p, gen)
-        counts = walk.record.terminal_counts()
+        counts = terminal_counts(walk)
         assert counts.sum() == n
         # prefix identity: sum_j N_j(k) = k for every k
         for k in (1, n // 2 + 1, n):
             total = sum(
-                np.searchsorted(walk.record.counter_events(j), k, side="right")
+                np.searchsorted(counter_events(walk, j), k, side="right")
                 for j in range(1, n + 1)
             )
             assert total == k
+        # one 1-based (j, k) row per step, sorted by j, then k, as Python ints
+        rows = walk.counters().tolist()
+        assert rows == sorted([int(o) + 1, k] for k, o in enumerate(walk.origins, start=1))
+        assert all(type(v) is int for row in rows for v in row)
 
     def test_occurrence_structure(self):
         gen = RngStream(301).generator()
         walk = reinforce(gen.standard_normal(300), 0.5, gen)
-        rec = walk.record
         for j in range(1, 301):
-            events = rec.counter_events(j)
-            if rec.origins[j - 1] != j:
+            events = counter_events(walk, j)
+            if walk.origins[j - 1] != j - 1:
                 assert events.size == 0  # repeated step: its own word never used
             if events.size:
                 assert events[0] >= j  # N_j(k) = 0 before step j
@@ -114,7 +129,7 @@ class TestReinforce:
         # +-1 steps collide in value; counters must track base indices.
         gen = RngStream(304).generator()
         walk = reinforce(np.ones(100), 0.7, gen)
-        assert walk.record.terminal_counts().sum() == 100
+        assert terminal_counts(walk).sum() == 100
 
     def test_empty_steps_rejected(self):
         with pytest.raises(DomainError):
@@ -126,9 +141,9 @@ class TestReinforce:
         walk = reinforce(steps, 0.5, gen)
         sums = walk.partial_sums
         for k in range(1, 41):
-            j = walk.record.origins[k - 1]
+            j = walk.origins[k - 1] + 1
             assert sums[k] - sums[k - 1] == pytest.approx(steps[j - 1])
-            assert k in walk.record.counter_events(j)
+            assert k in counter_events(walk, j)
 
 
 class TestEmpiricalFunctional:
@@ -137,7 +152,7 @@ class TestEmpiricalFunctional:
         gen = RngStream(308).generator()
         walk = reinforce(gen.standard_normal(40_000), 0.5, gen)
         for k in (1, 2, 3):
-            est = (walk.record.terminal_counts() == k).mean()
+            est = (terminal_counts(walk) == k).mean()
             target = 0.5 * ys_pmf(k, 2.0)
             se = math.sqrt(target * (1 - target) / 40_000)
             assert abs(est - target) < 4 * se
@@ -146,7 +161,8 @@ class TestEmpiricalFunctional:
 class TestElephant:
     def test_bounded_by_k(self):
         walk = elephant_walk(500, 0.4, RngStream(310).generator())
-        sums = walk.partial_sums
+        assert walk.base_steps.shape == (500, 1)
+        sums = walk.partial_sums[:, 0]
         ks = np.arange(501)
         assert np.all(np.abs(sums) <= ks)
         assert np.all(np.abs(np.diff(sums)) == 1)
@@ -162,11 +178,11 @@ class TestElephant:
         assert var == pytest.approx(1.0, rel=0.06)
 
     def test_walk_and_endpoint_laws_agree(self):
-        # The record-based walk and the Markov-chain endpoints describe the
+        # The genealogy-based walk and the Markov-chain endpoints describe the
         # same law; compare terminal variances.
         n, p, reps = 300, 0.25, 4_000
         gen = RngStream(313).generator()
-        walk_ends = np.array([elephant_walk(n, p, gen).partial_sums[-1] for _ in range(reps)])
+        walk_ends = np.array([elephant_walk(n, p, gen).partial_sums[-1, 0] for _ in range(reps)])
         chain_ends = elephant_endpoints(n, p, RngStream(314).generator(), reps)
         assert walk_ends.var() == pytest.approx(chain_ends.var(), rel=0.1)
 
@@ -217,9 +233,9 @@ class TestBatchKernels:
         # A single walk is the one-replica draw from the same seed.
         one_fresh, one_sources = repeat_sources(n, 1, p, RngStream(321).generator())
         origins = replay_genealogy(one_fresh, one_sources)
-        record = reinforce(np.zeros(n), p, RngStream(321).generator()).record
-        assert np.array_equal(record.origins == np.arange(1, n + 1), one_fresh[:, 0])
-        assert np.array_equal(record.origins, origins[:, 0] + 1)
+        walk = reinforce(np.zeros(n), p, RngStream(321).generator())
+        assert np.array_equal(walk.origins == np.arange(n), one_fresh[:, 0])
+        assert np.array_equal(walk.origins, origins[:, 0])
 
     @pytest.mark.parametrize("n, replicas, p", [
         (200, 1000, 0.5),
