@@ -14,7 +14,9 @@ simulate-nrlp-spectral; the series sampler's per-replica sums by
 a sequential ``np.bincount``, moved exactly cf-compare-series-exact).  Drawing each chunk's fresh skeleton increments
 right after its genealogy uniforms moved exactly theorem1-multiblock, the
 one case whose blocks span more than one chunk (a change of
-``step_reinforced.SOURCE_CHUNK`` moves it too).  Drawing the marks of
+``step_reinforced.SOURCE_CHUNK`` moves it too; supercritical-multiblock,
+added later, also spans several chunks per block and ends in a one-replica
+block).  Drawing the marks of
 ``yule_simon.ys_joint_values`` from its alias head (a column and an alias
 test per path, then the exact tail) in place of the geometric and
 negative-binomial bridge moved exactly the cases that draw marks: the
@@ -206,6 +208,16 @@ seed = 20
 replicas = 256
 mesh = 20,50
 """,
+    "supercritical-multiblock": """
+[experiment]
+name = supercritical
+p = 0.8
+alpha = 1.5
+theta = 1.0
+seed = 26
+replicas = 1025
+mesh = 100,300
+""",
     "prop8": """
 [experiment]
 name = prop8
@@ -276,6 +288,10 @@ GOLDEN = {
     'supercritical': (0, {
         'distances.csv': '6173614e3f3184fcfef477321d8fd9730db6866ac7fdf5b33e6324c4b0c7bacb',
         'report.json': '42a4e014db00fe0cbe5de8f58cf86dc750239b91ab82bfdb9171fc126e8cc864',
+    }),
+    'supercritical-multiblock': (0, {
+        'distances.csv': 'cb4e2f7992b77fab8f0199c19a5f8d5b520b8e7d06ca3bcbf29cb6bc76205ade',
+        'report.json': 'ba35a3b729aab09519aad2a33eb770fdb08da05e6a869d9973b5f9ec36a97c67',
     }),
     'theorem1-exact': (0, {
         'distances.csv': '2731c4247616c4ef6187c8515d6c9b056c2cc111f9c2a61f5648e3aa2dc5b215',

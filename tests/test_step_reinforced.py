@@ -243,7 +243,8 @@ class TestBatchKernels:
         (4, SOURCE_CHUNK + 5, 0.5),
         (1000, 300, 1e-12),
         (1000, 300, 0.99),
-    ], ids=["partial-last-chunk", "one-replica", "row-per-chunk", "tiny-p", "p-near-one"])
+        (100_000, 2, 0.5),
+    ], ids=["partial-last-chunk", "one-replica", "row-per-chunk", "tiny-p", "p-near-one", "two-replicas"])
     def test_chunked_genealogy_matches_one_shot(self, n, replicas, p):
         # One-shot oracle: all n * R uniforms from one draw, clamped before
         # the cast.  The chunked kernel must give the same genealogy and
@@ -407,17 +408,23 @@ def one_shot_block(triplet, n, replicas, p, gen, ks):
 @pytest.mark.bytes
 class TestStreamedBlock:
     # 300 replicas make chunks of 218 rows: 333 lies inside the second chunk,
-    # 436 on the edge of the second and third, and row 1000 ends a partial
-    # fifth chunk.
+    # 436 on the edge of the second and third, 218 and 219 on the last row of
+    # the first chunk and the first row of the second, and row 1000 ends a
+    # partial fifth chunk.  Two replicas make chunks of 32,768 rows.
     @pytest.mark.parametrize("n, replicas, p, ks", [
         (1000, 300, 0.8, [0, 333, 436, 1000]),
         (1000, 300, 1e-12, [0, 1, 333, 1000]),
         (1000, 300, 0.99, [0, 218, 333, 1000]),
+        (1000, 300, 0.5, [219, 218, 1000]),
         (300, 1, 0.5, [0, 1, 150, 300]),
         (70_000, 1, 0.5, [0, 65_536, 65_537, 70_000]),
+        (1000, 2, 0.8, [1000, 437, 0, 437, 219]),
+        (70_000, 2, 0.5, [70_000, 32_769, 0, 32_768, 32_769, 1]),
+        (50, 0, 0.5, [0, 25, 50]),
         (6, SOURCE_CHUNK + 3, 0.5, [0, 1, 3, 6]),
-    ], ids=["chunk-middle-and-edge", "tiny-p", "p-near-one", "one-replica",
-            "one-replica-partial-last-chunk", "row-per-chunk"])
+    ], ids=["chunk-middle-and-edge", "tiny-p", "p-near-one", "chunk-last-and-first-rows",
+            "one-replica", "one-replica-partial-last-chunk", "two-replicas-unsorted-repeats",
+            "two-replicas-across-chunks", "zero-replicas", "row-per-chunk"])
     def test_matches_one_shot_block(self, n, replicas, p, ks):
         # The same draws in the same order: equal bytes, and the generator
         # left at the same point of its stream.
