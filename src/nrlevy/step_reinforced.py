@@ -10,11 +10,12 @@ it is drawn, one gather per row from the rows already resolved, into the
 and the occupation counts count its columns.  The skeleton block kernel
 :func:`reinforced_prefix_sums` holds no genealogy array and makes one
 pass: each chunk draws its uniforms, then the base steps of its fresh slots
-only (about 1 + (n - 1)(1 - p) per walk, not n), scatters them, gathers
-the chunk's rows and adds them onto a running prefix.  Its working set is
-the (n, R) float array of steps, 8 n R bytes, plus one chunk.  Repeats are
-tracked by the originating base index (not the step value), so counters
-remain correct when step values collide.
+only (about 1 + (n - 1)(1 - p) per walk, not n), scatters them by flat
+index, gathers the chunk's rows and reduces them in row order onto the
+running prefix, up to each requested prefix and to the chunk's end.  Its
+working set is the (n, R) float array of steps, 8 n R bytes, plus one
+chunk.  Repeats are tracked by the originating base index (not the step
+value), so counters remain correct when step values collide.
 """
 
 from __future__ import annotations
@@ -163,13 +164,15 @@ def _genealogy_chunks(n: int, replicas: int, pv: float, gen: np.random.Generator
 
     One uniform u per slot decides it: u < p makes slot (i, r) a repeat, of
     slot floor((u / p) * i) clamped to i - 1; else it is fresh (step 0
-    always is).  Draws the uniforms of about ``SOURCE_CHUNK`` slots (whole
-    rows) into one reused buffer, which reads the same stream as a single
-    ``gen.random((n, R))`` unless the caller draws from ``gen`` between
-    chunks, and yields ``(start, fresh rows, source rows)``: views of chunk
-    buffers that the next chunk overwrites.  A source is the flat index
-    i * R + r of a fresh slot itself, else slot * R + r; it is int32 while
-    n * R < 2**31, else intp.
+    always is).  The source row is that clamp plus the fresh flag: u >= p
+    puts (u / p) * i above i - 1 for i >= 1, and row 0 clamps to -1, so a
+    fresh slot gets i - 1 + 1 = i.  Draws the uniforms of about
+    ``SOURCE_CHUNK`` slots (whole rows) into one reused buffer, which reads
+    the same stream as a single ``gen.random((n, R))`` unless the caller
+    draws from ``gen`` between chunks, and yields ``(start, fresh rows,
+    source rows)``: views of chunk buffers that the next chunk overwrites.
+    A source is the flat index i * R + r of a fresh slot itself, else
+    slot * R + r; it is int32 while n * R < 2**31, else intp.
     """
     rows_per = _chunk_rows(n, replicas)
     dtype = _source_dtype(n, replicas)
@@ -186,9 +189,9 @@ def _genealogy_chunks(n: int, replicas: int, pv: float, gen: np.random.Generator
             fr[0] = True  # step 0 draws a uniform but is always fresh
         rows = np.arange(start, stop)[:, None]
         u *= rows / pv
-        np.minimum(u, rows - 1, out=u)  # before the cast, which overflows for tiny p
+        np.minimum(u, rows - 1.0, out=u)  # before the cast, which overflows for tiny p
         np.copyto(src, u, casting="unsafe")
-        np.copyto(src, rows, where=fr)
+        np.add(src, fr, out=src)  # a fresh slot (u >= p) was clamped to i - 1
         src *= replicas
         src += cols
         yield start, fr, src
@@ -211,7 +214,7 @@ def simon_origins(n: int, p: MemoryParameter | float, gen: np.random.Generator, 
         block = origins[start : start + len(src)]
         np.copyto(block, src)
         for row_src, row in zip(src, block):
-            take(row_src, out=row)
+            take(row_src, out=row, mode="clip")  # every source is in range: nothing clips
     origins //= replicas
     return origins
 
@@ -230,11 +233,17 @@ def reinforced_prefix_sums(
     ``triplet`` over 1/n.  One pass over the chunks of
     :func:`_genealogy_chunks`: each chunk draws its uniforms, then
     ``increment_sample`` for its fresh slots alone, scatters those into its
-    rows of ``steps``, gathers each row with one ``take`` (repeats read
-    earlier rows) and is summed onto the running row of prefix sums.  So the
-    result is bitwise that of one ``cumsum`` over all rows, while the
-    working set beyond ``steps`` stays one chunk.  Returns shape
-    (R, len(prefix_ks)).
+    rows of ``steps`` by flat index, gathers each row with one ``take``
+    (repeats read earlier rows) and copies them into a work chunk.  The
+    running total is added onto the chunk's first row; one
+    ``np.add.reduce(axis=0)`` per row range then sums up to each requested
+    prefix row, whose sum is carried onto the next row, and on to the
+    chunk's end.  For R >= 2 a reduce over the rows of a C-ordered chunk
+    adds them in order, so the result is bitwise that of one ``cumsum`` over
+    all rows; for R = 1 numpy would sum the one column pairwise, so a
+    one-replica block keeps the ``cumsum``.  The working set beyond
+    ``steps`` stays one chunk.  Prefixes may come in any order and repeat;
+    0 gives 0.  Returns shape (R, len(prefix_ks)).
     """
     hat = np.ascontiguousarray(steps, dtype=float)
     ks = np.asarray(prefix_ks, dtype=np.int64)
@@ -248,17 +257,26 @@ def reinforced_prefix_sums(
     out = np.zeros((replicas, ks.size))
     for start, fresh, src in _genealogy_chunks(n, replicas, pv, gen):
         block, acc = hat[start : start + len(src)], work[: len(src)]
-        size = int(np.count_nonzero(fresh))
-        block[fresh] = increment_sample(triplet, 1.0 / n, gen, size=size)[:, 0]
+        idx = np.flatnonzero(fresh)
+        block.reshape(-1)[idx] = increment_sample(triplet, 1.0 / n, gen, size=idx.size)[:, 0]
         for row_src, row in zip(src, block):
-            take(row_src, out=row)
+            take(row_src, out=row, mode="clip")  # every source is in range: nothing clips
         np.copyto(acc, block)
-        if start:  # not at row 0, where cumsum keeps the sign of a zero
+        if start:  # not at row 0, where the sums keep the sign of a zero
             acc[0] += total
-        np.cumsum(acc, axis=0, out=acc)
-        total[:] = acc[-1]
         hit = (ks > start) & (ks <= start + len(src))
-        out[:, hit] = acc[ks[hit] - start - 1].T
+        if replicas == 1:  # a one-column reduce sums pairwise, not in row order
+            np.cumsum(acc, axis=0, out=acc)
+            total[:] = acc[-1]
+            out[:, hit] = acc[ks[hit] - start - 1].T
+            continue
+        lo = 0
+        for end in np.unique(np.append(ks[hit] - start, len(acc))).tolist():
+            np.add.reduce(acc[lo:end], axis=0, out=total)
+            out[:, ks == start + end] = total[:, None]
+            if end < len(acc):
+                acc[end] += total  # carry the running sum, as cumsum does
+            lo = end
     return out
 
 
