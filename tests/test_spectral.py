@@ -5,6 +5,7 @@ stable marginals (Cauchy case), Monte Carlo moments of the mark law, and the
 epsilon-truncated Poisson series sampler.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -110,6 +111,32 @@ class TestMixtureBins:
         a = np.arange(24) * math.pi / 24
         thetas = 1.3 * np.stack([np.cos(a), np.sin(a)], axis=1)
         np.testing.assert_allclose(mix.exponent(thetas), UNMERGED_EXPONENT, rtol=1e-12, atol=0)
+
+
+def table_sha256(*arrays: np.ndarray) -> str:
+    """sha256 over the bytes of the arrays, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.bytes
+@pytest.mark.parametrize("alpha, scale, rho, times, digest", [
+    (1.5, 0.5, 2.0, [0.5, 1.0], "20f0f1b8f15fcc4fb38ae7a67758e5dd50ea6d9a29f02f87eb79e79c0fe19e89"),
+    (1.0, 0.5, 2.0, [0.3, 1.0], "2a18ae2f06f8f85d57353cb87b7c054f9f69d0647f3fbb1a55bb99b53879c721"),
+    (0.5, 0.1, 10 / 9, [0.5, 1.0], "5997b82d59aebc0ac9358ca4f6996813e456a9d13b7f0ba353ab13dcc9ac091e"),
+    (1.9, 0.49, 1 / 0.51, [0.2, 0.9], "0ec430919f7d35fe70f8b50fd9e90576e68692b988a603d517198741cbde98b3"),
+    (1.2, 0.2, 1.25, [0.7, 1.0], "23a5c71f85963cff8e02e345ae4c2388332d7159abffbb2190ba95fff58499dd"),
+    (1.0, 0.7, 10 / 3, [0.5, 1.0], "82d83768768b3a2ea95de1a8035cf1a9c29de71284a1235b5d7e099320763887"),
+    (1.5, 0.5, 2.0, [0.01, 1.0], "ff927c747f2fb4748186749aa5f4dc96404f629e176fcd7739041dd0dda4613e"),
+    (1.5, 0.5, 2.0, [0.99, 1.0], "099b83a8fa621e252d4fa33918054e5d14ec5f0d1e81154ff19a23de2ce590dc"),
+], ids=lambda v: v[:8] if isinstance(v, str) else None)
+def test_table_bytes(alpha, scale, rho, times, digest):
+    # sha256 of the weights, then the directions, of tables whose bins all
+    # weigh more than 0; a faster enumeration of the cells must keep them.
+    mix = build_stable_mixture(alpha, scale, rho, times)
+    assert table_sha256(mix.weights, mix.directions) == digest
 
 
 class TestMixtureSampling:

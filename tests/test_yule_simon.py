@@ -1,5 +1,6 @@
 """Law and moment checks for the Yule-Simon distribution and process."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
-from scipy.special import betaln
+from scipy.special import betainc, betaln, gammaln
 from scipy.stats import chisquare
 
 from nrlevy import yule_simon
@@ -264,6 +265,29 @@ def pair_chi2_pvalue(pairs: np.ndarray, rho: float, t1: float, t2: float) -> flo
     return chisquare(f_obs, f_exp).pvalue
 
 
+def full_triangle(rho: float, t1: float, t2: float, kmax: int) -> np.ndarray:
+    """Every cell P(Y(t1) = j, Y(t2) = k), 0 <= j <= k <= kmax and k >= 1,
+    evaluated afresh from the two cell formulas, flat in row order: row 0
+    (k = 1..kmax), then row j (k = j..kmax), one row at a time."""
+    q = (t1 / t2) ** (1.0 / rho)
+    lgamma = gammaln(np.arange(kmax + 2, dtype=float))
+    pmf = np.append(0.0, ys_pmf(np.arange(1, kmax + 1), rho))
+    k = np.arange(1, kmax + 1)
+    rows = [t2 * pmf[k] * (1.0 - betainc(rho + 1.0, k.astype(float), q))]
+    for j in range(1, kmax + 1):
+        k = np.arange(j, kmax + 1)
+        nb = k - j
+        log_nb = lgamma[k] - lgamma[j] - lgamma[nb + 1] + j * np.log(q) + nb * np.log1p(-q)
+        rows.append(t1 * pmf[j] * np.exp(log_nb))
+    return np.concatenate(rows)
+
+
+def triangle_index(j: np.ndarray, k: np.ndarray, kmax: int) -> np.ndarray:
+    """Position of cell (j, k) in :func:`full_triangle`'s flat order."""
+    start = kmax + (j - 1) * (kmax + 1) - (j - 1) * j // 2  # rows 0..j-1 come first
+    return np.where(j == 0, k - 1, start + k - j)
+
+
 class TestAliasHead:
     """The head's alias table draws the exact cells; the tail and the later
     grid times follow the process law.  Seeds, sizes and thresholds are fixed."""
@@ -299,6 +323,32 @@ class TestAliasHead:
         for got, want in zip(zip(*chunks), (j, k, mass)):
             np.testing.assert_array_equal(np.concatenate(got), want)
 
+    @pytest.mark.bytes
+    @pytest.mark.parametrize("rho, t1, t2, kmax", [
+        (2.0, 0.5, 1.0, 4000), (2.0, 0.01, 1.0, 4000), (1.25, 0.99, 1.0, 4000),
+        (2.0, 1e-40, 1.0, 4000), (1.0001, 0.5, 1.0, 4000), (50.0, 0.1, 0.2, 4000),
+        (3.3, 0.999, 1.0, HEAD_MAX), (2000.0, 0.5, 1.0, HEAD_MAX),
+    ])
+    def test_pair_cells_against_full_triangle(self, rho, t1, t2, kmax):
+        # Every cell the enumeration leaves out is exactly 0.0, every cell it
+        # gives is bitwise the full triangle's, in row order, row 0 whole and
+        # each later row one run of consecutive k.
+        full = full_triangle(rho, t1, t2, kmax)
+        kept = np.zeros(full.size, dtype=bool)
+        chunks = list(ys_pair_cells(rho, t1, t2, kmax))
+        np.testing.assert_array_equal(chunks[0][1], np.arange(1, kmax + 1))
+        last = -1
+        for j, k, cells in chunks:
+            idx = triangle_index(j, k, kmax)
+            assert np.all(np.diff(idx, prepend=last) > 0)
+            same_row = np.diff(j) == 0
+            assert np.all(np.diff(k)[same_row] == 1)
+            np.testing.assert_array_equal(cells.view(np.uint64), full[idx].view(np.uint64))
+            kept[idx] = True
+            last = idx[-1] if idx.size else last
+        full[kept] = 0.0
+        assert np.count_nonzero(full) == 0
+
     def test_tail_cell_kept_when_its_mass_underflows(self):
         # At rho = 2000 the tail's mass t rho B(rho, HEAD_MAX + 1) is 0.
         for times in ([0.5, 1.0], [0.7]):
@@ -312,6 +362,23 @@ class TestAliasHead:
         assert a.values.shape == (2, a.alias.size) and a.tail == a.alias.size - 1
         for arr in (a.threshold, a.alias, a.values):
             assert not arr.flags.writeable
+
+    @pytest.mark.bytes
+    @pytest.mark.parametrize("rho, times, digest", [
+        (2.0, [0.5, 1.0], "1362d4634997df2aa51901f8936fe35308659dffb78268a273741c3840609dea"),
+        (1.25, [0.99, 1.0], "14d5321cac2ead039155a99700aab6dc7462cd2d66a730271567fdb13bfb11c4"),
+        (3.3, [0.999, 1.0], "00f47525ec19fed38c7cfcb7f6d9e6dcfbeb76e78ab49ec79e8dc9f6fb1bcb96"),
+        (2000.0, [0.5, 1.0], "eabfdebbbc6fbbb7067f66f540b2e8ad069ed5e7bf2b7a6fc8a5351bf7bc19a3"),
+        (1.01, [0.01, 1.0], "3cde41aa2710b4f552e016aba9536c1cd77e9a9efa727e3872640af121c2a47c"),
+        (50.0, [0.1, 0.2], "b04ee391a02ee57db7705317dcabe9399fd846b88a05369e64c70e965e17daf2"),
+    ], ids=lambda v: v[:8] if isinstance(v, str) else None)
+    def test_table_bytes(self, rho, times, digest):
+        # sha256 of the mass, thresholds, aliases and values, in that order.
+        head = ys_head_table(rho, times)
+        h = hashlib.sha256()
+        for a in (head.mass, head.threshold, head.alias, head.values):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("rho, times", [(2.0, [0.45, 1.0]), (1.01, [1e-9, 1.0]), (50.0, [0.3]),
                                             (1.11, [0.6, 0.8]), (3.3, [0.999, 1.0])])
