@@ -21,9 +21,11 @@ with independent Z_v.  On a two-point grid the table has three parts:
 - The far tail is closed with its limiting direction and its exact weight.
 
 That makes 582 bins (325 singleton directions, 256 direction bins and the
-tail); a one-point grid needs one bin.  The exact cells come from
+tail), fewer where a bin's cells all underflow to weight 0 and the bin is
+dropped; a one-point grid needs one bin.  The exact cells come from
 :func:`nrlevy.yule_simon.ys_pair_cells`, which the series marks' alias head
-reads too; this module only bins them.  This avoids the epsilon-truncated
+reads too and which skips the cells that are exactly 0.0; this module only
+bins them.  This avoids the epsilon-truncated
 series entirely: its cost is independent of the small-jump activity, which
 makes indices close to the critical one tractable.
 
@@ -114,8 +116,9 @@ def build_stable_mixture(
     approximation); beyond that the mixture is closed with the limiting
     direction profile, whose weight comes from the exact marginal tail.
     Every direction has unit norm.  The bins are the singleton directions
-    (ordered by reduced pair), the direction bins and the tail: 582 bins on
-    a two-point grid, one on a one-point grid.
+    (ordered by reduced pair), the direction bins and the tail: at most 582
+    bins on a two-point grid, one on a one-point grid.  A bin of weight 0
+    (all its cells underflow, as at t1/t2 = 1e-40) is dropped.
     """
     times = check_times(times)
     if not 0.0 < alpha < rho:
@@ -135,20 +138,28 @@ def build_stable_mixture(
     bin_gamma = np.zeros(DIR_BINS)
     bin_dir = np.zeros((2, DIR_BINS))
     for j, k, prob in ys_pair_cells(rho, t1, t2, ENUM_MAX):
-        norms = np.hypot(j.astype(float), k.astype(float))
-        gamma_cells = scale_nu * prob * norms**alpha
-        if k[0] <= EXACT_MAX:  # in row order k[0] is the chunk's least k
+        if k.min() <= EXACT_MAX:  # a row's window need not start at k = j
             exact = k <= EXACT_MAX
-            singles.append((j[exact], k[exact], gamma_cells[exact]))
+            singles.append((j[exact], k[exact], prob[exact]))
             rest = ~exact
-            j, k, norms, gamma_cells = j[rest], k[rest], norms[rest], gamma_cells[rest]
+            j, k, prob = j[rest], k[rest], prob[rest]
+        # gamma = scale_nu * prob * |v|^alpha and gamma * v / |v| per cell,
+        # the same operations in place: fewer chunk-sized temporaries.
+        j, k = j.astype(float), k.astype(float)
+        norms = np.hypot(j, k)
+        gamma_cells = norms**alpha
+        prob *= scale_nu
+        gamma_cells *= prob
         bins = np.minimum((j / k * DIR_BINS).astype(int), DIR_BINS - 1)
         np.add.at(bin_gamma, bins, gamma_cells)
-        np.add.at(bin_dir[0], bins, gamma_cells * (j / norms))
-        np.add.at(bin_dir[1], bins, gamma_cells * (k / norms))
+        for axis, v in enumerate((j, k)):
+            v /= norms
+            v *= gamma_cells
+            np.add.at(bin_dir[axis], bins, v)
 
     # One bin per direction among the singletons, keyed by the reduced pair.
-    j, k, gamma_cells = (np.concatenate(c) for c in zip(*singles))
+    j, k, prob = (np.concatenate(c) for c in zip(*singles))
+    gamma_cells = scale_nu * prob * np.hypot(j.astype(float), k.astype(float))**alpha
     g = np.gcd(j, k)
     keys, which = np.unique(j // g * (EXACT_MAX + 1) + k // g, return_inverse=True)
     single_gamma = np.bincount(which, weights=gamma_cells)
@@ -169,7 +180,8 @@ def build_stable_mixture(
 
     directions = np.vstack([single_dirs, bin_dirs, tail_dir[None, :]])
     gamma = np.concatenate([single_gamma, bin_gamma[used] * bin_norms**alpha, [tail_gamma]])
-    return StableMarkMixture(alpha, directions, gamma)
+    kept = gamma > 0.0  # a bin whose cells all underflow would cost draws for nothing
+    return StableMarkMixture(alpha, directions[kept], gamma[kept])
 
 
 def mixture_covers(triplet: LevyTriplet, grid) -> bool:

@@ -11,8 +11,8 @@ with one lookup per path in a cached Walker alias table over the exact
 joint cells up to ``HEAD_MAX`` = 300, resolves the rare tail paths by an
 exact conditional draw, and bridges forward with negative-binomial
 increments to any later grid time.  :func:`ys_pair_cells` enumerates the
-exact two-time cells for both mark tables, this alias head and the stable
-mixture of :mod:`nrlevy.spectral`.
+exact two-time cells of nonzero probability for both mark tables, this
+alias head and the stable mixture of :mod:`nrlevy.spectral`.
 """
 
 from __future__ import annotations
@@ -245,46 +245,97 @@ HEAD_MAX = 300
 table's one tail cell, which an exact conditional draw resolves."""
 
 
-TABLE_CHUNK = 1 << 16
-"""Cells per chunk of whole rows in :func:`ys_pair_cells`."""
+TABLE_CHUNK = 1 << 14
+"""Cells per chunk of whole rows in :func:`ys_pair_cells`: 128 KB per
+float64 array, so that a chunk's arrays stay in cache while the mixture bins
+them (its table build took 0.19 s against 0.23 s at 2^16 cells, in process
+on 2 vCPUs)."""
+
+NB_LOG_FLOOR = -750.0
+"""Negative-binomial log-probabilities at or below this give cells of
+exactly 0.0: float64 ``exp`` rounds every value below 2^-1075, whose log is
+-745.13, to 0.0, and the margin of almost 5 is far more than the rounding
+error of the log sum, a few units in the last place of its largest term.
+Fixed by float64, not an option."""
 
 
 def ys_pair_cells(rho: float, t1: float, t2: float, kmax: int):
     """Yield the exact cells (j, k, P(Y(t1) = j, Y(t2) = k)) as arrays, for
     0 < t1 < t2 <= 1 and 1 <= k <= ``kmax``: the one enumeration of both mark
     tables, the alias head of :func:`ys_joint_values` and the stable mixture
-    (:mod:`nrlevy.spectral`).
+    (:mod:`nrlevy.spectral`).  Every cell of nonzero probability is yielded,
+    each row j >= 1 as one window of consecutive k; a cell left out is
+    exactly 0.0, though a few cells yielded at a window's edge may be 0.0 too.
 
-    Cells come in row order (j ascending, then k >= max(j, 1)): row j = 0
-    first, then chunks of whole rows of about ``TABLE_CHUNK`` cells; the
-    chunk size never changes a cell's value.  With q = (t1/t2)^(1/rho), a
-    path that starts in (t1, t2] has j = 0 and the cell
-    t2 pmf(k) (1 - I_q(rho + 1, k)), I the regularized incomplete beta
+    Cells come in row order (j ascending, then k ascending): row j = 0
+    (k = 1..kmax) first, then chunks of whole rows of about ``TABLE_CHUNK``
+    cells; the chunk size never changes a cell's value.  With
+    q = (t1/t2)^(1/rho), a path that starts in (t1, t2] has j = 0 and the
+    cell t2 pmf(k) (1 - I_q(rho + 1, k)), I the regularized incomplete beta
     function; one that has started by t1 has the cell t1 pmf(j) NB(k - j; j, q),
-    a negative-binomial increment.  The log-gamma and pmf values are read
-    from tables cached per (rho, kmax).
+    a negative-binomial increment.  NB is log-concave in k, so the cells of
+    row j >= 1 whose log NB lies above ``NB_LOG_FLOOR`` form one run of
+    consecutive k around its mode, m = k - j = floor((j - 1)(1 - q)/q); a
+    bisection on each side of the mode finds both ends for all rows at once,
+    on the expression the cells are evaluated with, and only that window is
+    yielded (rows whose window is empty are left out).  The log-gamma and
+    pmf values are read from tables cached per (rho, kmax).
     """
     rho = _check_rho(rho)
     if not 0.0 < t1 < t2 <= 1.0:
         raise DomainError(f"times must satisfy 0 < t1 < t2 <= 1, got {t1} and {t2}")
     q = (t1 / t2) ** (1.0 / rho)
+    if not q < 1.0:  # log(1 - q) would be -inf, and the cells at k = j nan
+        raise DomainError(f"times {t1} and {t2} are too close: (t1/t2)^(1/rho) rounds to 1")
     k = np.arange(1, kmax + 1)
     j = np.zeros_like(k)
     lgamma, pmf = _pair_tables(rho, kmax)
     yield j, k, t2 * pmf[k] * (1.0 - betainc(rho + 1.0, k.astype(float), q))
+    log_q, log_p = np.log(q), np.log1p(-q)
+
+    def log_nb(j, k):  # lgamma[k] - lgamma[j] - lgamma[nb + 1] + ..., left to right, in place
+        nb = k - j
+        out = lgamma.take(k)
+        out -= lgamma.take(j)
+        out -= lgamma[1:].take(nb)
+        out += j * log_q
+        out += nb * log_p
+        return out
+
     rows = np.arange(1, kmax + 1)
-    lengths = kmax + 1 - rows
+    with np.errstate(over="ignore"):  # a mode past the float range is past the row's end
+        peak = rows + np.minimum(np.floor((rows - 1) * (1.0 - q) / q), kmax - rows).astype(int)
+    live = log_nb(rows, peak) > NB_LOG_FLOOR
+    rows, peak = rows[live], peak[live]
+    first, last = _window_end(log_nb, rows, rows, peak), _window_end(log_nb, rows, kmax, peak)
+    lengths = last - first + 1
     ends = np.cumsum(lengths)
     cuts = np.searchsorted(ends, np.arange(TABLE_CHUNK, ends[-1], TABLE_CHUNK)) + 1
     bounds = np.unique(np.concatenate([[0], cuts, [rows.size]]))
     for a, b in zip(bounds[:-1], bounds[1:]):
         n = lengths[a:b]
-        first = ends[a:b] - n  # index of each row's first cell, k = j
+        start = ends[a:b] - n  # flat index of each row's first cell
         j = np.repeat(rows[a:b], n)
-        k = j + np.arange(first[0], ends[b - 1]) - np.repeat(first, n)
-        nb = k - j
-        log_nb = lgamma[k] - lgamma[j] - lgamma[nb + 1] + j * np.log(q) + nb * np.log1p(-q)
-        yield j, k, t1 * pmf[j] * np.exp(log_nb)
+        k = np.arange(start[0], ends[b - 1]) + np.repeat(first[a:b] - start, n)
+        cells = pmf.take(j)
+        cells *= t1
+        cells *= np.exp(log_nb(j, k))
+        yield j, k, cells
+
+
+def _window_end(log_nb, rows: np.ndarray, bound, peak: np.ndarray) -> np.ndarray:
+    """The k nearest ``bound`` (each row's first or last k) whose ``log_nb``
+    lies above ``NB_LOG_FLOOR``, by bisection between ``bound`` and each
+    row's ``peak``, which lies above it: ``log_nb`` is monotone in between."""
+    inner = peak.copy()  # above the floor
+    outer = np.broadcast_to(bound, peak.shape).astype(int)  # the end lies between
+    step = np.sign(outer - inner)  # +1 towards the last k, -1 towards the first
+    while np.any(inner != outer):
+        mid = inner + (outer - inner + step) // 2
+        above = log_nb(rows, mid) > NB_LOG_FLOOR
+        inner = np.where(above, mid, inner)
+        outer = np.where(above, outer, mid - step)
+    return inner
 
 
 @functools.lru_cache(maxsize=8)
@@ -379,9 +430,11 @@ def ys_head_table(rho: float, times) -> MarkHead:
 def _head_table(rho: float, *head: float) -> MarkHead:
     """Cells with a value of at most ``HEAD_MAX`` at the head's last time t,
     the empty path (mass 1 - t) first, and one tail cell last (mass
-    t rho B(rho, HEAD_MAX + 1) = t P(Y(1) > HEAD_MAX)); the other cells of
-    zero mass (1 - t at t = 1, or an underflow) are left out, so the tail
-    cell stays the last column even when its own mass underflows."""
+    t rho B(rho, HEAD_MAX + 1) = t P(Y(1) > HEAD_MAX)).  Cells of zero mass
+    are left out: :func:`ys_pair_cells` skips most that underflow, and the
+    rest (1 - t at t = 1, a pmf that underflows, a cell at a window's edge)
+    are dropped here, but the tail cell stays the last column even when its
+    own mass underflows."""
     t = head[-1]
     if len(head) == 1:
         values = np.arange(HEAD_MAX + 1)[None, :]

@@ -139,6 +139,20 @@ def test_table_bytes(alpha, scale, rho, times, digest):
     assert table_sha256(mix.weights, mix.directions) == digest
 
 
+@pytest.mark.bytes
+@pytest.mark.parametrize("t1, bins, digest", [
+    (1e-300, 3, "39b0350c486af1317562949ee642662ec06fef36e7f890e2105f1d6ac33a9013"),
+    (1e-40, 325, "b9f941389f78ab6d857ba74a0d180e42267f767feab4b7da2244743575e2b43e"),
+], ids=lambda v: v[:8] if isinstance(v, str) else None)
+def test_bins_whose_cells_underflow_are_dropped(t1, bins, digest):
+    # At these grids most singleton directions hold only cells that
+    # underflow to 0.0; the digests are those of the table that kept them
+    # as bins of weight 0, with those bins removed.
+    mix = build_stable_mixture(1.5, 0.5, 2.0, [t1, 1.0])
+    assert np.all(mix.weights > 0.0) and mix.weights.size == bins
+    assert table_sha256(mix.weights, mix.directions) == digest
+
+
 class TestMixtureSampling:
     @pytest.mark.bytes
     def test_sample_is_the_per_bin_sum(self):

@@ -302,9 +302,10 @@ class TestAliasHead:
         np.testing.assert_allclose(rows, t2 * ys_pmf(kk, rho), rtol=1e-12)
 
     def test_pair_pmf_rejects_bad_cells(self):
-        # The enumerator builds only valid cells; it checks rho and the times.
+        # The enumerator builds only valid cells; it checks rho and the times,
+        # which must stay apart once q = (t1/t2)^(1/rho) is rounded.
         for rho, t1, t2 in ((2.0, 0.5, 0.5), (2.0, 0.7, 0.5), (2.0, 0.0, 0.5), (2.0, 0.5, 1.5),
-                            (1.0, 0.5, 1.0)):
+                            (1.0, 0.5, 1.0), (2.0, 1.0 - 2.0**-53, 1.0)):
             with pytest.raises(DomainError):
                 list(ys_pair_cells(rho, t1, t2, HEAD_MAX))
 
