@@ -326,7 +326,8 @@ def ys_pair_cells(rho: float, t1: float, t2: float, kmax: int):
 def _window_end(log_nb, rows: np.ndarray, bound, peak: np.ndarray) -> np.ndarray:
     """The k nearest ``bound`` (each row's first or last k) whose ``log_nb``
     lies above ``NB_LOG_FLOOR``, by bisection between ``bound`` and each
-    row's ``peak``, which lies above it: ``log_nb`` is monotone in between."""
+    row's ``peak``, which lies above it: the cells above the floor are one
+    run of k around the peak, so between it and ``bound`` they end once."""
     inner = peak.copy()  # above the floor
     outer = np.broadcast_to(bound, peak.shape).astype(int)  # the end lies between
     step = np.sign(outer - inner)  # +1 towards the last k, -1 towards the first
