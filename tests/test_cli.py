@@ -714,6 +714,20 @@ class TestDeterminism:
         for name in ("report.json", "cfdata.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_supercritical_threads_reusing_steps_do_not_change_bytes(self, tmp_path):
+        # 3077 replicas are blocks of 1024, 1024, 1024 and 5, so at 2 and 3
+        # threads a pool thread runs several blocks, of two sizes.
+        cfg = write(
+            tmp_path, "super.ini",
+            "[experiment]\nname = supercritical\np = 0.8\nalpha = 1.5\ntheta = 1.0\n"
+            "seed = 42\nreplicas = 3077\nmesh = 50,300\n",
+        )
+        outs = [tmp_path / f"t{threads}" for threads in (1, 2, 3)]
+        for threads, out in zip((1, 2, 3), outs):
+            assert main(["--config", str(cfg), "--threads", str(threads), "--out", str(out)]) == 0
+        for name in ("report.json", "distances.csv"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1
+
     def test_rerun_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         cfg = write(tmp_path, "thm1.ini", THM1.format(out=out1))

@@ -13,7 +13,7 @@ from nrlevy import diagnostics, step_reinforced
 from nrlevy.errors import DomainError
 from nrlevy.levy_model import LevyTriplet, increment_sample
 from nrlevy.noise_reinforced import CfQuery
-from nrlevy.rng import RngStream, iter_blocks
+from nrlevy.rng import BLOCK_SIZE, RngStream, iter_blocks
 from nrlevy.step_reinforced import (
     SOURCE_CHUNK,
     _genealogy_chunks,
@@ -50,6 +50,15 @@ def follow_sources(values, sources):
     for src, row in zip(sources[1:], values[1:]):
         take(src, out=row)
     return values
+
+
+def oracle_origins(n, replicas, p, gen):
+    """Originating row of every slot of :func:`repeat_sources`'s draw,
+    resolved one row at a time by :func:`follow_sources` on flat indices
+    (a fresh slot holds its own index), in the sources' dtype."""
+    _, sources = repeat_sources(n, replicas, p, gen)
+    flat = np.arange(n * replicas, dtype=sources.dtype).reshape(n, replicas)
+    return follow_sources(flat, sources) // replicas
 
 
 def counter_events(walk, j):
@@ -263,6 +272,27 @@ class TestBatchKernels:
         assert got.dtype == np.int32
         assert chunked.random() == gen.random()
 
+    @pytest.mark.parametrize("n, replicas, p", [
+        (70_000, 1, 0.999),
+        (1000, 300, 0.99),
+        (100_000, 2, 0.5),
+        (6, SOURCE_CHUNK + 3, 0.5),
+        (1, 4, 0.5),
+    ], ids=["one-replica-across-chunks", "p-near-one", "two-replicas", "row-per-chunk", "one-row"])
+    def test_origins_match_per_row_oracle(self, n, replicas, p):
+        # Several chunks (but for the one row), with chains of repeats
+        # inside a chunk and across chunk edges: the 70,000-row walk crosses
+        # the 2**16-row edge with deep chains.  A single walk is column 0.
+        ref, gen = RngStream(335).generator(), RngStream(335).generator()
+        want = oracle_origins(n, replicas, p, ref)
+        got = simon_origins(n, p, gen, replicas)
+        assert got.dtype == want.dtype == np.int32
+        assert got.tobytes() == want.tobytes()
+        assert gen.random() == ref.random()
+        if replicas == 1:
+            walk = reinforce(np.zeros(n), p, RngStream(335).generator())
+            assert np.array_equal(walk.origins, want[:, 0])
+
     def test_block_path_reads_only_earlier_slots(self):
         # Repeated slots hold 0 until gathered, so reading a slot >= i would
         # move S-hat(n) of a pure drift away from the drift.
@@ -411,7 +441,7 @@ class TestStreamedBlock:
     # 436 on the edge of the second and third, 218 and 219 on the last row of
     # the first chunk and the first row of the second, and row 1000 ends a
     # partial fifth chunk.  Two replicas make chunks of 32,768 rows.
-    @pytest.mark.parametrize("n, replicas, p, ks", [
+    shapes = pytest.mark.parametrize("n, replicas, p, ks", [
         (1000, 300, 0.8, [0, 333, 436, 1000]),
         (1000, 300, 1e-12, [0, 1, 333, 1000]),
         (1000, 300, 0.99, [0, 218, 333, 1000]),
@@ -425,6 +455,8 @@ class TestStreamedBlock:
     ], ids=["chunk-middle-and-edge", "tiny-p", "p-near-one", "chunk-last-and-first-rows",
             "one-replica", "one-replica-partial-last-chunk", "two-replicas-unsorted-repeats",
             "two-replicas-across-chunks", "zero-replicas", "row-per-chunk"])
+
+    @shapes
     def test_matches_one_shot_block(self, n, replicas, p, ks):
         # The same draws in the same order: equal bytes, and the generator
         # left at the same point of its stream.
@@ -435,6 +467,33 @@ class TestStreamedBlock:
         assert got.shape == (replicas, len(ks))
         assert got.tobytes() == want.tobytes()
         assert gen.random() == ref.random()
+
+    @shapes
+    def test_reads_no_slot_before_writing_it(self, n, replicas, p, ks):
+        # A reused steps buffer holds an earlier block's values: a NaN in
+        # any slot read before the call writes it would reach the sums.
+        triplet = LevyTriplet.stable(1.5)
+        want = reinforced_prefix_sums(np.zeros((n, replicas)), triplet, p, RngStream(331).generator(), ks)
+        stale = np.full((n, replicas), np.nan)
+        got = reinforced_prefix_sums(stale, triplet, p, RngStream(331).generator(), ks)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_mesh_blocks_match_fresh_arrays(self, threads):
+        # 3077 replicas are blocks of 1024, 1024, 1024 and 5, so a thread
+        # runs blocks of two sizes, at two mesh points.  Each must give the
+        # bytes of its own fresh (n, count) array.
+        triplet, p, mesh, replicas, rng = LevyTriplet.stable(1.5), 0.8, (50, 300), 3077, RngStream(336)
+        query = CfQuery(np.asarray([1.0, 2.0]), np.asarray([0.5, 1.0]))
+        got, _ = diagnostics._mesh_ecf(triplet, p, [query], mesh, replicas, rng, threads)
+        for i, n in enumerate(mesh):
+            sums = np.concatenate([
+                reinforced_prefix_sums(np.empty((n, count)), triplet, p, gen, [n // 2, n])
+                for gen, _, count in iter_blocks(rng.substream(i), replicas)
+            ])
+            assert sums.shape == (replicas, 2)
+            want = diagnostics.empirical_cf(sums, [0.5, 1.0], [query]).estimates
+            assert got[i].tobytes() == want.tobytes()
 
     def test_block_working_set(self):
         # The block holds one (n, R) float array and one chunk: no (n, R)
@@ -453,6 +512,22 @@ class TestStreamedBlock:
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * 8 * n * replicas
+
+    def test_block_working_set_two_threads(self):
+        # Two pool threads, each at most one block's (n, R) steps and one
+        # chunk at a time, over 4 blocks per mesh point: a thread's steps
+        # must not outlive its pool, nor pile up over the blocks it runs.
+        mesh, replicas = (500, 2000), 4 * BLOCK_SIZE
+        query = CfQuery(np.asarray([1.0]), np.asarray([1.0]))
+        tracemalloc.start()
+        try:
+            diagnostics._mesh_ecf(
+                LevyTriplet.stable(1.5), 0.8, [query], mesh, replicas, RngStream(337), 2
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 1.2 * 8 * mesh[-1] * BLOCK_SIZE
 
 
 @pytest.mark.bytes
