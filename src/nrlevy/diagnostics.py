@@ -13,6 +13,7 @@ worker count.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedFamilyError
 from .levy_model import LevyTriplet
 from .noise_reinforced import CfQuery, query_grid_times, reinforced_cf_values
-from .rng import RngStream, iter_blocks
+from .rng import BLOCK_SIZE, RngStream, iter_blocks
 from .rng import map_blocks as _map_blocks  # perfbench/tracing.py probes this name
 from .step_reinforced import reinforced_prefix_sums, simon_terminal_counts
 from .yule_simon import MemoryParameter, as_memory, ys_process_values
@@ -177,7 +178,10 @@ def _mesh_ecf(
     with :func:`nrlevy.rng.iter_blocks`, and each block is one call of
     :func:`nrlevy.step_reinforced.reinforced_prefix_sums` on its generator,
     which draws each chunk's genealogy uniforms and then its fresh
-    increments.  A block holds its (n, R) steps and one chunk.
+    increments.  Each thread that runs blocks allocates one flat steps
+    array of mesh[-1] * min(R, BLOCK_SIZE) floats at its first block and
+    passes every block a contiguous (n, count) view of it, which the block
+    writes before it reads; so a thread holds one such array and one chunk.
     """
     if triplet.dim != 1:
         raise UnsupportedFamilyError("skeleton experiments are implemented for d = 1")
@@ -185,11 +189,16 @@ def _mesh_ecf(
     grid_times = query_grid_times(queries)
     estimates = np.empty((len(mesh), len(queries)), dtype=complex)
     stderr = np.empty(len(mesh))
+    slots = mesh[-1] * min(replicas, BLOCK_SIZE)
+    local = threading.local()
     for i, n in enumerate(mesh):
         ks = np.floor(n * grid_times + 1e-9).astype(np.int64)
 
         def block(gen: np.random.Generator, start: int, count: int) -> np.ndarray:
-            return reinforced_prefix_sums(np.empty((n, count)), triplet, p, gen, ks)
+            if not hasattr(local, "steps"):
+                local.steps = np.empty(slots)
+            steps = local.steps[: n * count].reshape(n, count)
+            return reinforced_prefix_sums(steps, triplet, p, gen, ks)
 
         blocks = list(iter_blocks(rng.substream(i), replicas))
         sums = np.concatenate(_map_blocks(block, blocks, threads))

@@ -4,18 +4,20 @@ At each step k >= 2, with probability p the walker repeats one of its
 previous steps chosen uniformly at random, otherwise it makes a fresh step.
 One genealogy rule serves every caller: one uniform per slot of R walks of
 length n, drawn and transformed one cache-sized chunk of rows at a time
-(:func:`_genealogy_chunks`).  :func:`simon_origins` resolves each chunk as
-it is drawn, one gather per row from the rows already resolved, into the
-(n, R) originating row of every slot; a single walk is one replica of it,
-and the occupation counts count its columns.  The skeleton block kernel
+(:func:`_genealogy_chunks`).  Each chunk is resolved as it is drawn, with
+one gather for the whole chunk (:func:`_chase_sources`).
+:func:`simon_origins` resolves the chunks into the (n, R) originating row
+of every slot; a single walk is one replica of it, and the occupation
+counts count its columns.  The skeleton block kernel
 :func:`reinforced_prefix_sums` holds no genealogy array and makes one
 pass: each chunk draws its uniforms, then the base steps of its fresh slots
 only (about 1 + (n - 1)(1 - p) per walk, not n), scatters them by flat
-index, gathers the chunk's rows and reduces them in row order onto the
+index, gathers the chunk and reduces its rows in row order onto the
 running prefix, up to each requested prefix and to the chunk's end.  Its
-working set is the (n, R) float array of steps, 8 n R bytes, plus one
-chunk.  Repeats are tracked by the originating base index (not the step
-value), so counters remain correct when step values collide.
+working set is the (n, R) float array of steps, 8 n R bytes, which the
+caller may reuse from block to block, plus one chunk.  Repeats are tracked
+by the originating base index (not the step value), so counters remain
+correct when step values collide.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ def skeleton_reinforced_walk(
 SOURCE_CHUNK = 1 << 16
 """Slots per chunk of rows of a genealogy draw (at least one row).
 
-One chunk of uniforms and its whole transform stay in cache.  The chunk
-size never changes which uniform a slot gets in :func:`simon_origins`.  It
+One chunk of uniforms, its whole transform and its one gather stay in
+cache; a one-replica walk of n <= 2**16 is one chunk.  The chunk size never
+changes which uniform a slot gets in :func:`simon_origins`.  It
 does in :func:`reinforced_prefix_sums` once n * R > ``SOURCE_CHUNK``:
 there each chunk's fresh base steps are drawn between its uniforms and the
 next chunk's, so changing it changes the draws of such skeleton blocks.
@@ -197,24 +200,48 @@ def _genealogy_chunks(n: int, replicas: int, pv: float, gen: np.random.Generator
         yield start, fr, src
 
 
+def _chase_sources(fresh: np.ndarray, src: np.ndarray, start: int) -> np.ndarray:
+    """Rewrite a genealogy chunk's sources in place so that one ``take`` gathers it.
+
+    ``fresh`` and ``src`` are a chunk of :func:`_genealogy_chunks` whose
+    first row is ``start``.  A repeat whose source is a slot of the same
+    chunk (flat index >= base = start * R) is chased by synchronous pointer
+    jumping on those repeats alone, flat[i] = flat[flat[i] - base], until
+    it reaches a slot of an earlier chunk or a fresh slot of the chunk,
+    which is its own source.
+    Once the chunk's fresh slots are written, both hold the value that the
+    repeat takes, so the gather reads no slot of the chunk that it writes.
+    """
+    flat = src.reshape(-1)
+    base = start * src.shape[1]
+    idx = np.flatnonzero(np.greater(src >= base, fresh))  # in the chunk and not fresh
+    while idx.size:
+        old = flat[idx]  # each a slot of the chunk
+        hop = flat[old - base]
+        flat[idx] = hop
+        idx = idx[(hop >= base) & (hop != old)]  # a fresh slot is its own source
+    return src
+
+
 def simon_origins(n: int, p: MemoryParameter | float, gen: np.random.Generator, replicas: int) -> np.ndarray:
     """Originating row of every slot of R = ``replicas`` walks of length n, drawn from ``gen``.
 
     Returns an (n, R) array, int32 while n * R < 2**31, else intp, whose
     entry (i, r) equals i exactly when slot (i, r) is fresh.  Each chunk of
     :func:`_genealogy_chunks` is resolved as it is drawn: its sources are
-    copied in, then each row becomes the flat origins of its sources with
-    one ``take`` (fresh slots read themselves, repeats earlier rows), and
-    the flat indices become rows at the end.
+    copied in, so that a fresh slot holds its own flat index, then the
+    whole chunk becomes the flat origins of its chased sources
+    (:func:`_chase_sources`) with one ``take``, and the flat indices become
+    rows at the end.
     """
     pv = _walk_memory(n, p)
     origins = np.empty((n, replicas), dtype=_source_dtype(n, replicas))
     take = origins.reshape(-1).take
-    for start, _, src in _genealogy_chunks(n, replicas, pv, gen):
+    for start, fresh, src in _genealogy_chunks(n, replicas, pv, gen):
         block = origins[start : start + len(src)]
         np.copyto(block, src)
-        for row_src, row in zip(src, block):
-            take(row_src, out=row, mode="clip")  # every source is in range: nothing clips
+        # out overlaps origins, so take reads the slots before it writes any
+        take(_chase_sources(fresh, src, start), out=block, mode="clip")  # nothing clips
     origins //= replicas
     return origins
 
@@ -228,13 +255,15 @@ def reinforced_prefix_sums(
 ) -> np.ndarray:
     """S-hat at the given prefixes of R reinforced skeleton walks of length n, drawn from ``gen``.
 
-    ``steps`` is an (n, R) buffer, n >= 1, that may be overwritten with
-    the reinforced steps; the base steps are increments of the d = 1
-    ``triplet`` over 1/n.  One pass over the chunks of
-    :func:`_genealogy_chunks`: each chunk draws its uniforms, then
-    ``increment_sample`` for its fresh slots alone, scatters those into its
-    rows of ``steps`` by flat index, gathers each row with one ``take``
-    (repeats read earlier rows) and copies them into a work chunk.  The
+    ``steps`` is an (n, R) buffer, n >= 1, whose values are never read:
+    the call overwrites each slot with its reinforced step before it reads
+    it, so a caller may pass the same buffer to every block.  The base
+    steps are increments of the d = 1 ``triplet`` over 1/n.  One pass over
+    the chunks of :func:`_genealogy_chunks`: each chunk draws its uniforms,
+    then ``increment_sample`` for its fresh slots alone, scatters those into
+    its rows of ``steps`` by flat index, gathers the whole chunk into a work
+    chunk with one ``take`` of its chased sources (:func:`_chase_sources`)
+    and copies that back into ``steps`` for the later chunks.  The
     running total is added onto the chunk's first row; one
     ``np.add.reduce(axis=0)`` per row range then sums up to each requested
     prefix row, whose sum is carried onto the next row, and on to the
@@ -259,9 +288,8 @@ def reinforced_prefix_sums(
         block, acc = hat[start : start + len(src)], work[: len(src)]
         idx = np.flatnonzero(fresh)
         block.reshape(-1)[idx] = increment_sample(triplet, 1.0 / n, gen, size=idx.size)[:, 0]
-        for row_src, row in zip(src, block):
-            take(row_src, out=row, mode="clip")  # every source is in range: nothing clips
-        np.copyto(acc, block)
+        take(_chase_sources(fresh, src, start), out=acc, mode="clip")  # nothing clips
+        np.copyto(block, acc)
         if start:  # not at row 0, where the sums keep the sign of a zero
             acc[0] += total
         hit = (ks > start) & (ks <= start + len(src))
