@@ -207,10 +207,10 @@ def _chase_sources(fresh: np.ndarray, src: np.ndarray, start: int) -> np.ndarray
     first row is ``start``.  A repeat whose source is a slot of the same
     chunk (flat index >= base = start * R) is chased by synchronous pointer
     jumping on those repeats alone, flat[i] = flat[flat[i] - base], until
-    it reaches a slot of an earlier chunk or a fresh slot of the chunk,
-    which is its own source.
-    Once the chunk's fresh slots are written, both hold the value that the
-    repeat takes, so the gather reads no slot of the chunk that it writes.
+    it reaches a slot of an earlier chunk or a fresh slot of the chunk
+    (its own source).  Once the chunk's fresh slots are written, both hold
+    the value that the repeat takes, so the gather reads no slot of the
+    chunk that it writes.
     """
     flat = src.reshape(-1)
     base = start * src.shape[1]
